@@ -12,8 +12,10 @@ all: vet build test
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (outside ./...); its self-tests are hermetic.
 test:
 	$(GO) test ./...
+	$(GO) test -C bench .
 
 vet:
 	$(GO) vet ./...

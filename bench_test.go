@@ -26,7 +26,6 @@ import (
 	"routebricks/internal/experiments"
 	"routebricks/internal/hw"
 	"routebricks/internal/lpm"
-	"routebricks/internal/nic"
 	"routebricks/internal/pkt"
 	"routebricks/internal/rss"
 )
@@ -200,8 +199,8 @@ func BenchmarkDispatch(b *testing.B) {
 	dst := netip.MustParseAddr("10.0.0.2")
 
 	run := func(b *testing.B, batch bool) {
-		in := nic.NewRing(2 * kp)
-		out := nic.NewRing(2 * kp)
+		in := exec.NewRing(2 * kp)
+		out := exec.NewRing(2 * kp)
 		poll := elements.NewPollDevice(in, kp)
 		poll.ChargeForward = false // measure dispatch, not the cost model
 		check := &elements.CheckIPHeader{}
@@ -220,7 +219,7 @@ func BenchmarkDispatch(b *testing.B) {
 			ttl.SetOutput(0, func(ctx *click.Context, p *pkt.Packet) { dev.Push(ctx, 0, p) })
 		}
 		ctx := &click.Context{}
-		drain := make([]*pkt.Packet, kp)
+		drain := pkt.NewBatch(kp)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -231,21 +230,20 @@ func BenchmarkDispatch(b *testing.B) {
 				p := pkt.New(pkt.MinSize, src, dst, uint16(1000+j), 80)
 				p.IPv4().SetTTL(64)
 				p.IPv4().UpdateChecksum()
-				in.Enqueue(p)
+				in.Push(p)
 			}
 			if got := poll.Run(ctx); got != kp {
 				b.Fatalf("poll moved %d packets, want %d", got, kp)
 			}
 			ctx.TakeCycles()
-			n := out.DequeueBatch(drain)
-			if n != kp {
+			drain.Reset()
+			if n := out.PopBatchInto(drain, kp); n != kp {
 				b.Fatalf("forwarded %d packets, want %d", n, kp)
 			}
-			for j := 0; j < n; j++ {
-				if batch {
-					pkt.DefaultPool.Put(drain[j])
+			if batch {
+				for _, p := range drain.Packets() {
+					pkt.DefaultPool.Put(p)
 				}
-				drain[j] = nil
 			}
 		}
 	}

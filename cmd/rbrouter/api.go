@@ -1,10 +1,8 @@
 package main
 
 // The versioned admin API served on -stats-addr. Everything lives under
-// /api/v1 with method checks and a JSON error envelope; /stats survives
-// as a deprecated alias of GET /api/v1/stats so existing scrapers keep
-// working. The route endpoints write through the cluster's shared live
-// FIB — updates commit RCU-style and reach every node's forwarding
+// /api/v1 with method checks and a JSON error envelope. The route
+// endpoints write through the cluster's shared live FIB — updates commit RCU-style and reach every node's forwarding
 // cores without stalling them.
 //
 //	GET    /api/v1/stats       cluster snapshot (all nodes)
@@ -121,12 +119,9 @@ func newAdminMux(nodes []*node, fib *routebricks.RouteAdmin, replanAll func() er
 		}))
 	}
 
-	stats := func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/api/v1/stats", methodCheck(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, clusterSnapshot(nodes))
-	}
-	mux.HandleFunc("/api/v1/stats", methodCheck(http.MethodGet, stats))
-	// Deprecated alias, kept so pre-v1 scrapers don't break.
-	mux.HandleFunc("/stats", methodCheck(http.MethodGet, stats))
+	}))
 
 	mux.HandleFunc("/api/v1/controller", methodCheck(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
 		out := make([]controllerDoc, len(nodes))

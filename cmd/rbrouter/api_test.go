@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
 	"testing"
+	"time"
 
 	"routebricks"
 	"routebricks/internal/click"
@@ -56,35 +58,33 @@ func decodeBody(t *testing.T, resp *http.Response, v any) {
 func TestAdminAPIStatsAndController(t *testing.T) {
 	srv, _, _ := apiFixture(t)
 
-	for _, path := range []string{"/api/v1/stats", "/stats"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		var snaps []nodeSnapshot
-		decodeBody(t, resp, &snaps)
-		if len(snaps) != 2 {
-			t.Fatalf("GET %s: %d nodes", path, len(snaps))
-		}
-		// The snapshot must carry the live FIB gauges through the node
-		// pipelines: 2 routes at generation 1.
-		for _, s := range snaps {
-			if s.Ingress.FIBGeneration != 1 || s.Ingress.FIBRoutes != 2 {
-				t.Fatalf("node %d FIB gauges: gen=%d routes=%d", s.ID, s.Ingress.FIBGeneration, s.Ingress.FIBRoutes)
-			}
+	resp, err := http.Get(srv.URL + "/api/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/v1/stats: %d", resp.StatusCode)
+	}
+	var snaps []nodeSnapshot
+	decodeBody(t, resp, &snaps)
+	if len(snaps) != 2 {
+		t.Fatalf("GET /api/v1/stats: %d nodes", len(snaps))
+	}
+	// The snapshot must carry the live FIB gauges through the node
+	// pipelines: 2 routes at generation 1.
+	for _, s := range snaps {
+		if s.Ingress.FIBGeneration != 1 || s.Ingress.FIBRoutes != 2 {
+			t.Fatalf("node %d FIB gauges: gen=%d routes=%d", s.ID, s.Ingress.FIBGeneration, s.Ingress.FIBRoutes)
 		}
 	}
 
-	// The alias keeps working but is method-checked like the v1 route.
-	resp, err := http.Post(srv.URL+"/stats", "application/json", strings.NewReader("{}"))
+	// The stats route is read-only: other methods get a 405 envelope.
+	resp, err = http.Post(srv.URL+"/api/v1/stats", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /stats: %d", resp.StatusCode)
+		t.Fatalf("POST /api/v1/stats: %d", resp.StatusCode)
 	}
 	var envelope errorEnvelope
 	decodeBody(t, resp, &envelope)
@@ -294,5 +294,51 @@ func TestAdminAPIReplan(t *testing.T) {
 	decodeBody(t, resp, &out)
 	if *replans != 1 || out.Replanned != 2 || len(out.Placements) != 2 {
 		t.Fatalf("replan: hook=%d response=%+v", *replans, out)
+	}
+}
+
+// TestReaderCountsRunts: a datagram too short to hold the Ethernet and
+// IPv4 headers is a frame rejected for its header, so the running reader
+// counts it in header_drops rather than recycling it unaccounted.
+func TestReaderCountsRunts(t *testing.T) {
+	fib, err := routebricks.NewFIB(
+		routebricks.Route{Prefix: netip.MustParsePrefix("10.0.0.0/16"), NextHop: 0},
+		routebricks.Route{Prefix: netip.MustParsePrefix("10.1.0.0/16"), NextHop: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]*node, 2)
+	for i := range nodes {
+		if nodes[i], err = newNode(i, len(nodes), fib, defaultConfig, true, 1, click.Parallel, false, wireConfig{rxQueues: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, nd := range nodes {
+		for j, peer := range nodes {
+			nd.peers[j] = peer.int_.LocalAddr().(*net.UDPAddr)
+		}
+	}
+	for _, nd := range nodes {
+		if err := nd.start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.shutdown)
+	}
+
+	conn, err := net.DialUDP("udp4", nil, nodes[0].ext.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(make([]byte, 10)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for nodes[0].snapshot().HeaderDrops == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := nodes[0].snapshot().HeaderDrops; got != 1 {
+		t.Fatalf("header drops = %d after one 10-byte datagram, want 1", got)
 	}
 }

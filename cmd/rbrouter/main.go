@@ -459,18 +459,15 @@ func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *rout
 		return nil, fmt.Errorf("load ingress program: %w", err)
 	}
 
-	// Transit traffic moves by MAC only — a single stage, so parallel is
-	// the only sensible allocation regardless of -placement. It rides the
-	// legacy StageSpec shim, which the planner converts to a Program
-	// internally.
+	// Transit traffic moves by MAC only — a one-element graph, so
+	// parallel is the only sensible allocation regardless of -placement.
 	nd.transit, err = click.NewPlan(click.PlanConfig{
 		Kind:  click.Parallel,
 		Cores: cores,
-		Stages: []click.StageSpec{
-			{Name: "transit", Make: func(int) click.StageInstance {
-				return click.StageInstance{Entry: &udpTransit{nd: nd}}
-			}},
-		},
+		Program: click.NewProgram(func(int) (*click.Router, error) {
+			r := click.NewRouter()
+			return r, r.Add("transit", &udpTransit{nd: nd})
+		}),
 		KP: 32, InputCap: 4096,
 	})
 	if err != nil {
@@ -557,7 +554,9 @@ func (nd *node) runReader(r *netio.BatchReader, shard *pkt.PoolShard, push func(
 		}
 		for _, p := range batch.Packets() {
 			if len(p.Data) < pkt.EtherHdrLen+pkt.IPv4HdrLen {
-				shard.Put(p) // runt: not even a frame header
+				// Runt: not even a frame header — rejected for its header.
+				nd.hdrDrops.Add(1)
+				shard.Put(p)
 				continue
 			}
 			if !push(p) {
@@ -900,7 +899,7 @@ func run() error {
 		srv := &http.Server{Handler: newAdminMux(nodes, fib, replanAll, nil)}
 		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Printf("admin API: http://%s/api/v1/{stats,controller,routes,replan,rss} (/stats is a deprecated alias)\n", ln.Addr())
+		fmt.Printf("admin API: http://%s/api/v1/{stats,controller,routes,replan,rss}\n", ln.Addr())
 	}
 
 	// Collector: count deliveries and measure reordering. Frames arrive

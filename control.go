@@ -190,7 +190,7 @@ func profileTrunkWeights(prog *click.Program, opts Options) []float64 {
 		return nil
 	}
 	in, err := prog.Instantiate(0)
-	if err != nil || in.Router() == nil || len(in.Segments()) < 2 {
+	if err != nil || len(in.Segments()) < 2 {
 		return nil
 	}
 	prof := click.NewProfiler()

@@ -9,7 +9,7 @@
 // Differences from C++ Click, chosen deliberately:
 //
 //   - Push-only. Pull paths and schedulable Queues are replaced by
-//     explicit NIC transmit rings (internal/nic), which is how the
+//     explicit NIC transmit rings (exec.Ring), which is how the
 //     paper's configurations are structured anyway (PollDevice → ... →
 //     ToDevice).
 //   - Static thread assignment is explicit: tasks (polling loops) are

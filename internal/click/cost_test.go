@@ -137,7 +137,7 @@ func TestAssignerTopology(t *testing.T) {
 func TestPlanTopologyDescribe(t *testing.T) {
 	topo := Topology{Sockets: 2, CoresPerSocket: 1}
 	plan, err := NewPlan(PlanConfig{
-		Kind: Pipelined, Cores: 2, Stages: threeStages(), Topo: topo,
+		Kind: Pipelined, Cores: 2, Program: threeStages(), Topo: topo,
 	})
 	if err != nil {
 		t.Fatal(err)

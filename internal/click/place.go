@@ -58,38 +58,6 @@ func (k PlanKind) String() string {
 	return fmt.Sprintf("PlanKind(%d)", int(k))
 }
 
-// StageInstance is one materialized pipeline stage. Entry receives
-// traffic on input port 0; Exit is the element whose output port 0 the
-// planner wires to the next stage (nil means the stage is a single
-// element and Exit == Entry). A stage's internal error ports (bad
-// headers, route misses) are the stage builder's responsibility — wire
-// them to recycling Discards inside Make; the planner only routes the
-// good path.
-type StageInstance struct {
-	Entry Element
-	Exit  Element
-}
-
-// exit resolves the element the planner wires downstream from.
-func (si StageInstance) exit() Element {
-	if si.Exit != nil {
-		return si.Exit
-	}
-	return si.Entry
-}
-
-// StageSpec declares one stage of a logical linear pipeline — the
-// legacy planner surface, kept as a thin shim over Program (see
-// ProgramFromStages). Make must return a fresh, independent instance
-// per call: the Parallel plan calls it once per core (clone), the
-// Pipelined plan once per chain. chain identifies which replica the
-// instance belongs to, so stages can key per-replica state (a per-core
-// VLB balancer, a per-core counter) off it.
-type StageSpec struct {
-	Name string
-	Make func(chain int) StageInstance
-}
-
 // PlanConfig parameterizes a placement plan.
 type PlanConfig struct {
 	Kind  PlanKind
@@ -99,11 +67,6 @@ type PlanConfig struct {
 	// instantiates one independent copy of the whole graph per chain and
 	// derives stage boundaries from the graph's trunk.
 	Program *Program
-
-	// Stages is the legacy linear surface; it is converted internally
-	// via ProgramFromStages. Exactly one of Program and Stages must be
-	// set.
-	Stages []StageSpec
 
 	// KP is the poll batch size (default 32, the paper's tuned kp).
 	KP int
@@ -229,8 +192,8 @@ type Plan struct {
 	lost atomic.Uint64
 }
 
-// NewPlan materializes a placement plan from a Program (or the legacy
-// Stages shim). Parallel uses every core as an independent chain.
+// NewPlan materializes a placement plan from a Program. Parallel uses
+// every core as an independent chain.
 // Pipelined cuts the trunk into G = min(cores, cuttable segments)
 // groups of consecutive cores per chain — cuts land only on boundaries
 // the graph topology allows — and replicates the chain cores/G times;
@@ -242,12 +205,7 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	}
 	prog := cfg.Program
 	if prog == nil {
-		if len(cfg.Stages) == 0 {
-			return nil, fmt.Errorf("click: plan needs a Program (or at least 1 stage)")
-		}
-		prog = ProgramFromStages(cfg.Stages)
-	} else if len(cfg.Stages) > 0 {
-		return nil, fmt.Errorf("click: plan takes a Program or Stages, not both")
+		return nil, fmt.Errorf("click: plan needs a Program")
 	}
 	if cfg.Kind == Auto {
 		return nil, fmt.Errorf("click: Auto placement must be resolved before planning (routebricks.Load calibrates and picks Parallel or Pipelined)")
@@ -430,7 +388,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 	for g := 0; g < groups; g++ {
 		lo, hi := bounds[g], bounds[g+1]
 		var downstream *exec.Ring
-		last := in.segs[hi-1].exit()
+		last := in.segs[hi-1]
 		if g < groups-1 {
 			// Cut boundary: the group's last trunk element emits into a
 			// handoff ring polled by the next core.
@@ -461,7 +419,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 		if g == 0 {
 			p.inputStat = append(p.inputStat, stat)
 		}
-		p.sched.MustBind(cores[g], p.pollTask(upstream, downstream, in.segs[lo].Entry, cfg.KP, stat, chain, g == 0))
+		p.sched.MustBind(cores[g], p.pollTask(upstream, downstream, in.segs[lo], cfg.KP, stat, chain, g == 0))
 		upstream = downstream
 	}
 	return nil
@@ -644,8 +602,7 @@ func (p *Plan) Cost() CostModel { return p.cost }
 // Instance returns chain i's materialized graph copy.
 func (p *Plan) Instance(i int) *Instance { return p.instances[i] }
 
-// Router returns chain i's element graph, or nil when the plan was
-// built from the legacy stage shim.
+// Router returns chain i's element graph.
 func (p *Plan) Router(i int) *Router { return p.instances[i].router }
 
 // Stats returns the per-core counter blocks, in core order.

@@ -52,16 +52,18 @@ func (s *collectSink) Push(_ *Context, _ int, p *pkt.Packet) {
 	s.seqs = append(s.seqs, p.SeqNo)
 }
 
-// threeStages builds a fresh 3-stage tagging pipeline spec.
-func threeStages() []StageSpec {
-	mk := func(string) StageSpec {
-		return StageSpec{Make: func(int) StageInstance {
-			return StageInstance{Entry: &tagElem{}}
-		}}
-	}
-	a, b, c := mk("a"), mk("b"), mk("c")
-	a.Name, b.Name, c.Name = "a", "b", "c"
-	return []StageSpec{a, b, c}
+// threeStages builds a 3-stage tagging pipeline a → b → c: a trunk of
+// three fresh tagElems per chain, every boundary cuttable.
+func threeStages() *Program {
+	return NewProgram(func(int) (*Router, error) {
+		r := NewRouter()
+		for _, name := range []string{"a", "b", "c"} {
+			r.MustAdd(name, &tagElem{})
+		}
+		r.MustConnect("a", 0, "b", 0)
+		r.MustConnect("b", 0, "c", 0)
+		return r, nil
+	})
 }
 
 // drivePlan feeds the given packets round-robin across the plan's
@@ -106,10 +108,10 @@ func TestPlanDeterminism(t *testing.T) {
 		for _, cores := range []int{1, 2, 4} {
 			sinks := make(map[int]*collectSink)
 			plan, err := NewPlan(PlanConfig{
-				Kind:   kind,
-				Cores:  cores,
-				Stages: threeStages(),
-				KP:     8,
+				Kind:    kind,
+				Cores:   cores,
+				Program: threeStages(),
+				KP:      8,
 				Sink: func(chain int) Element {
 					s := &collectSink{}
 					sinks[chain] = s
@@ -173,7 +175,7 @@ func TestPlanShapes(t *testing.T) {
 		{Pipelined, 6, 2, 4}, // two replicated 3-core chains
 	}
 	for _, tc := range cases {
-		plan, err := NewPlan(PlanConfig{Kind: tc.kind, Cores: tc.cores, Stages: threeStages()})
+		plan, err := NewPlan(PlanConfig{Kind: tc.kind, Cores: tc.cores, Program: threeStages()})
 		if err != nil {
 			t.Fatalf("%s/%d: %v", tc.kind, tc.cores, err)
 		}
@@ -198,10 +200,10 @@ func TestPlanRunnerLive(t *testing.T) {
 	for _, kind := range []PlanKind{Parallel, Pipelined} {
 		var delivered atomic.Uint64
 		plan, err := NewPlan(PlanConfig{
-			Kind:   kind,
-			Cores:  2,
-			Stages: threeStages(),
-			KP:     16,
+			Kind:    kind,
+			Cores:   2,
+			Program: threeStages(),
+			KP:      16,
 			Sink: func(int) Element {
 				return countSink{&delivered}
 			},
@@ -250,17 +252,16 @@ func (s countSink) OutPorts() int                         { return 0 }
 func (s countSink) Push(_ *Context, _ int, _ *pkt.Packet) { s.n.Add(1) }
 
 func TestPlanValidation(t *testing.T) {
-	if _, err := NewPlan(PlanConfig{Kind: Parallel, Cores: 0, Stages: threeStages()}); err == nil {
+	if _, err := NewPlan(PlanConfig{Kind: Parallel, Cores: 0, Program: threeStages()}); err == nil {
 		t.Error("0 cores accepted")
 	}
 	if _, err := NewPlan(PlanConfig{Kind: Parallel, Cores: 1}); err == nil {
-		t.Error("0 stages accepted")
+		t.Error("nil Program accepted")
 	}
-	if _, err := NewPlan(PlanConfig{Kind: Parallel, Cores: 1,
-		Stages: []StageSpec{{Name: "x"}}}); err == nil {
-		t.Error("nil Make accepted")
+	if _, err := NewPlan(PlanConfig{Kind: Parallel, Cores: 1, Program: &Program{}}); err == nil {
+		t.Error("nil Build accepted")
 	}
-	if _, err := NewPlan(PlanConfig{Kind: PlanKind(9), Cores: 1, Stages: threeStages()}); err == nil {
+	if _, err := NewPlan(PlanConfig{Kind: PlanKind(9), Cores: 1, Program: threeStages()}); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }

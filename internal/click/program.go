@@ -44,11 +44,6 @@ type Program struct {
 	// that is ambiguous (several sources, or a cycle through every
 	// element) must name it.
 	Entry string
-
-	// stages carries the legacy linear-pipeline surface; when set, Build
-	// and Entry are ignored and instantiation wires the stages in
-	// sequence exactly as the pre-Program planner did.
-	stages []StageSpec
 }
 
 // NewProgram wraps a graph builder. The entry element is auto-detected;
@@ -73,37 +68,28 @@ func ParseProgram(text string, reg Registry, prebound func(chain int) map[string
 	}}
 }
 
-// ProgramFromStages adapts the legacy []StageSpec surface to the
-// graph-first planner — the thin shim that keeps pre-Program callers
-// working. Each stage becomes one trunk segment; there are no side
-// branches and every boundary is cuttable.
-func ProgramFromStages(stages []StageSpec) *Program {
-	return &Program{stages: stages}
-}
-
 // Instance is one materialized per-chain copy of a Program's graph:
 // elements built, intra-graph connections wired synchronously, and the
 // trunk identified so the planner knows where it may cut.
 type Instance struct {
-	router *Router         // nil for stage-shim programs
-	segs   []StageInstance // trunk segments in graph order
-	names  []string        // display name per segment
-	noCut  []bool          // noCut[i]: boundary between seg i and i+1 must stay on one core
+	router *Router
+	segs   []Element // trunk elements in graph order
+	names  []string  // display name per segment
+	noCut  []bool    // noCut[i]: boundary between seg i and i+1 must stay on one core
 	// branchOf maps each non-trunk element to the index of the first
 	// trunk segment that reaches it — the core its work executes on, and
 	// therefore the segment its cycles belong to when weighting cuts.
 	branchOf map[string]int
 }
 
-// Router returns the instance's element graph (nil when the instance
-// came from the legacy stage shim).
+// Router returns the instance's element graph.
 func (in *Instance) Router() *Router { return in.router }
 
 // Entry returns the element poll tasks inject traffic into.
-func (in *Instance) Entry() Element { return in.segs[0].Entry }
+func (in *Instance) Entry() Element { return in.segs[0] }
 
 // Exit returns the last trunk element — where a Sink attaches.
-func (in *Instance) Exit() Element { return in.segs[len(in.segs)-1].exit() }
+func (in *Instance) Exit() Element { return in.segs[len(in.segs)-1] }
 
 // Segments returns the trunk element names in order.
 func (in *Instance) Segments() []string {
@@ -114,9 +100,6 @@ func (in *Instance) Segments() []string {
 
 // Instantiate stamps out chain's independent copy of the graph.
 func (pr *Program) Instantiate(chain int) (*Instance, error) {
-	if pr.stages != nil {
-		return instantiateStages(pr.stages, chain)
-	}
 	if pr.Build == nil {
 		return nil, fmt.Errorf("click: program has no Build function")
 	}
@@ -128,35 +111,6 @@ func (pr *Program) Instantiate(chain int) (*Instance, error) {
 		return nil, fmt.Errorf("click: program chain %d: Build returned nil router", chain)
 	}
 	return analyzeRouter(r, pr.Entry)
-}
-
-// instantiateStages is the legacy path: build each stage and wire them
-// in sequence, exactly as the pre-Program planner did within a core.
-func instantiateStages(stages []StageSpec, chain int) (*Instance, error) {
-	if len(stages) == 0 {
-		return nil, fmt.Errorf("click: program needs at least 1 stage")
-	}
-	in := &Instance{
-		segs:  make([]StageInstance, len(stages)),
-		names: make([]string, len(stages)),
-		noCut: make([]bool, len(stages)-1),
-	}
-	for i, st := range stages {
-		if st.Make == nil {
-			return nil, fmt.Errorf("click: stage %d (%q) has nil Make", i, st.Name)
-		}
-		in.segs[i] = st.Make(chain)
-		if in.segs[i].Entry == nil {
-			return nil, fmt.Errorf("click: stage %q returned nil Entry", st.Name)
-		}
-		in.names[i] = st.Name
-	}
-	for i := 0; i+1 < len(in.segs); i++ {
-		if err := wireStage(in.segs[i].exit(), in.segs[i+1].Entry); err != nil {
-			return nil, fmt.Errorf("click: stage %q: %w", stages[i].Name, err)
-		}
-	}
-	return in, nil
 }
 
 // analyzeRouter derives the placement topology of a wired graph: entry,
@@ -225,13 +179,12 @@ func analyzeRouter(r *Router, entryName string) (*Instance, error) {
 
 	in := &Instance{
 		router: r,
-		segs:   make([]StageInstance, len(trunk)),
+		segs:   make([]Element, len(trunk)),
 		names:  trunk,
 		noCut:  edgeNoCut,
 	}
 	for i, name := range trunk {
-		el := r.elements[name]
-		in.segs[i] = StageInstance{Entry: el}
+		in.segs[i] = r.elements[name]
 	}
 
 	// Side-branch constraints: every non-trunk element reachable from
@@ -301,12 +254,8 @@ func analyzeRouter(r *Router, entryName string) (*Instance, error) {
 // synchronously on the feeding segment's core, so their cost lands on
 // that core). Elements the profile never saw weigh 0; a uniform floor
 // of 1 cycle per segment keeps untouched segments from collapsing a
-// group to zero width. Returns nil when the instance has no graph (the
-// legacy stage shim).
+// group to zero width.
 func (in *Instance) TrunkWeights(prof *Profiler) []float64 {
-	if in.router == nil {
-		return nil
-	}
 	byName := make(map[string]float64)
 	for _, s := range prof.Stats() {
 		byName[s.Name] = s.Cycles

@@ -57,18 +57,11 @@ func StateClassOf(e Element) StateClass {
 	return Stateless
 }
 
-// StateClasses maps every element of the instance's graph to its class
-// (trunk entries only for the legacy stage shim).
+// StateClasses maps every element of the instance's graph to its class.
 func (in *Instance) StateClasses() map[string]StateClass {
 	out := make(map[string]StateClass)
-	if in.router != nil {
-		for name, e := range in.router.elements {
-			out[name] = StateClassOf(e)
-		}
-		return out
-	}
-	for i, name := range in.names {
-		out[name] = StateClassOf(in.segs[i].Entry)
+	for name, e := range in.router.elements {
+		out[name] = StateClassOf(e)
 	}
 	return out
 }

@@ -48,11 +48,12 @@ func sinkPlan(t *testing.T, cores int, steal bool, stealMin int) (*Plan, []*stea
 	plan, err := NewPlan(PlanConfig{
 		Kind:  Parallel,
 		Cores: cores,
-		Stages: []StageSpec{{Name: "sink", Make: func(int) StageInstance {
+		Program: NewProgram(func(int) (*Router, error) {
 			s := &stealSink{}
 			sinks = append(sinks, s)
-			return StageInstance{Entry: s}
-		}}},
+			r := NewRouter()
+			return r, r.Add("sink", s)
+		}),
 		KP:       32,
 		Steal:    steal,
 		StealMin: stealMin,

@@ -1,8 +1,10 @@
 // Package cluster assembles RouteBricks clusters: N server nodes (modeled
 // by internal/hw), each running a click graph over multi-queue NICs
-// (internal/nic), interconnected in a full mesh and switched with Direct
-// VLB plus flowlet reordering avoidance (internal/vlb). RB4 — the paper's
-// 4-node prototype (§6) — is the default configuration.
+// (per-core exec.Ring descriptor queues, RSS-steered through the same
+// rss.Table the live pipeline uses), interconnected in a full mesh and
+// switched with Direct VLB plus flowlet reordering avoidance
+// (internal/vlb). RB4 — the paper's 4-node prototype (§6) — is the
+// default configuration.
 //
 // The cluster runs as a discrete-event simulation on virtual time:
 // packets really flow (real IPv4 headers, real DIR-24-8 lookups, real MAC
@@ -56,6 +58,9 @@ const (
 	// maxLinkBacklog is how far ahead a link may be booked before the
 	// transmit engine stops draining rings (backpressure).
 	maxLinkBacklog = 40 * sim.Microsecond
+	// defaultQueueSize matches the 512-descriptor rings common on the
+	// paper-era Intel 10G parts.
+	defaultQueueSize = 512
 )
 
 // Config parameterizes a cluster.
@@ -66,7 +71,7 @@ type Config struct {
 	KP int // packets per poll
 	KN int // descriptors per NIC transaction
 
-	QueueSize int // per-ring capacity (defaults to nic.DefaultQueueSize)
+	QueueSize int // per-ring capacity (defaults to defaultQueueSize)
 
 	// LineRateBps is the external port rate R (default 10 Gbps).
 	LineRateBps float64
@@ -160,6 +165,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.TxTimeout == 0 {
 		cfg.TxTimeout = DefaultTxTimeout
 	}
+	if cfg.QueueSize < 1 {
+		cfg.QueueSize = defaultQueueSize
+	}
 
 	c := &Cluster{
 		cfg:     cfg,
@@ -237,7 +245,7 @@ func (c *Cluster) Inject(at sim.Time, nodeID int, p *pkt.Packet) {
 				pkt.DefaultPool.Put(p)
 				return
 			}
-			if n.ext.Deliver(p) {
+			if n.receive(-1, p) {
 				c.arrived++
 			} else {
 				pkt.DefaultPool.Put(p)
@@ -272,13 +280,8 @@ func (c *Cluster) inFlight() int {
 func (c *Cluster) Totals() (injected, delivered, rxDrops, txDrops, ttl uint64) {
 	delivered = c.Meter.Packets()
 	for _, n := range c.nodes {
-		rxDrops += n.ext.RXDrops()
-		for _, p := range n.peersIn {
-			if p != nil {
-				rxDrops += p.RXDrops()
-			}
-		}
-		txDrops += n.txDrops()
+		rxDrops += rejected(n.rxAll)
+		txDrops += rejected(n.txAll)
 	}
 	return c.injected, delivered, rxDrops, txDrops, c.ttlDrops
 }

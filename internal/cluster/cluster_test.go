@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"testing"
 
+	"routebricks/internal/exec"
+	"routebricks/internal/pkt"
 	"routebricks/internal/sim"
 	"routebricks/internal/trafficgen"
 )
@@ -281,5 +283,133 @@ func TestNodeAddrMapsToFIB(t *testing.T) {
 		if b[0] != 10 || int(b[1]) != d {
 			t.Fatalf("NodeAddr(%d) = %v", d, a)
 		}
+	}
+}
+
+// mkpkt builds a 64 B test packet of flow (10.0.0.1:sport → 10.0.0.2:80)
+// tagged with sequence number sport.
+func mkpkt(sport int) *pkt.Packet {
+	p := pkt.New(64, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), uint16(sport), 80)
+	p.SeqNo = uint64(sport)
+	return p
+}
+
+// Every port gets one queue per core per direction, each sized to the
+// 512-descriptor default when Config.QueueSize is unset.
+func TestPortDefaults(t *testing.T) {
+	cfg := RB4Config()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.nodes[0]
+	cores := cfg.Spec.Cores()
+	if len(n.extRX) != cores || len(n.extTX) != cores || len(n.peerRX[1]) != cores || len(n.peerTX[1]) != cores {
+		t.Fatalf("queues per port = %d/%d ext, %d/%d peer; want %d", len(n.extRX), len(n.extTX), len(n.peerRX[1]), len(n.peerTX[1]), cores)
+	}
+	if n.peerRX[0] != nil || n.peerTX[0] != nil {
+		t.Fatal("node has a port facing itself")
+	}
+	for _, r := range append(n.rxAll, n.txAll...) {
+		if r.Cap() != defaultQueueSize {
+			t.Fatalf("queue size = %d, want %d", r.Cap(), defaultQueueSize)
+		}
+	}
+}
+
+// MAC steering: an internal port's receive queue is the node ID encoded
+// in the destination MAC, modulo the queue count.
+func TestMACSteering(t *testing.T) {
+	c, err := New(RB4Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node := 0; node < 16; node++ {
+		p := mkpkt(node)
+		p.Ether().SetDst(pkt.NodeMAC(node))
+		if got, want := macQueue(p, 4), node%4; got != want {
+			t.Errorf("node %d steered to queue %d, want %d", node, got, want)
+		}
+	}
+	// receive lands the frame on the steered queue of the port facing
+	// the sender.
+	n := c.nodes[1]
+	rx := n.peerRX[0]
+	p := mkpkt(1)
+	p.Ether().SetDst(pkt.NodeMAC(3))
+	if !n.receive(0, p) {
+		t.Fatal("receive rejected a frame on an empty port")
+	}
+	if q := rx[3%len(rx)]; q.Len() != 1 {
+		t.Fatalf("queue %d holds %d frames, want 1", 3%len(rx), q.Len())
+	}
+}
+
+// A full receive queue rejects the frame and the cluster counts it as a
+// receive drop.
+func TestDeliverCountsDrops(t *testing.T) {
+	cfg := RB4Config()
+	cfg.QueueSize = 2
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.nodes[0]
+	// One flow steers to one queue, so the third frame overflows it.
+	for i := 0; i < 2; i++ {
+		if !n.receive(-1, mkpkt(7)) {
+			t.Fatalf("frame %d rejected", i)
+		}
+	}
+	if n.receive(-1, mkpkt(7)) {
+		t.Fatal("full queue accepted a frame")
+	}
+	if _, _, rxd, txd, _ := c.Totals(); rxd != 1 || txd != 0 {
+		t.Fatalf("rx drops = %d, tx drops = %d; want 1, 0", rxd, txd)
+	}
+}
+
+// txQueues builds a transmit engine over two 8-slot queues with a
+// descriptor batch of kn — enough of the engine for drain.
+func txQueues(kn int) *txEngine {
+	return &txEngine{tx: []*exec.Ring{exec.NewRing(8), exec.NewRing(8)}, batch: pkt.NewBatch(kn)}
+}
+
+func TestDrainTXRoundRobin(t *testing.T) {
+	e := txQueues(16)
+	for i := 0; i < 4; i++ {
+		e.tx[0].Push(mkpkt(i))
+		e.tx[1].Push(mkpkt(10 + i))
+	}
+	if n := e.drain(); n != 8 {
+		t.Fatalf("drained %d, want 8", n)
+	}
+	// Within each queue, order is preserved.
+	last := map[bool]uint64{}
+	for _, p := range e.batch.Packets() {
+		q := p.SeqNo >= 10
+		if prev, ok := last[q]; ok && p.SeqNo < prev {
+			t.Fatalf("queue order broken: %d after %d", p.SeqNo, prev)
+		}
+		last[q] = p.SeqNo
+	}
+	// The cursor moved on, so the next drain starts at the other queue.
+	e.tx[0].Push(mkpkt(4))
+	e.tx[1].Push(mkpkt(14))
+	if e.drain(); e.batch.At(0).SeqNo != 4 {
+		t.Fatalf("second drain started at seq %d, want queue 0's 4", e.batch.At(0).SeqNo)
+	}
+}
+
+func TestDrainTXPartial(t *testing.T) {
+	e := txQueues(4)
+	for i := 0; i < 6; i++ {
+		e.tx[i%2].Push(mkpkt(i))
+	}
+	if n := e.drain(); n != 4 {
+		t.Fatalf("drained %d, want 4", n)
+	}
+	if left := e.tx[0].Len() + e.tx[1].Len(); left != 2 {
+		t.Fatalf("left %d, want 2", left)
 	}
 }

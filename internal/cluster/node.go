@@ -5,24 +5,34 @@ import (
 
 	"routebricks/internal/click"
 	"routebricks/internal/elements"
+	"routebricks/internal/exec"
 	"routebricks/internal/hw"
-	"routebricks/internal/nic"
 	"routebricks/internal/pkt"
+	"routebricks/internal/rss"
 	"routebricks/internal/sim"
 	"routebricks/internal/vlb"
 )
 
 // node is one cluster server: an external port, one internal port per
 // peer, per-core click pipelines, a VLB balancer, and per-port transmit
-// engines.
+// engines. Every port is a pair of per-core queue sets — queue i of each
+// is owned by core i, the paper's "one core per queue" rule, so every
+// ring is single-producer/single-consumer.
 type node struct {
-	c   *Cluster
-	id  int
-	ext *nic.Port
-	// peersIn[j] is the port facing peer j (nil at j == id). Its RX side
-	// receives from j (MAC-steered); its TX side sends to j.
-	peersIn []*nic.Port
-	bal     *vlb.Balancer
+	c            *Cluster
+	id           int
+	extRX, extTX []*exec.Ring
+	// peerRX[j]/peerTX[j] are the queues of the port facing peer j (nil
+	// at j == id): RX receives from j (MAC-steered), TX sends to j.
+	peerRX, peerTX [][]*exec.Ring
+	// rxAll/txAll list every queue of the node, for occupancy and drop
+	// accounting.
+	rxAll, txAll []*exec.Ring
+	// steer is the external port's receive-side scaling: the same
+	// indirection table and symmetric flow hash that Load's PushFlow
+	// steers through.
+	steer *rss.Table
+	bal   *vlb.Balancer
 	// sched is the same static core-to-task assignment the live Runner
 	// drives (internal/click); here the simulator steps it on virtual
 	// time, so simulated and real execution share one placement type.
@@ -48,24 +58,31 @@ func newNode(c *Cluster, id int) *node {
 	if cores < cfg.Nodes {
 		panic(fmt.Sprintf("cluster: MAC steering needs cores (%d) ≥ nodes (%d)", cores, cfg.Nodes))
 	}
-	qcfg := nic.Config{RXQueues: cores, TXQueues: cores, QueueSize: cfg.QueueSize}
 	n := &node{c: c, id: id, sched: click.NewSchedule(cores)}
 	// Every drop point is a terminal owner: recycle so a long-running
 	// simulation forwards without allocation churn.
 	n.ttlDiscard.Recycle = pkt.DefaultPool
 	n.hdrDiscard.Recycle = pkt.DefaultPool
 	n.missDiscard.Recycle = pkt.DefaultPool
-	extCfg := qcfg
-	extCfg.Steering = nic.SteerRSS
-	n.ext = nic.NewPort(id*100, extCfg)
-	n.peersIn = make([]*nic.Port, cfg.Nodes)
-	for j := 0; j < cfg.Nodes; j++ {
-		if j == id {
-			continue
+	queues := func(all *[]*exec.Ring) []*exec.Ring {
+		qs := make([]*exec.Ring, cores)
+		for i := range qs {
+			qs[i] = exec.NewRing(cfg.QueueSize)
 		}
-		pc := qcfg
-		pc.Steering = nic.SteerMAC
-		n.peersIn[j] = nic.NewPort(id*100+j+1, pc)
+		*all = append(*all, qs...)
+		return qs
+	}
+	n.extRX, n.extTX = queues(&n.rxAll), queues(&n.txAll)
+	n.peerRX = make([][]*exec.Ring, cfg.Nodes)
+	n.peerTX = make([][]*exec.Ring, cfg.Nodes)
+	for j := 0; j < cfg.Nodes; j++ {
+		if j != id {
+			n.peerRX[j], n.peerTX[j] = queues(&n.rxAll), queues(&n.txAll)
+		}
+	}
+	var err error
+	if n.steer, err = rss.New(0, cores); err != nil {
+		panic(fmt.Sprintf("cluster: rss table: %v", err))
 	}
 	n.bal = vlb.New(vlb.Config{
 		Nodes:       cfg.Nodes,
@@ -139,10 +156,10 @@ func (n *node) start() {
 		eng.Schedule(off, co.step)
 	}
 	// One transmit engine per port: external egress plus each peer link.
-	n.engines = append(n.engines, newTxEngine(n, n.ext, -1))
-	for j, p := range n.peersIn {
-		if p != nil {
-			n.engines = append(n.engines, newTxEngine(n, p, j))
+	n.engines = append(n.engines, newTxEngine(n, n.extTX, -1))
+	for j, tx := range n.peerTX {
+		if tx != nil {
+			n.engines = append(n.engines, newTxEngine(n, tx, j))
 		}
 	}
 	for k, e := range n.engines {
@@ -151,30 +168,44 @@ func (n *node) start() {
 	}
 }
 
-func (n *node) queued() int {
+// receive is a port's wire-side receive path: steer p to one of its
+// queues and enqueue it. from is the peer the frame arrives from, or -1
+// for the external wire. A full queue counts the rejection — the port's
+// receive drop — and leaves p with the caller.
+func (n *node) receive(from int, p *pkt.Packet) bool {
+	if from < 0 {
+		_, q := n.steer.Steer(p.RSSHash())
+		return n.extRX[q].Push(p)
+	}
+	rx := n.peerRX[from]
+	return rx[macQueue(p, len(rx))].Push(p)
+}
+
+// macQueue is RB4's MAC steering (§6.1): the ingress node encoded the
+// output node (plus flow-hash split bits above it) in the destination
+// MAC, so an internal port picks the receive queue without touching the
+// IP header.
+func macQueue(p *pkt.Packet, queues int) int {
+	return p.Ether().Dst().Node() % queues
+}
+
+func (n *node) queued() int { return occupancy(n.rxAll) + occupancy(n.txAll) }
+
+// occupancy sums the packets queued across rings.
+func occupancy(rings []*exec.Ring) int {
 	total := 0
-	ports := append([]*nic.Port{n.ext}, n.peersIn...)
-	for _, p := range ports {
-		if p == nil {
-			continue
-		}
-		for q := 0; q < p.NumRX(); q++ {
-			total += p.RX(q).Len()
-		}
-		for q := 0; q < p.NumTX(); q++ {
-			total += p.TX(q).Len()
-		}
+	for _, r := range rings {
+		total += r.Len()
 	}
 	return total
 }
 
-func (n *node) txDrops() uint64 {
+// rejected sums the full-queue rejections across rings: packets a port
+// could not accept.
+func rejected(rings []*exec.Ring) uint64 {
 	var d uint64
-	d += n.ext.TXDrops()
-	for _, p := range n.peersIn {
-		if p != nil {
-			d += p.TXDrops()
-		}
+	for _, r := range rings {
+		d += r.Rejected()
 	}
 	return d
 }
@@ -205,7 +236,7 @@ func newCore(n *node, idx int) *core {
 	if err != nil {
 		panic(fmt.Sprintf("cluster: ingress program: %v", err))
 	}
-	poll := elements.NewPollDevice(n.ext.RX(idx), cfg.KP)
+	poll := elements.NewPollDevice(n.extRX[idx], cfg.KP)
 	poll.SetBatchOutput(0, click.BatchDispatch(inst.Entry(), 0))
 	n.sched.MustBind(idx, poll)
 
@@ -217,8 +248,8 @@ func newCore(n *node, idx int) *core {
 	// still has exactly one core (§4.2's rule).
 	cores := cfg.Spec.Cores()
 	transit := n.transitProgram(idx)
-	for j, p := range n.peersIn {
-		if p == nil {
+	for j, rx := range n.peerRX {
+		if rx == nil {
 			continue
 		}
 		q := ((idx-j)%cores + cores) % cores
@@ -229,7 +260,7 @@ func newCore(n *node, idx int) *core {
 		if err != nil {
 			panic(fmt.Sprintf("cluster: transit program: %v", err))
 		}
-		tpoll := elements.NewPollDevice(p.RX(q), cfg.KP)
+		tpoll := elements.NewPollDevice(rx[q], cfg.KP)
 		tpoll.SetBatchOutput(0, click.BatchDispatch(tinst.Entry(), 0))
 		n.sched.MustBind(idx, tpoll)
 	}
@@ -276,14 +307,14 @@ func (v *vlbIngress) build() {
 	n := v.n
 	kn := n.c.cfg.KN
 	kp := n.c.cfg.KP
-	v.toExt = elements.NewToDevice(n.ext.TX(v.idx), kn)
+	v.toExt = elements.NewToDevice(n.extTX[v.idx], kn)
 	v.toExt.Recycle = pkt.DefaultPool
 	v.scratchExt = pkt.NewBatch(kp)
 	v.to = make([]*elements.ToDevice, n.c.cfg.Nodes)
 	v.scratch = make([]*pkt.Batch, n.c.cfg.Nodes)
-	for j, p := range n.peersIn {
-		if p != nil {
-			v.to[j] = elements.NewToDevice(p.TX(v.idx), kn)
+	for j, tx := range n.peerTX {
+		if tx != nil {
+			v.to[j] = elements.NewToDevice(tx[v.idx], kn)
 			v.to[j].Recycle = pkt.DefaultPool
 			v.scratch[j] = pkt.NewBatch(kp)
 		}
@@ -379,10 +410,10 @@ func (v *vlbTransit) build() {
 	n := v.n
 	kn := n.c.cfg.KN
 	if v.outNode == n.id {
-		v.toExt = elements.NewToDevice(n.ext.TX(v.idx), kn)
+		v.toExt = elements.NewToDevice(n.extTX[v.idx], kn)
 		v.toExt.Recycle = pkt.DefaultPool
 	} else {
-		v.toPeer = elements.NewToDevice(n.peersIn[v.outNode].TX(v.idx), kn)
+		v.toPeer = elements.NewToDevice(n.peerTX[v.outNode][v.idx], kn)
 		v.toPeer.Recycle = pkt.DefaultPool
 	}
 }
@@ -424,26 +455,35 @@ func (v *vlbTransit) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 // transfer time, and serializes packets onto the link.
 type txEngine struct {
 	n    *node
-	port *nic.Port
-	peer int // destination node, or -1 for the external wire
+	tx   []*exec.Ring // the port's transmit queues
+	peer int          // destination node, or -1 for the external wire
 
 	cursor       int
 	linkBusy     sim.Time
 	pendingSince sim.Time
-	batch        []*pkt.Packet
+	batch        *pkt.Batch
 }
 
-func newTxEngine(n *node, port *nic.Port, peer int) *txEngine {
-	return &txEngine{n: n, port: port, peer: peer, pendingSince: -1,
-		batch: make([]*pkt.Packet, n.c.cfg.KN)}
+func newTxEngine(n *node, tx []*exec.Ring, peer int) *txEngine {
+	return &txEngine{n: n, tx: tx, peer: peer, pendingSince: -1,
+		batch: pkt.NewBatch(n.c.cfg.KN)}
 }
 
-func (e *txEngine) occupancy() int {
-	total := 0
-	for q := 0; q < e.port.NumTX(); q++ {
-		total += e.port.TX(q).Len()
+// drain fills the descriptor batch from the transmit queues, visiting
+// them round-robin from the cursor (which advances) — the DMA engine's
+// view; kn batching is applied by service, which schedules the
+// transactions.
+func (e *txEngine) drain() int {
+	e.batch.Reset()
+	for range e.tx {
+		q := e.tx[e.cursor%len(e.tx)]
+		e.cursor++
+		q.PopBatchInto(e.batch, e.batch.Cap())
+		if e.batch.Len() == e.batch.Cap() {
+			break
+		}
 	}
-	return total
+	return e.batch.Len()
 }
 
 func (e *txEngine) service() {
@@ -453,7 +493,7 @@ func (e *txEngine) service() {
 	now := e.n.c.eng.Now()
 	defer e.n.c.eng.Schedule(now+txService, e.service)
 
-	occ := e.occupancy()
+	occ := occupancy(e.tx)
 	if occ == 0 {
 		e.pendingSince = -1
 		return
@@ -468,7 +508,7 @@ func (e *txEngine) service() {
 	if e.linkBusy > now+maxLinkBacklog {
 		return // link backpressure: leave packets in the rings
 	}
-	k := e.port.DrainTX(e.batch, &e.cursor)
+	k := e.drain()
 	if k == 0 {
 		e.pendingSince = -1
 		return
@@ -481,15 +521,14 @@ func (e *txEngine) service() {
 	if e.linkBusy > depart {
 		depart = e.linkBusy
 	}
-	for i := 0; i < k; i++ {
-		p := e.batch[i]
-		e.batch[i] = nil
+	for _, p := range e.batch.Packets() {
 		ser := sim.Time(float64(p.Len()*8) / linkBps * float64(sim.Second))
 		depart += ser
 		e.deliver(depart+LinkPropagation, p)
 	}
+	e.batch.Reset()
 	e.linkBusy = depart
-	if e.occupancy() > 0 {
+	if occupancy(e.tx) > 0 {
 		e.pendingSince = now
 	} else {
 		e.pendingSince = -1
@@ -518,7 +557,7 @@ func (e *txEngine) deliver(at sim.Time, p *pkt.Packet) {
 				pkt.DefaultPool.Put(p)
 				return
 			}
-			if !c.nodes[to].peersIn[from].Deliver(p) {
+			if !c.nodes[to].receive(from, p) {
 				// Receive ring overflow: the ring counted the drop; the
 				// buffer's life ends here.
 				pkt.DefaultPool.Put(p)

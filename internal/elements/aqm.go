@@ -4,7 +4,7 @@ import (
 	"math/rand"
 
 	"routebricks/internal/click"
-	"routebricks/internal/nic"
+	"routebricks/internal/exec"
 	"routebricks/internal/pkt"
 )
 
@@ -16,7 +16,7 @@ import (
 // Output 0 forwards, output 1 carries early drops.
 type RED struct {
 	click.Base
-	Queue     *nic.Ring
+	Queue     *exec.Ring
 	MinThresh float64
 	MaxThresh float64
 	MaxP      float64
@@ -30,7 +30,7 @@ type RED struct {
 }
 
 // NewRED builds the element with the classic parameterization.
-func NewRED(q *nic.Ring, minTh, maxTh, maxP float64, seed int64) *RED {
+func NewRED(q *exec.Ring, minTh, maxTh, maxP float64, seed int64) *RED {
 	return &RED{
 		Queue: q, MinThresh: minTh, MaxThresh: maxTh, MaxP: maxP,
 		Weight: 0.002,

@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"routebricks/internal/click"
-	"routebricks/internal/nic"
+	"routebricks/internal/exec"
 )
 
 func TestREDPhases(t *testing.T) {
-	q := nic.NewRing(256)
+	q := exec.NewRing(256)
 	red := NewRED(q, 10, 50, 0.5, 1)
 	red.Weight = 1 // follow instantaneous occupancy for a deterministic test
 	c := newCapture()
@@ -27,7 +27,7 @@ func TestREDPhases(t *testing.T) {
 
 	// Fill beyond MaxThresh: everything early-drops.
 	for i := 0; i < 60; i++ {
-		q.Enqueue(testPacket(64, "10.0.0.2"))
+		q.Push(testPacket(64, "10.0.0.2"))
 	}
 	for i := 0; i < 100; i++ {
 		red.Push(ctx, 0, testPacket(64, "10.0.0.2"))
@@ -37,9 +37,9 @@ func TestREDPhases(t *testing.T) {
 	}
 
 	// Between thresholds: drop fraction approximates the RED curve.
-	q2 := nic.NewRing(256)
+	q2 := exec.NewRing(256)
 	for i := 0; i < 30; i++ { // avg 30 → prob = 0.5·(30-10)/40 = 0.25
-		q2.Enqueue(testPacket(64, "10.0.0.2"))
+		q2.Push(testPacket(64, "10.0.0.2"))
 	}
 	red2 := NewRED(q2, 10, 50, 0.5, 2)
 	red2.Weight = 1

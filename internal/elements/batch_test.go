@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"routebricks/internal/click"
+	"routebricks/internal/exec"
 	"routebricks/internal/hw"
 	"routebricks/internal/lpm"
-	"routebricks/internal/nic"
 	"routebricks/internal/pkt"
 )
 
@@ -182,7 +182,7 @@ func TestDiscardBatchRecycles(t *testing.T) {
 }
 
 func TestToDeviceBatch(t *testing.T) {
-	ring := nic.NewRing(8)
+	ring := exec.NewRing(8)
 	dev := NewToDevice(ring, 16)
 	ctx := &click.Context{}
 	dev.PushBatch(ctx, 0, makeBatch(t, 6, "10.0.0.2"))
@@ -195,14 +195,14 @@ func TestToDeviceBatch(t *testing.T) {
 	}
 	// Order preserved through the ring.
 	for i := 0; i < 6; i++ {
-		if p := ring.Dequeue(); p.SeqNo != uint64(i) {
+		if p := ring.Pop(); p.SeqNo != uint64(i) {
 			t.Fatalf("ring order broken at %d: %d", i, p.SeqNo)
 		}
 	}
 
 	// Overflow with a recycler: drops come back to the pool.
 	pool := pkt.NewPool(32)
-	small := nic.NewRing(2)
+	small := exec.NewRing(2)
 	dev2 := NewToDevice(small, 16)
 	dev2.Recycle = pool
 	dev2.PushBatch(ctx, 0, makeBatch(t, 5, "10.0.0.2"))
@@ -225,11 +225,11 @@ func TestForwardingPipelineBatchEquivalence(t *testing.T) {
 	table.Freeze()
 
 	run := func(batch bool) []uint64 {
-		ring := nic.NewRing(64)
+		ring := exec.NewRing(64)
 		for i := 0; i < 40; i++ {
 			p := testPacket(64, "10.0.0.2")
 			p.SeqNo = uint64(i)
-			ring.Enqueue(p)
+			ring.Push(p)
 		}
 		poll := NewPollDevice(ring, 16)
 		check := &CheckIPHeader{}

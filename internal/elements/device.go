@@ -12,8 +12,8 @@ import (
 	"sync/atomic"
 
 	"routebricks/internal/click"
+	"routebricks/internal/exec"
 	"routebricks/internal/hw"
-	"routebricks/internal/nic"
 	"routebricks/internal/pkt"
 )
 
@@ -25,7 +25,7 @@ import (
 // model at full batches.
 type PollDevice struct {
 	click.Base
-	queue *nic.Ring
+	queue *exec.Ring
 	kp    int
 	batch *pkt.Batch
 
@@ -40,7 +40,7 @@ type PollDevice struct {
 }
 
 // NewPollDevice builds a poll source for queue with burst kp.
-func NewPollDevice(queue *nic.Ring, kp int) *PollDevice {
+func NewPollDevice(queue *exec.Ring, kp int) *PollDevice {
 	if kp < 1 {
 		kp = 1
 	}
@@ -62,7 +62,7 @@ func (d *PollDevice) Push(*click.Context, int, *pkt.Packet) {
 // downstream in a single dispatch. It implements click.Task.
 func (d *PollDevice) Run(ctx *click.Context) int {
 	d.batch.Reset()
-	n := d.queue.DequeueBatchInto(d.batch)
+	n := d.queue.PopBatchInto(d.batch, d.batch.Cap())
 	d.polls++
 	if n == 0 {
 		d.emptyPolls++
@@ -91,9 +91,9 @@ func (d *PollDevice) Stats() (polls, empty, packets uint64) {
 
 // ToDevice pushes packets into one NIC transmit queue and charges the
 // amortized per-transaction descriptor cost. Packets that do not fit are
-// dropped and counted (the queue's own drop counter also advances).
+// dropped and counted (the ring's Rejected counter also advances).
 type ToDevice struct {
-	queue *nic.Ring
+	queue *exec.Ring
 	kn    int
 
 	// Recycle, when set, receives packets that were dropped because the
@@ -105,7 +105,7 @@ type ToDevice struct {
 }
 
 // NewToDevice builds a transmit sink for queue with NIC batching kn.
-func NewToDevice(queue *nic.Ring, kn int) *ToDevice {
+func NewToDevice(queue *exec.Ring, kn int) *ToDevice {
 	if kn < 1 {
 		kn = 1
 	}
@@ -121,7 +121,7 @@ func (d *ToDevice) OutPorts() int { return 0 }
 // Push enqueues the packet for transmission.
 func (d *ToDevice) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 	ctx.Charge(hw.NICBatchCycles / float64(d.kn))
-	if d.queue.Enqueue(p) {
+	if d.queue.Push(p) {
 		d.sent++
 	} else {
 		d.dropped++
@@ -142,7 +142,7 @@ func (d *ToDevice) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 		return
 	}
 	ctx.Charge(hw.NICBatchCycles * float64(n) / float64(d.kn))
-	accepted := d.queue.EnqueueBatch(b)
+	accepted := d.queue.PushBatch(b)
 	d.sent += uint64(accepted)
 	d.dropped += uint64(n - accepted)
 	if d.Recycle != nil {

@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 
 	"routebricks/internal/click"
+	"routebricks/internal/exec"
 	"routebricks/internal/hw"
 	"routebricks/internal/ipsec"
 	"routebricks/internal/lpm"
-	"routebricks/internal/nic"
 	"routebricks/internal/pkt"
 )
 
@@ -39,11 +39,11 @@ func wireOut(el click.OutputSetter, port int, c *capture, slot int) {
 }
 
 func TestPollDeviceBatching(t *testing.T) {
-	ring := nic.NewRing(64)
+	ring := exec.NewRing(64)
 	for i := 0; i < 10; i++ {
 		p := testPacket(64, "10.0.0.2")
 		p.SeqNo = uint64(i)
-		ring.Enqueue(p)
+		ring.Push(p)
 	}
 	d := NewPollDevice(ring, 4)
 	c := newCapture()
@@ -83,7 +83,7 @@ func TestPollDeviceBatching(t *testing.T) {
 }
 
 func TestToDeviceChargesAndDrops(t *testing.T) {
-	ring := nic.NewRing(2)
+	ring := exec.NewRing(2)
 	d := NewToDevice(ring, 16)
 	ctx := &click.Context{}
 	for i := 0; i < 3; i++ {

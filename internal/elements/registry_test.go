@@ -15,9 +15,9 @@ import (
 // tables, crypto tunnels, capture writers) that only a host program can
 // supply, so configurations receive them as prebound instances.
 var resourceBound = map[string]string{
-	"PollDevice": "binds a nic.Ring receive queue",
-	"ToDevice":   "binds a nic.Ring transmit queue",
-	"RED":        "monitors a nic.Ring's occupancy",
+	"PollDevice": "binds an exec.Ring receive queue",
+	"ToDevice":   "binds an exec.Ring transmit queue",
+	"RED":        "monitors an exec.Ring's occupancy",
 	"LPMLookup":  "binds a built route table",
 	"ESPEncap":   "binds an ipsec.Tunnel",
 	"ESPDecap":   "binds an ipsec.Tunnel",

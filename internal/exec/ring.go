@@ -1,12 +1,15 @@
-// Package exec is the real-core execution layer: the lock-free handoff
-// rings that carry packets between pipeline stages running on different
-// CPU cores. The paper's §4.2 comparison of core allocations — parallel
-// (each core runs the whole pipeline on its own queue) versus pipelined
-// (the pipeline is cut into stages, one per core) — turns on exactly the
-// cost these rings embody: every inter-core handoff is cache-coherence
-// traffic that the parallel allocation never pays. internal/click builds
-// placement plans on top of this package; internal/nic models NIC
-// descriptor rings with the same SPSC discipline on the device boundary.
+// Package exec is the real-core execution layer: the lock-free SPSC
+// packet ring that carries packets between cores. The paper's §4.2 rule
+// — one core per queue — makes every queue single-producer/single-
+// consumer, so one ring serves every place a queue appears: inter-core
+// handoffs in a placement plan, pipeline input rings, egress queues, and
+// the simulator's NIC descriptor rings. The §4.2 comparison of core
+// allocations — parallel (each core runs the whole pipeline on its own
+// queue) versus pipelined (the pipeline is cut into stages, one per
+// core) — turns on exactly the cost this ring embodies: every
+// inter-core handoff is cache-coherence traffic that the parallel
+// allocation never pays. internal/click builds placement plans on top
+// of this package.
 package exec
 
 import (
@@ -17,14 +20,15 @@ import (
 	"routebricks/internal/pkt"
 )
 
-// Ring is a fixed-capacity single-producer/single-consumer packet ring
-// for inter-core handoff. It differs from a NIC descriptor ring
-// (internal/nic) in one hot-path particular: each side caches its last
-// snapshot of the other side's index, so in steady state a push or pop
-// touches only cache lines owned by its own core — the remote index is
-// re-read only when the cached view says the ring is full (producer) or
-// empty (consumer). Head and tail live on separate cache lines so the
-// two cores never false-share.
+// Ring is a fixed-capacity single-producer/single-consumer packet ring,
+// the software image of a NIC descriptor ring and of an inter-core
+// handoff queue alike. Each side caches its last snapshot of the other
+// side's index, so in steady state a push or pop touches only cache
+// lines owned by its own core — the remote index is re-read only when
+// the cached view cannot satisfy the call: too little room for a push,
+// too few packets for a pop. A batch pop therefore moves everything
+// available up to its limit, as a NIC poll does. Head and tail live on
+// separate cache lines so the two cores never false-share.
 //
 // Exactly one goroutine may push and one may pop. Violating that is a
 // programming error: no memory is corrupted (indices are atomics), but
@@ -155,18 +159,19 @@ func (r *Ring) Pop() *pkt.Packet {
 
 // PopBatchInto appends up to max packets (bounded by b's remaining
 // capacity) from the ring into b and returns how many moved, publishing
-// the head once for the whole batch. Call only from the consumer
-// goroutine.
+// the head once for the whole batch. The tail is re-read only when the
+// cached snapshot holds fewer packets than requested. Call only from the
+// consumer goroutine.
 func (r *Ring) PopBatchInto(b *pkt.Batch, max int) int {
 	head := r.head.Load()
-	avail := r.tailCache - head
-	if avail == 0 {
-		r.tailCache = r.tail.Load()
-		avail = r.tailCache - head
-	}
 	n := uint64(b.Cap() - b.Len())
 	if uint64(max) < n {
 		n = uint64(max)
+	}
+	avail := r.tailCache - head
+	if avail < n {
+		r.tailCache = r.tail.Load()
+		avail = r.tailCache - head
 	}
 	if avail < n {
 		n = avail

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 
 	"routebricks/internal/pkt"
 )
@@ -48,6 +50,106 @@ func TestRingBasics(t *testing.T) {
 	}
 }
 
+// TestRingFIFO: a full ring rejects and counts the overflow, pops come
+// out in push order, and an empty ring pops nil.
+func TestRingFIFO(t *testing.T) {
+	r := NewRing(8)
+	for i := uint64(0); i < 8; i++ {
+		if !r.Push(mark(i)) {
+			t.Fatalf("Push %d failed", i)
+		}
+	}
+	if r.Push(mark(99)) {
+		t.Fatal("Push into full ring succeeded")
+	}
+	if r.Rejected() != 1 {
+		t.Fatalf("Rejected = %d, want 1", r.Rejected())
+	}
+	for i := uint64(0); i < 8; i++ {
+		if p := r.Pop(); p == nil || p.SeqNo != i {
+			t.Fatalf("Pop %d: got %v", i, p)
+		}
+	}
+	if r.Pop() != nil {
+		t.Fatal("Pop from empty ring returned a packet")
+	}
+}
+
+func TestRingCapacityRounding(t *testing.T) {
+	for _, c := range []struct{ in, want int }{{0, 2}, {1, 2}, {2, 2}, {3, 4}, {5, 8}, {512, 512}, {513, 1024}} {
+		if got := NewRing(c.in).Cap(); got != c.want {
+			t.Errorf("NewRing(%d).Cap() = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// TestRingWraparound cycles the indices far past the capacity: masking
+// must keep FIFO order across every wrap.
+func TestRingWraparound(t *testing.T) {
+	r := NewRing(4)
+	seq := uint64(0)
+	for round := 0; round < 100; round++ {
+		for i := uint64(0); i < 3; i++ {
+			if !r.Push(mark(seq + i)) {
+				t.Fatalf("Push rejected at round %d", round)
+			}
+		}
+		for i := uint64(0); i < 3; i++ {
+			if p := r.Pop(); p == nil || p.SeqNo != seq+i {
+				t.Fatalf("round %d: got %v, want seq %d", round, p, seq+i)
+			}
+		}
+		seq += 3
+	}
+}
+
+// TestPropertyRingConservation: a ring never loses or duplicates
+// packets — everything pushed successfully is popped exactly once, in
+// order, under any interleaving of single and batch operations.
+func TestPropertyRingConservation(t *testing.T) {
+	f := func(ops []uint8, capBits uint8) bool {
+		r := NewRing(2 + int(capBits)%62)
+		var next uint64
+		var want, got []uint64
+		out := pkt.NewBatch(8)
+		for _, op := range ops {
+			switch op % 4 {
+			case 0:
+				if r.Push(mark(next)) {
+					want = append(want, next)
+				}
+				next++
+			case 1:
+				b := pkt.NewBatch(8)
+				for i := 0; i < int(op>>2)%8+1; i++ {
+					b.Add(mark(next))
+					next++
+				}
+				first := b.At(0).SeqNo
+				n := r.PushBatch(b)
+				for i := 0; i < n; i++ {
+					want = append(want, first+uint64(i))
+				}
+			case 2:
+				if p := r.Pop(); p != nil {
+					got = append(got, p.SeqNo)
+				}
+			case 3:
+				out.Reset()
+				r.PopBatchInto(out, int(op>>2)%8+1)
+				for _, p := range out.Packets() {
+					got = append(got, p.SeqNo)
+				}
+			}
+		}
+		r.Drain(func(p *pkt.Packet) { got = append(got, p.SeqNo) })
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRingBatchOverflowStaysWithCaller(t *testing.T) {
 	r := NewRing(4)
 	b := pkt.NewBatch(8)
@@ -75,6 +177,85 @@ func TestRingBatchOverflowStaysWithCaller(t *testing.T) {
 	}
 }
 
+// TestRingEnqueueBatchOverflowStaysWithCaller: the overflow of a batch
+// push stays with the caller, compacted and in order, and that leftover
+// batch round-trips whole through a second ring.
+func TestRingEnqueueBatchOverflowStaysWithCaller(t *testing.T) {
+	r := NewRing(4)
+	b := pkt.NewBatch(8)
+	for i := uint64(0); i < 7; i++ {
+		b.Add(mark(i))
+	}
+	if n := r.PushBatch(b); n != 4 {
+		t.Fatalf("accepted %d, want 4", n)
+	}
+	if r.Rejected() != 3 {
+		t.Fatalf("Rejected = %d, want 3", r.Rejected())
+	}
+	if b.Len() != 3 {
+		t.Fatalf("left in batch = %d, want 3", b.Len())
+	}
+	for i, p := range b.Packets() {
+		if p.SeqNo != uint64(4+i) {
+			t.Fatalf("overflow order broken at %d: SeqNo %d", i, p.SeqNo)
+		}
+	}
+	for i := uint64(0); i < 4; i++ {
+		if p := r.Pop(); p == nil || p.SeqNo != i {
+			t.Fatalf("ring order broken at %d: %v", i, p)
+		}
+	}
+
+	r2 := NewRing(8)
+	if n := r2.PushBatch(b); n != 3 {
+		t.Fatalf("second PushBatch = %d, want 3", n)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("batch not emptied: %d", b.Len())
+	}
+	got := pkt.NewBatch(8)
+	if n := r2.PopBatchInto(got, got.Cap()); n != 3 {
+		t.Fatalf("PopBatchInto = %d, want 3", n)
+	}
+	for i, p := range got.Packets() {
+		if p.SeqNo != uint64(4+i) {
+			t.Fatalf("round-trip order broken at %d", i)
+		}
+	}
+}
+
+// TestRingDequeueBatch: a batch pop sized by the batch's capacity — the
+// way PollDevice polls a receive ring — moves everything queued when it
+// fits, and exactly a batch's worth when it does not.
+func TestRingDequeueBatch(t *testing.T) {
+	r := NewRing(64)
+	for i := uint64(0); i < 10; i++ {
+		r.Push(mark(i))
+	}
+	out := pkt.NewBatch(32)
+	if n := r.PopBatchInto(out, out.Cap()); n != 10 {
+		t.Fatalf("batch = %d, want 10", n)
+	}
+	for i, p := range out.Packets() {
+		if p.SeqNo != uint64(i) {
+			t.Fatalf("batch order broken at %d", i)
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("Len after drain = %d", r.Len())
+	}
+	for i := uint64(0); i < 10; i++ {
+		r.Push(mark(100 + i))
+	}
+	small := pkt.NewBatch(4)
+	if n := r.PopBatchInto(small, small.Cap()); n != 4 {
+		t.Fatalf("small batch = %d, want 4", n)
+	}
+	if r.Len() != 6 {
+		t.Fatalf("Len = %d, want 6", r.Len())
+	}
+}
+
 func TestRingPopBatchRespectsMax(t *testing.T) {
 	r := NewRing(16)
 	for i := 0; i < 10; i++ {
@@ -86,6 +267,26 @@ func TestRingPopBatchRespectsMax(t *testing.T) {
 	}
 	if got := r.PopBatchInto(b, 100); got != 7 {
 		t.Fatalf("PopBatchInto(max=100) = %d, want remaining 7", got)
+	}
+}
+
+// TestRingPopBatchSeesFreshTail: a batch pop whose cached tail snapshot
+// is short of the request re-reads the tail, so it moves everything
+// available — the NIC-poll semantics the simulator's descriptor rings
+// rely on — instead of just what an earlier pop happened to observe.
+func TestRingPopBatchSeesFreshTail(t *testing.T) {
+	r := NewRing(16)
+	r.Push(mark(0))
+	r.Push(mark(1))
+	if p := r.Pop(); p == nil || p.SeqNo != 0 { // snapshots tail = 2
+		t.Fatalf("Pop = %v, want seq 0", p)
+	}
+	for i := uint64(2); i < 7; i++ {
+		r.Push(mark(i))
+	}
+	b := pkt.NewBatch(8)
+	if got := r.PopBatchInto(b, 8); got != 6 {
+		t.Fatalf("PopBatchInto = %d, want all 6 queued", got)
 	}
 }
 
@@ -175,6 +376,43 @@ func TestRingSPSCStress(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("ring not drained: %s", r)
+	}
+}
+
+// TestRingSPSCConcurrent: one producer and one consumer on separate
+// goroutines, single-packet operations only, must transfer every packet
+// exactly once, in order. Run with -race.
+func TestRingSPSCConcurrent(t *testing.T) {
+	const total = 200000
+	r := NewRing(128)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); i < total; {
+			if r.Push(mark(i)) {
+				i++
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+	got := make([]uint64, 0, total)
+	go func() {
+		defer wg.Done()
+		for len(got) < total {
+			if p := r.Pop(); p != nil {
+				got = append(got, p.SeqNo)
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+	wg.Wait()
+	for i, s := range got {
+		if s != uint64(i) {
+			t.Fatalf("out of order at %d: %d", i, s)
+		}
 	}
 }
 

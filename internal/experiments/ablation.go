@@ -7,9 +7,9 @@ import (
 	"routebricks/internal/click"
 	"routebricks/internal/cluster"
 	"routebricks/internal/elements"
+	"routebricks/internal/exec"
 	"routebricks/internal/hw"
 	"routebricks/internal/lpm"
-	"routebricks/internal/nic"
 	"routebricks/internal/sim"
 	"routebricks/internal/topo"
 	"routebricks/internal/trafficgen"
@@ -175,7 +175,7 @@ func Profile() *Report {
 	}
 	rt.Freeze()
 
-	ring := nic.NewRing(64)
+	ring := exec.NewRing(64)
 	router := click.NewRouter()
 	poll := elements.NewPollDevice(ring, 32)
 	look := elements.NewLPMLookup(rt)
@@ -183,7 +183,7 @@ func Profile() *Report {
 	router.MustAdd("check", &elements.CheckIPHeader{})
 	router.MustAdd("lookup", look)
 	router.MustAdd("ttl", &elements.DecIPTTL{})
-	router.MustAdd("tx", elements.NewToDevice(nic.NewRing(1<<16), 16))
+	router.MustAdd("tx", elements.NewToDevice(exec.NewRing(1<<16), 16))
 	router.MustAdd("drop", &elements.Discard{})
 	router.MustConnect("poll", 0, "check", 0)
 	router.MustConnect("check", 0, "lookup", 0)
@@ -201,7 +201,7 @@ func Profile() *Report {
 	fed := 0
 	for fed < n {
 		for ring.Len() < 32 && fed < n {
-			ring.Enqueue(src.Next())
+			ring.Push(src.Next())
 			fed++
 		}
 		fi := ctx.BeginFrame()

@@ -35,6 +35,12 @@ func (l *changeLog) add(e Event) {
 	l.mu.Unlock()
 }
 
+func (l *changeLog) count() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.events)
+}
+
 func (l *changeLog) last() (Event, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -112,12 +118,14 @@ func TestNodeFailureDetectionAndRejoin(t *testing.T) {
 	})
 
 	// Kill node 2's control plane. Survivors must declare it dead and
-	// fire OnChange with live = [true, true, false].
+	// fire OnChange with live = [true, true, false]. The tracker flips
+	// state before report() runs OnChange, so wait for the event too.
+	seen := []int{logs[0].count(), logs[1].count()}
 	nodes[2].Stop()
 	nodes[2] = nil
 	waitFor(t, 3*time.Second, "death detected", func() bool {
-		for _, n := range nodes[:2] {
-			if n.Tracker().State(2) != StateDead {
+		for i, n := range nodes[:2] {
+			if n.Tracker().State(2) != StateDead || logs[i].count() == seen[i] {
 				return false
 			}
 		}
@@ -144,10 +152,11 @@ func TestNodeFailureDetectionAndRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[2] = reborn
+	seen = []int{logs[0].count(), logs[1].count()}
 	reborn.Start()
 	waitFor(t, 3*time.Second, "rejoin detected", func() bool {
-		for _, n := range nodes[:2] {
-			if n.Tracker().State(2) != StateAlive {
+		for i, n := range nodes[:2] {
+			if n.Tracker().State(2) != StateAlive || logs[i].count() == seen[i] {
 				return false
 			}
 		}

@@ -1,8 +1,11 @@
 package rss
 
 import (
+	"net/netip"
 	"sync"
 	"testing"
+
+	"routebricks/internal/pkt"
 )
 
 func TestNewValidates(t *testing.T) {
@@ -37,6 +40,41 @@ func TestStripeCoversAllChains(t *testing.T) {
 		b, c := tbl.Steer(h)
 		if b != int(h%16) || c != tbl.Assignments()[b] {
 			t.Fatalf("Steer(%d) = (%d,%d)", h, b, c)
+		}
+	}
+}
+
+// flowPacket builds a 64 B packet of flow 10.0.0.1:sport → 10.0.0.9:80.
+func flowPacket(sport uint16) *pkt.Packet {
+	return pkt.New(64, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.9"), sport, 80)
+}
+
+// Steering on the packet's RSS hash is flow-sticky: every packet of one
+// flow lands on one chain.
+func TestRSSFlowAffinity(t *testing.T) {
+	tbl, _ := New(0, 8)
+	_, want := tbl.Steer(flowPacket(777).RSSHash())
+	for i := 0; i < 50; i++ {
+		if _, c := tbl.Steer(flowPacket(777).RSSHash()); c != want {
+			t.Fatalf("flow moved from chain %d to %d", want, c)
+		}
+	}
+}
+
+// Distinct flows spread across every chain, none badly underloaded.
+func TestRSSSpreads(t *testing.T) {
+	tbl, _ := New(0, 8)
+	used := make(map[int]int)
+	for i := 0; i < 2000; i++ {
+		_, c := tbl.Steer(flowPacket(uint16(i)).RSSHash())
+		used[c]++
+	}
+	if len(used) != 8 {
+		t.Fatalf("flows hit %d/8 chains", len(used))
+	}
+	for c, n := range used {
+		if n < 2000/8/3 {
+			t.Errorf("chain %d badly underloaded: %d", c, n)
 		}
 	}
 }

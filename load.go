@@ -650,11 +650,7 @@ func (p *Pipeline) DOT(chain ...int) string {
 	if c < 0 || c >= p.plan.Chains() {
 		return ""
 	}
-	r := p.plan.Router(c)
-	if r == nil {
-		return ""
-	}
-	return r.DOTTitled(fmt.Sprintf("%s plan, gen %d, chain %d", p.plan.Kind(), p.generation, c))
+	return p.plan.Router(c).DOTTitled(fmt.Sprintf("%s plan, gen %d, chain %d", p.plan.Kind(), p.generation, c))
 }
 
 // Routes returns the live FIB handle the pipeline was loaded with

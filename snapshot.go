@@ -87,9 +87,6 @@ func (p *Pipeline) Snapshot() Snapshot {
 	}
 	for chain := 0; chain < plan.Chains(); chain++ {
 		r := plan.Router(chain)
-		if r == nil {
-			continue
-		}
 		for _, name := range r.Elements() {
 			el := r.Get(name)
 			counters := elementCounters(el)
