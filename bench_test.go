@@ -581,8 +581,7 @@ func driveForwarding(b *testing.B, pipe *Pipeline, frees []*exec.Ring, delivered
 // means a lookup can only miss if a reader ever observed a partially
 // built table, so the zero-loss assert doubles as the RCU correctness
 // check under real traffic. The live run additionally reports the
-// sustained route-update rate as updates/s; benchjson gates the Mpps
-// gap between the two runs (-churn-tol).
+// sustained route-update rate as updates/s.
 func BenchmarkChurn(b *testing.B) {
 	for _, mode := range []struct {
 		name string

@@ -28,20 +28,13 @@ type BatchOutputSetter interface {
 	SetBatchOutput(port int, out BatchOutput)
 }
 
-// PushBatchTo delivers b to element e's input port: natively when e is a
-// BatchElement, otherwise by unrolling the batch into per-packet Push
-// calls in slot order — the automatic adapter that lets per-packet
-// elements sit unmodified inside a batch graph. Either way, ownership of
-// the packets passes to e and b comes back empty, ready for reuse. It
-// is the one-shot form of BatchDispatch; wiring that dispatches
-// repeatedly should build the BatchOutput once instead.
-func PushBatchTo(e Element, ctx *Context, port int, b *pkt.Batch) {
-	BatchDispatch(e, port)(ctx, b)
-}
-
 // BatchDispatch builds the BatchOutput for a connection into dst's input
 // port, choosing the native or adapted delivery path once at wiring time
-// so the dispatch itself is a single indirect call.
+// so the dispatch itself is a single indirect call. A per-packet dst
+// gets the batch unrolled into Push calls in slot order — the automatic
+// adapter that lets per-packet elements sit unmodified inside a batch
+// graph. Either way, ownership of the packets passes to dst and b comes
+// back empty, ready for reuse.
 func BatchDispatch(dst Element, port int) BatchOutput {
 	if be, ok := dst.(BatchElement); ok {
 		return func(ctx *Context, b *pkt.Batch) {

@@ -116,11 +116,12 @@ func TestSinglePacketIntoBatchOnlyPort(t *testing.T) {
 	}
 }
 
-// PushBatchTo adapts at the entry point the way Connect does mid-graph.
+// A one-shot BatchDispatch adapts at the entry point the way Connect
+// does mid-graph.
 func TestPushBatchToAdapter(t *testing.T) {
 	sink := &collector{}
 	b := makeBatch(3)
-	PushBatchTo(sink, &Context{}, 2, b)
+	BatchDispatch(sink, 2)(&Context{}, b)
 	if len(sink.got) != 3 {
 		t.Fatalf("got %d packets", len(sink.got))
 	}
@@ -135,7 +136,7 @@ func TestPushBatchToAdapter(t *testing.T) {
 
 	native := &batchPassthrough{}
 	native.SetOutput(0, func(ctx *Context, p *pkt.Packet) { sink.Push(ctx, 0, p) })
-	PushBatchTo(native, &Context{}, 0, makeBatch(2))
+	BatchDispatch(native, 0)(&Context{}, makeBatch(2))
 	if native.batches != 1 {
 		t.Fatalf("native path not taken: %d batches", native.batches)
 	}

@@ -1,7 +1,9 @@
 package rss
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
@@ -231,5 +233,73 @@ func TestPlanMovesRespectsCap(t *testing.T) {
 	moves := PlanMoves(assign, load, 4, 2)
 	if len(moves) > 2 {
 		t.Fatalf("cap ignored: %d moves", len(moves))
+	}
+}
+
+// TestPlanMovesGolden pins the re-steer decisions PlanMoves makes over
+// the default table geometry with the controller's move cap, for a
+// flat load and for eight elephant buckets all owned by chain 0. The
+// planner is a pure function, so a policy change that moves a bucket
+// differently must update this table.
+func TestPlanMovesGolden(t *testing.T) {
+	const maxMoves = 8
+	hotChain0 := func(chains int) []uint64 {
+		load := make([]uint64, DefaultBuckets)
+		for b := range load {
+			load[b] = 10
+		}
+		for i := 0; i < 8; i++ {
+			load[i*chains] = 1000
+		}
+		return load
+	}
+	uniform := func(int) []uint64 {
+		load := make([]uint64, DefaultBuckets)
+		for b := range load {
+			load[b] = 100
+		}
+		return load
+	}
+	cases := []struct {
+		name      string
+		chains    int
+		load      func(chains int) []uint64
+		moves     []Move
+		imbalance float64 // max/mean chain load after the moves apply
+	}{
+		{"uniform", 2, uniform, nil, 1},
+		{"uniform", 4, uniform, nil, 1},
+		{"uniform", 8, uniform, nil, 1},
+		{"hot-chain0", 2, hotChain0, []Move{
+			{0, 0, 1}, {2, 0, 1}, {4, 0, 1}, {6, 0, 1},
+			{1, 1, 0}, {3, 1, 0}, {5, 1, 0}, {7, 1, 0},
+		}, 1},
+		{"hot-chain0", 4, hotChain0, []Move{
+			{0, 0, 1}, {4, 0, 2}, {8, 0, 3}, {12, 0, 1},
+			{16, 0, 2}, {20, 0, 3}, {1, 1, 0}, {2, 2, 0},
+		}, 1.008695652173913},
+		{"hot-chain0", 8, hotChain0, []Move{
+			{0, 0, 1}, {8, 0, 2}, {16, 0, 3}, {24, 0, 4},
+			{32, 0, 5}, {40, 0, 6}, {48, 0, 7}, {1, 1, 0},
+		}, 1.008695652173913},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/chains=%d", tc.name, tc.chains), func(t *testing.T) {
+			assign := make([]int, DefaultBuckets)
+			for b := range assign {
+				assign[b] = b % tc.chains
+			}
+			load := tc.load(tc.chains)
+			moves := PlanMoves(assign, load, tc.chains, maxMoves)
+			if !slices.Equal(moves, tc.moves) {
+				t.Fatalf("moves = %v\nwant    %v", moves, tc.moves)
+			}
+			for _, m := range moves {
+				assign[m.Bucket] = m.To
+			}
+			if got := Imbalance(assign, load, tc.chains); got != tc.imbalance {
+				t.Errorf("imbalance after = %v, want %v", got, tc.imbalance)
+			}
+		})
 	}
 }

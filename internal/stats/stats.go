@@ -1,6 +1,6 @@
 // Package stats provides the measurement instruments of the evaluation:
-// the reordered-sequence metric of §6.2, latency histograms with
-// percentiles, and rate accounting helpers shared by the experiment
+// the reordered-sequence metric of §6.2, sample series with exact
+// quantiles, and rate accounting helpers shared by the experiment
 // harness.
 package stats
 
@@ -87,92 +87,6 @@ func (m *ReorderMeter) Fraction() float64 {
 func (m *ReorderMeter) String() string {
 	return fmt.Sprintf("%.3f%% reordered sequences (%d runs / %d pkts, %d flows)",
 		100*m.Fraction(), m.sequences, m.packets, len(m.flows))
-}
-
-// Histogram is a fixed-range linear histogram with overflow tracking,
-// used for latency distributions. Values are float64 in any unit; the
-// caller picks the range.
-type Histogram struct {
-	lo, hi  float64
-	buckets []uint64
-	over    uint64
-	under   uint64
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
-}
-
-// NewHistogram builds a histogram over [lo, hi) with n buckets.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 || hi <= lo {
-		panic(fmt.Sprintf("stats: bad histogram range [%g,%g)x%d", lo, hi, n))
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]uint64, n),
-		min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		h.buckets[idx]++
-	}
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean reports the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min reports the smallest sample (+Inf when empty).
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max reports the largest sample (-Inf when empty).
-func (h *Histogram) Max() float64 { return h.max }
-
-// Percentile returns an upper bound on the p-quantile (0 < p ≤ 1) using
-// bucket upper edges; underflow maps to lo, overflow to max.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p * float64(h.count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	if h.under >= target {
-		return h.lo
-	}
-	cum = h.under
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, b := range h.buckets {
-		cum += b
-		if cum >= target {
-			return h.lo + float64(i+1)*width
-		}
-	}
-	return h.max
 }
 
 // Series is a growing sample list with exact quantiles, for smaller

@@ -97,54 +97,6 @@ func TestPropertyReorderBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if got := h.Mean(); math.Abs(got-49.5) > 1e-9 {
-		t.Fatalf("mean = %g", got)
-	}
-	if h.Min() != 0 || h.Max() != 99 {
-		t.Fatalf("min/max = %g/%g", h.Min(), h.Max())
-	}
-	// Median upper bound: value 50 lives in bucket [50,60).
-	if p := h.Percentile(0.5); p < 50 || p > 60 {
-		t.Fatalf("p50 = %g", p)
-	}
-	if p := h.Percentile(1.0); p != 100 {
-		t.Fatalf("p100 = %g (bucket upper edge)", p)
-	}
-}
-
-func TestHistogramOverUnderflow(t *testing.T) {
-	h := NewHistogram(10, 20, 5)
-	h.Add(5)  // underflow
-	h.Add(25) // overflow
-	h.Add(15) // in range
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if p := h.Percentile(0.01); p != 10 {
-		t.Fatalf("underflow percentile = %g, want lo", p)
-	}
-	if p := h.Percentile(1.0); p != 25 {
-		t.Fatalf("overflow percentile = %g, want max", p)
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad range accepted")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestSeriesQuantiles(t *testing.T) {
 	var s Series
 	vals := rand.New(rand.NewSource(1)).Perm(1000)
@@ -165,31 +117,6 @@ func TestSeriesQuantiles(t *testing.T) {
 	}
 	if m := s.Mean(); math.Abs(m-499.5) > 1e-9 {
 		t.Fatalf("mean = %g", m)
-	}
-}
-
-// Property: histogram percentile is an upper bound consistent with exact
-// Series quantiles for in-range data.
-func TestPropertyHistogramVsSeries(t *testing.T) {
-	f := func(raw []uint8, pRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		p := 0.01 + float64(pRaw%100)/101.0
-		h := NewHistogram(0, 256, 64)
-		var s Series
-		for _, v := range raw {
-			h.Add(float64(v))
-			s.Add(float64(v))
-		}
-		exact := s.Quantile(p)
-		bound := h.Percentile(p)
-		// The bucket upper edge is ≥ the exact quantile and within one
-		// bucket width (4.0) of it.
-		return bound >= exact && bound-exact <= 4.0+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,11 +3,8 @@ package routebricks
 // BenchmarkWireIO measures the kernel wire-I/O layer in isolation: how
 // many datagrams per second one reader/writer pair moves across a
 // loopback socket pair, per syscall path (mmsg vs the per-packet
-// fallback) and per batch size, plus time-interleaved ratio runs
-// (ratio/batch=N) whose xfall metric — fallback time over mmsg time
-// for identical interleaved windows — is what the benchjson -wire-tol
-// gate consumes: mmsg at batch 32 must hold the configured factor over
-// the per-packet fallback, or CI fails.
+// fallback) and per batch size. The end-to-end wire numbers live in
+// bench/ (wire_fwd64).
 //
 // The loop is lockstep windowed: one goroutine sends a window of KP
 // datagrams, then reads the whole window back before sending the next.
@@ -39,73 +36,11 @@ func benchListenLoop(b *testing.B) *net.UDPConn {
 	return c
 }
 
-func benchWireIO(b *testing.B, forceFallback bool, batch int) {
-	rxConn, txConn := benchListenLoop(b), benchListenLoop(b)
-	cfg := netio.Config{Batch: batch, ForceFallback: forceFallback}
-	shard := pkt.DefaultPool.Shard(0)
-	r := netio.NewBatchReader(rxConn, cfg)
-	defer r.Release()
-	w := netio.NewBatchWriter(txConn, cfg)
-
-	// The send window is reused every iteration: the kernel copies into
-	// skbs at syscall time, so the same buffers can go out back to back.
-	window := make([]*pkt.Packet, batch)
-	for i := range window {
-		window[i] = pkt.DefaultPool.Get(wireFrameLen)
-	}
-	defer func() {
-		for _, p := range window {
-			pkt.DefaultPool.Put(p)
-		}
-	}()
-	addr := rxConn.LocalAddr().(*net.UDPAddr)
-	rxConn.SetReadDeadline(time.Now().Add(5 * time.Minute))
-	rb := pkt.NewBatch(batch)
-
-	b.SetBytes(wireFrameLen)
-	b.ResetTimer()
-	for sent := 0; sent < b.N; {
-		win := batch
-		if left := b.N - sent; left < win {
-			win = left
-		}
-		n, err := w.WriteBatch(window[:win], addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for got := 0; got < n; {
-			rb.Reset()
-			k, err := r.ReadBatch(rb)
-			if err != nil {
-				b.Fatal(err)
-			}
-			shard.PutBatch(rb)
-			got += k
-		}
-		sent += n
-	}
-	b.StopTimer()
-	// Datagrams through the round trip per second — each counted b.N
-	// frame was both sent and received.
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
-	// Kernel crossings per datagram (read + write syscalls over b.N
-	// round-tripped frames): the quantity batching actually amortizes.
-	// On hosts where syscall entry is expensive (KPTI/retpoline) this is
-	// what the Mpps ratio tracks; on paravirtualized hosts the loopback
-	// delivery path dominates and this metric still records the 2/batch
-	// vs 2/1 crossing reduction.
-	if b.N > 0 {
-		rs, ws := r.Stats(), w.Stats()
-		b.ReportMetric(float64(rs.Batches+ws.Batches)/float64(b.N), "sys/pkt")
-	}
-}
-
 // wirePair is one send/receive loopback socket pair on one syscall
 // path, with the reusable send window the lockstep loop flushes.
 type wirePair struct {
 	r      *netio.BatchReader
 	w      *netio.BatchWriter
-	rxc    *net.UDPConn
 	addr   *net.UDPAddr
 	window []*pkt.Packet
 	rb     *pkt.Batch
@@ -118,7 +53,6 @@ func newWirePair(b *testing.B, forceFallback bool, batch int) *wirePair {
 	p := &wirePair{
 		r:      netio.NewBatchReader(rxConn, cfg),
 		w:      netio.NewBatchWriter(txConn, cfg),
-		rxc:    rxConn,
 		addr:   rxConn.LocalAddr().(*net.UDPAddr),
 		window: make([]*pkt.Packet, batch),
 		rb:     pkt.NewBatch(batch),
@@ -154,19 +88,8 @@ func (p *wirePair) roundTrip(b *testing.B, win int) {
 	}
 }
 
-// benchWireRatio measures the mmsg-vs-fallback speedup with the two
-// paths interleaved window by window, so both sample the same
-// machine-noise environment. The separate per-path sub-benchmarks run
-// minutes apart — on a shared or paravirtualized host whose effective
-// speed swings over minutes, their Mpps ratio measures the neighbors,
-// not the syscall paths. This one alternates a batch-sized round-trip
-// window between the two socket pairs every ~100µs and reports xfall =
-// fallback time / mmsg time for identical datagram counts — the number
-// the benchjson -wire-tol gate consumes.
-func benchWireRatio(b *testing.B, batch int) {
-	mmsg := newWirePair(b, false, batch)
-	fall := newWirePair(b, true, batch)
-	var mT, fT time.Duration
+func benchWireIO(b *testing.B, forceFallback bool, batch int) {
+	p := newWirePair(b, forceFallback, batch)
 	b.SetBytes(wireFrameLen)
 	b.ResetTimer()
 	for sent := 0; sent < b.N; {
@@ -174,18 +97,22 @@ func benchWireRatio(b *testing.B, batch int) {
 		if left := b.N - sent; left < win {
 			win = left
 		}
-		t0 := time.Now()
-		mmsg.roundTrip(b, win)
-		t1 := time.Now()
-		fall.roundTrip(b, win)
-		fT += time.Since(t1)
-		mT += t1.Sub(t0)
+		p.roundTrip(b, win)
 		sent += win
 	}
 	b.StopTimer()
-	if mT > 0 {
-		b.ReportMetric(float64(fT)/float64(mT), "xfall")
-		b.ReportMetric(float64(b.N)/mT.Seconds()/1e6, "Mpps")
+	// Datagrams through the round trip per second — each counted b.N
+	// frame was both sent and received.
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
+	// Kernel crossings per datagram (read + write syscalls over b.N
+	// round-tripped frames): the quantity batching actually amortizes.
+	// On hosts where syscall entry is expensive (KPTI/retpoline) this is
+	// what the Mpps ratio tracks; on paravirtualized hosts the loopback
+	// delivery path dominates and this metric still records the 2/batch
+	// vs 2/1 crossing reduction.
+	if b.N > 0 {
+		rs, ws := p.r.Stats(), p.w.Stats()
+		b.ReportMetric(float64(rs.Batches+ws.Batches)/float64(b.N), "sys/pkt")
 	}
 }
 
@@ -204,13 +131,6 @@ func BenchmarkWireIO(b *testing.B) {
 		for _, batch := range []int{1, 8, 32} {
 			b.Run(fmt.Sprintf("path=%s/batch=%d", path.name, batch), func(b *testing.B) {
 				benchWireIO(b, path.force, batch)
-			})
-		}
-	}
-	if netio.Available() {
-		for _, batch := range []int{8, 32} {
-			b.Run(fmt.Sprintf("ratio/batch=%d", batch), func(b *testing.B) {
-				benchWireRatio(b, batch)
 			})
 		}
 	}
