@@ -5,7 +5,7 @@ GO      ?= go
 COUNT   ?= 6
 BENCH   ?= .
 
-.PHONY: all build test vet bench bench-smoke mesh-smoke
+.PHONY: all build test vet bench bench-smoke mesh-smoke wire-smoke
 
 all: vet build test
 
@@ -27,6 +27,13 @@ vet:
 # surfaces — what an operator would use.
 mesh-smoke:
 	$(GO) run ./internal/tools/meshsmoke
+
+# The single-process rbrouter demo on real loopback sockets, once per
+# §4.2 placement: run to completion (-cores 1) and pipelined across two
+# cores. Each run fails below 95% delivery.
+wire-smoke:
+	$(GO) run ./cmd/rbrouter -nodes 3 -packets 20000 -cores 1
+	$(GO) run ./cmd/rbrouter -nodes 3 -packets 20000 -cores 2 -placement pipelined
 
 # benchstat-friendly output: fixed benchtime, repeated counts, no tests.
 bench:

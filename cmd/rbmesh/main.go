@@ -216,12 +216,11 @@ func run() error {
 		binary    = flag.String("rbrouter", "", "rbrouter binary (default: sibling of this executable, then $PATH)")
 		addr      = flag.String("addr", "127.0.0.1:8800", "serve the aggregate cluster API on this address")
 		logDir    = flag.String("logdir", "", "member log directory (default: a fresh temp dir)")
-		cores     = flag.Int("cores", 1, "datapath cores per member")
+		cores     = flag.Int("cores", 1, "datapath cores per member, each owning one SO_REUSEPORT ingress socket (passed through)")
 		placement = flag.String("placement", "parallel", "per-member core allocation (passed through to rbrouter)")
 		flowlets  = flag.Bool("flowlets", true, "flowlet reordering avoidance (passed through)")
 		heartbeat = flag.Int("heartbeat-ms", 0, "heartbeat interval override for a generated topology")
 		deadAfter = flag.Int("dead-ms", 0, "dead-after override for a generated topology")
-		rxQueues  = flag.Int("rx-queues", 1, "SO_REUSEPORT receive queues per member ingress port (passed through)")
 		wireFall  = flag.Bool("wire-fallback", false, "force the per-packet syscall path in members (passed through)")
 	)
 	flag.Parse()
@@ -274,7 +273,6 @@ func run() error {
 			"-cores", fmt.Sprint(*cores),
 			"-placement", *placement,
 			fmt.Sprintf("-flowlets=%v", *flowlets),
-			"-rx-queues", fmt.Sprint(*rxQueues),
 			fmt.Sprintf("-wire-fallback=%v", *wireFall),
 		},
 		sink:   sink,

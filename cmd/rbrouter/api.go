@@ -11,8 +11,6 @@ package main
 //	POST   /api/v1/routes      batch add/withdraw, one FIB commit
 //	DELETE /api/v1/routes      withdraw one prefix (?prefix= or JSON body)
 //	POST   /api/v1/replan      re-decide every node's placement now
-//	GET    /api/v1/rss         per-node flow-steering tables (assignments + bucket loads)
-//	POST   /api/v1/rss         migrate steering buckets between chains (drain-barrier rewrite)
 //	GET    /api/v1/mesh        membership table + heartbeat RTTs (mesh mode only)
 
 import (
@@ -23,7 +21,6 @@ import (
 
 	"routebricks"
 	"routebricks/internal/mesh"
-	"routebricks/internal/stats"
 )
 
 // errorEnvelope is the JSON error shape of every non-2xx API response.
@@ -86,22 +83,6 @@ type routesUpdate struct {
 type controllerDoc struct {
 	ID         int                          `json:"id"`
 	Controller *routebricks.ControllerState `json:"controller"`
-}
-
-// rssDoc is one node's entry in GET /api/v1/rss and the POST response:
-// the node id and its steering table's snapshot (assignments, per-bucket
-// counts, generation).
-type rssDoc struct {
-	ID  int                `json:"id"`
-	RSS *stats.RSSSnapshot `json:"rss"`
-}
-
-// rssUpdate is the POST /api/v1/rss request body: a batch of bucket
-// migrations applied to one node's table as a single drain-barrier
-// rewrite.
-type rssUpdate struct {
-	Node  int                `json:"node"`
-	Moves []routebricks.Move `json:"moves"`
 }
 
 // newAdminMux builds the -stats-addr HTTP surface. replanAll, when
@@ -208,50 +189,6 @@ func newAdminMux(nodes []*node, fib *routebricks.RouteAdmin, replanAll func() er
 		default:
 			w.Header().Set("Allow", "GET, POST, DELETE")
 			writeError(w, http.StatusMethodNotAllowed, "%s not allowed; use GET, POST or DELETE", r.Method)
-		}
-	})
-
-	// The flow-steering surface: GET lists every node's RSS indirection
-	// table (bucket→chain assignments, per-bucket packet counts, and the
-	// rewrite counters), which is how an operator sees skew before
-	// deciding to move buckets. POST applies a manual bucket migration to
-	// one node — the same drain-barrier ReSteer the controller uses, so a
-	// hand-steered rewrite also loses nothing and preserves per-flow
-	// order. A stale From (the bucket moved since the GET) rejects the
-	// whole batch rather than half-applying it.
-	mux.HandleFunc("/api/v1/rss", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			out := make([]rssDoc, len(nodes))
-			for i, nd := range nodes {
-				out[i] = rssDoc{ID: nd.id, RSS: nd.ingress.Snapshot().RSS}
-			}
-			writeJSON(w, http.StatusOK, out)
-
-		case http.MethodPost:
-			var upd rssUpdate
-			if err := json.NewDecoder(r.Body).Decode(&upd); err != nil {
-				writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-				return
-			}
-			if upd.Node < 0 || upd.Node >= len(nodes) {
-				writeError(w, http.StatusBadRequest, "node must be in [0,%d), got %d", len(nodes), upd.Node)
-				return
-			}
-			if len(upd.Moves) == 0 {
-				writeError(w, http.StatusBadRequest, "empty update: supply moves")
-				return
-			}
-			nd := nodes[upd.Node]
-			if err := nd.ingress.ReSteer(upd.Moves); err != nil {
-				writeError(w, http.StatusUnprocessableEntity, "re-steer rejected: %v", err)
-				return
-			}
-			writeJSON(w, http.StatusOK, rssDoc{ID: nd.id, RSS: nd.ingress.Snapshot().RSS})
-
-		default:
-			w.Header().Set("Allow", "GET, POST")
-			writeError(w, http.StatusMethodNotAllowed, "%s not allowed; use GET or POST", r.Method)
 		}
 	})
 

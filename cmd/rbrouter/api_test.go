@@ -2,13 +2,11 @@ package main
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"routebricks"
 	"routebricks/internal/click"
@@ -28,16 +26,11 @@ func apiFixture(t *testing.T) (*httptest.Server, *routebricks.RouteAdmin, *int) 
 	}
 	nodes := make([]*node, 2)
 	for i := range nodes {
-		nd, err := newNode(i, len(nodes), fib, defaultConfig, true, 1, click.Parallel, false, wireConfig{rxQueues: 1})
+		nd, err := newNode(i, len(nodes), fib, defaultConfig, true, 1, click.Parallel, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() {
-			nd.ingress.Stop()
-			nd.transit.Stop()
-			nd.ext.Close()
-			nd.int_.Close()
-		})
+		t.Cleanup(nd.shutdown)
 		nodes[i] = nd
 	}
 	replans := 0
@@ -184,100 +177,6 @@ func TestAdminAPIRoutes(t *testing.T) {
 	}
 }
 
-func TestAdminAPIRSS(t *testing.T) {
-	// 2-core nodes so a bucket migration has a real destination chain.
-	fib, err := routebricks.NewFIB(
-		routebricks.Route{Prefix: netip.MustParsePrefix("10.0.0.0/16"), NextHop: 0},
-		routebricks.Route{Prefix: netip.MustParsePrefix("10.1.0.0/16"), NextHop: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*node, 2)
-	for i := range nodes {
-		nd, err := newNode(i, len(nodes), fib, defaultConfig, true, 2, click.Parallel, false, wireConfig{rxQueues: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			nd.ingress.Stop()
-			nd.transit.Stop()
-			nd.ext.Close()
-			nd.int_.Close()
-		})
-		nodes[i] = nd
-	}
-	srv := httptest.NewServer(newAdminMux(nodes, fib, nil, nil))
-	t.Cleanup(srv.Close)
-
-	resp, err := http.Get(srv.URL + "/api/v1/rss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET rss: %d", resp.StatusCode)
-	}
-	var docs []rssDoc
-	decodeBody(t, resp, &docs)
-	if len(docs) != 2 {
-		t.Fatalf("GET rss: %d nodes", len(docs))
-	}
-	for _, d := range docs {
-		if d.RSS == nil || d.RSS.Chains != 2 || len(d.RSS.Assignments) != d.RSS.Buckets || d.RSS.Generation != 0 {
-			t.Fatalf("node %d table: %+v", d.ID, d.RSS)
-		}
-	}
-
-	// Migrate one bucket on node 1; node 0's table must not move.
-	body := `{"node":1,"moves":[{"bucket":0,"from":0,"to":1}]}`
-	resp, err = http.Post(srv.URL+"/api/v1/rss", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST rss: %d", resp.StatusCode)
-	}
-	var doc rssDoc
-	decodeBody(t, resp, &doc)
-	if doc.ID != 1 || doc.RSS.Generation != 1 || doc.RSS.Assignments[0] != 1 {
-		t.Fatalf("after move: %+v", doc)
-	}
-	if g := nodes[0].ingress.RSS().Generation(); g != 0 {
-		t.Fatalf("node 0 table moved: generation %d", g)
-	}
-
-	// Error envelopes: bad body, bad node, empty moves, stale From
-	// (bucket 0 now lives on chain 1), destination out of range. None may
-	// disturb the table.
-	cases := []struct {
-		body string
-		want int
-	}{
-		{"not json", http.StatusBadRequest},
-		{`{"node":7,"moves":[{"bucket":0,"from":0,"to":1}]}`, http.StatusBadRequest},
-		{`{"node":1}`, http.StatusBadRequest},
-		{`{"node":1,"moves":[{"bucket":0,"from":0,"to":1}]}`, http.StatusUnprocessableEntity},
-		{`{"node":1,"moves":[{"bucket":1,"from":0,"to":9}]}`, http.StatusUnprocessableEntity},
-	}
-	for _, tc := range cases {
-		resp, err := http.Post(srv.URL+"/api/v1/rss", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != tc.want {
-			t.Fatalf("POST rss %s: %d, want %d", tc.body, resp.StatusCode, tc.want)
-		}
-		var envelope errorEnvelope
-		decodeBody(t, resp, &envelope)
-		if envelope.Error.Code != tc.want || envelope.Error.Message == "" {
-			t.Fatalf("POST rss %s envelope: %+v", tc.body, envelope)
-		}
-	}
-	if g := nodes[1].ingress.RSS().Generation(); g != 1 {
-		t.Fatalf("rejected requests moved the table: generation %d", g)
-	}
-}
-
 func TestAdminAPIReplan(t *testing.T) {
 	srv, _, replans := apiFixture(t)
 	resp, err := http.Post(srv.URL+"/api/v1/replan", "application/json", nil)
@@ -294,51 +193,5 @@ func TestAdminAPIReplan(t *testing.T) {
 	decodeBody(t, resp, &out)
 	if *replans != 1 || out.Replanned != 2 || len(out.Placements) != 2 {
 		t.Fatalf("replan: hook=%d response=%+v", *replans, out)
-	}
-}
-
-// TestReaderCountsRunts: a datagram too short to hold the Ethernet and
-// IPv4 headers is a frame rejected for its header, so the running reader
-// counts it in header_drops rather than recycling it unaccounted.
-func TestReaderCountsRunts(t *testing.T) {
-	fib, err := routebricks.NewFIB(
-		routebricks.Route{Prefix: netip.MustParsePrefix("10.0.0.0/16"), NextHop: 0},
-		routebricks.Route{Prefix: netip.MustParsePrefix("10.1.0.0/16"), NextHop: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*node, 2)
-	for i := range nodes {
-		if nodes[i], err = newNode(i, len(nodes), fib, defaultConfig, true, 1, click.Parallel, false, wireConfig{rxQueues: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, nd := range nodes {
-		for j, peer := range nodes {
-			nd.peers[j] = peer.int_.LocalAddr().(*net.UDPAddr)
-		}
-	}
-	for _, nd := range nodes {
-		if err := nd.start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(nd.shutdown)
-	}
-
-	conn, err := net.DialUDP("udp4", nil, nodes[0].ext.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(make([]byte, 10)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for nodes[0].snapshot().HeaderDrops == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := nodes[0].snapshot().HeaderDrops; got != 1 {
-		t.Fatalf("header drops = %d after one 10-byte datagram, want 1", got)
 	}
 }

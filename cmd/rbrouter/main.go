@@ -28,6 +28,19 @@
 // its own queue; pipelined = the graph's trunk is cut across cores,
 // joined by SPSC handoff rings), driven on real goroutines.
 //
+// Every node runs to completion on the wire. A -cores N node binds N
+// SO_REUSEPORT sockets on its external port — the kernel's flow hash is
+// the RSS stage — and one goroutine per socket reads a batch
+// (recvmmsg), runs the Click graph inline (Pipeline.RunBatch) and
+// sends what it routed (sendmmsg) before it reads again.
+// One more loop does the same for transit frames on the mesh socket. An
+// idle loop parks in recvmmsg on the runtime poller: nothing polls,
+// nothing sleeps, and no frame waits in a queue. A pipelined placement
+// runs its first stage on the socket loops and hands off to runner
+// cores, so §4.2's comparison runs on the wire as well. Tunnelled line
+// traffic from one sender shares one outer 4-tuple, so it all lands on
+// one socket loop.
+//
 // The process is live-operable while it runs: SIGHUP re-reads -config
 // and hot-swaps every node's ingress pipeline under the library's drain
 // barrier (prebound FIB/VLB resources carry over), -replan-auto starts
@@ -53,9 +66,6 @@
 //	     http://127.0.0.1:8642/api/v1/routes       # commit a route batch live
 //	curl -X DELETE 'http://127.0.0.1:8642/api/v1/routes?prefix=192.0.2.0/24'
 //	curl -X POST http://127.0.0.1:8642/api/v1/replan   # re-decide placement now
-//	curl http://127.0.0.1:8642/api/v1/rss          # per-node flow-steering tables
-//	curl -X POST -d '{"node":0,"moves":[{"bucket":5,"from":0,"to":1}]}' \
-//	     http://127.0.0.1:8642/api/v1/rss          # migrate steering buckets by hand
 //	kill -HUP <pid>               # reload -config into the running datapath
 //	rbrouter -print-graph         # dump the ingress graph as Graphviz dot and exit
 //	rbrouter -print-graph | dot -Tsvg > graph.svg
@@ -80,7 +90,6 @@ import (
 	"routebricks/internal/click"
 	"routebricks/internal/cluster"
 	"routebricks/internal/elements"
-	"routebricks/internal/exec"
 	"routebricks/internal/netio"
 	"routebricks/internal/pcap"
 	"routebricks/internal/pkt"
@@ -109,46 +118,37 @@ const defaultConfig = `
 
 func nowVirtual() sim.Time { return sim.Time(time.Now().UnixNano()) }
 
-// poolShardSeq deals pool shards out to the I/O goroutines (readers and
-// writers) round-robin, so no two long-lived goroutines share a shard
-// lock by accident. Datapath cores get their shards from the plan.
+// poolShardSeq deals pool shards out to the long-lived I/O goroutines
+// (socket loops, the collector) round-robin, so no two of them share a
+// shard lock by accident. Runner cores get their shards from the plan.
 var poolShardSeq atomic.Uint32
 
-// wireConfig selects how a node binds and drives its kernel wire I/O
-// (see internal/netio): how many SO_REUSEPORT receive queues share the
-// ingress port, and whether the mmsg fast path is forced off.
-type wireConfig struct {
-	rxQueues int  // ingress receive queues (1 = a single plain socket)
-	fallback bool // force the portable per-packet syscall path
-}
+func nextShard() *pkt.PoolShard { return pkt.DefaultPool.Shard(int(poolShardSeq.Add(1))) }
 
-func (w wireConfig) netio(shard *pkt.PoolShard) netio.Config {
-	return netio.Config{Shard: shard, ForceFallback: w.fallback}
-}
-
-// node is one cluster server backed by two UDP sockets: ext receives
-// line traffic and emits egress frames to the collector; int carries
-// mesh links to peers. Its datapath is a loaded Click pipeline for
-// ingress (the -config program) and a placement plan for transit
-// (MAC-only forwarding); the socket readers feed their input rings.
+// node is one cluster server. Its ext sockets receive line traffic and
+// emit egress frames to the collector; int carries mesh links to peers.
+// Its datapath is a loaded Click pipeline for ingress (the -config
+// program) plus MAC-only transit, both run to completion by the loop
+// that owns the socket a frame arrived on.
 type node struct {
-	id    int
-	n     int
-	ext   *net.UDPConn   // primary ingress socket (extQs[0]); also the egress socket to the collector
-	extQs []*net.UDPConn // all ingress receive queues (SO_REUSEPORT siblings of ext)
-	int_  *net.UDPConn
-	wire  wireConfig
-	peers []*net.UDPAddr // internal socket address of each node
-	sink  *net.UDPAddr   // collector
+	id       int
+	n        int
+	exts     []*net.UDPConn // ingress sockets: SO_REUSEPORT siblings on one port, one loop each
+	int_     *net.UDPConn
+	fallback bool           // force the portable per-packet syscall path
+	peers    []*net.UDPAddr // internal socket address of each node
+	sink     *net.UDPAddr   // collector
 
-	// readers are the node's netio batch readers (one per ingress queue
-	// plus one for transit), kept for the wire counters the admin API
-	// sums. Built in start before any concurrent access.
+	// readers and writers are every netio endpoint the node has made,
+	// kept for the wire counters the admin API sums. Each chain prebound
+	// builds brings its own writers, so a Reload adds more.
+	wireMu  sync.Mutex
 	readers []*netio.BatchReader
+	writers []*netio.BatchWriter
 
 	ingress *routebricks.Pipeline
-	transit *click.Plan
 	ctrl    *routebricks.Controller // adaptive replan watcher (-replan-auto)
+	swapMu  sync.Mutex              // serializes swaps with the placement that follows each
 
 	// live is the current membership vector in mesh mode (nil in the
 	// single-process demo, where every peer is always up). It is read by
@@ -157,14 +157,10 @@ type node struct {
 	// members that are actually alive.
 	liveMu sync.Mutex
 	live   []bool
-
-	// Batch-aware UDP egress: datapath cores enqueue frames into
-	// per-destination rings; one writer goroutine per destination pays
-	// the WriteToUDP syscalls off the datapath core.
-	txq    []*txQueue // per peer (nil at self)
-	sinkq  *txQueue   // to the collector
-	txStop atomic.Bool
-	wwg    sync.WaitGroup
+	// dead marks the peers the failure detector declared dead: frames
+	// routed to one are recycled and counted in tx_drained rather than
+	// blackholed on the wire, from the moment setLive flips it.
+	dead []atomic.Bool
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -173,131 +169,91 @@ type node struct {
 	egressed  atomic.Uint64
 	routeMiss atomic.Uint64
 	hdrDrops  atomic.Uint64
-	rxDrops   atomic.Uint64
-	txBatches atomic.Uint64 // batches flushed by egress writers
-	txStalls  atomic.Uint64 // egress backpressure stalls (ring full, datapath waited)
-	txDrained atomic.Uint64 // frames flushed from tx rings on shutdown/re-stripe (accounted, not lost)
+	transited atomic.Uint64 // frames the transit loop handled
+	txDrained atomic.Uint64 // frames for a dead peer or a missing collector (accounted, not lost)
 	restripes atomic.Uint64 // VLB re-stripe generation (mesh mode)
 }
 
-// txQueue carries egress frames from datapath cores to one writer
-// goroutine — the batch-aware UDP egress path. exec.Ring is SPSC, but
-// several cores (every ingress chain plus transit) emit toward the same
-// peer, so pushes serialize on mu: the mutex makes "single producer"
-// true one push at a time while the writer goroutine stays the sole
-// consumer, lock-free.
-type txQueue struct {
-	mu   sync.Mutex
-	ring *exec.Ring
-	conn *net.UDPConn
-	addr *net.UDPAddr
-	// w flushes a popped batch to addr with one sendmmsg where the
-	// platform has it (per-packet WriteToUDP otherwise); its counters
-	// feed the node's wire snapshot.
-	w *netio.BatchWriter
-	// dead marks the destination as declared dead by the failure
-	// detector: the writer recycles queued frames (counted as drained)
-	// instead of blackholing them on the wire. Cleared on rejoin.
-	dead atomic.Bool
+// egress is one goroutine's transmit side. Frames gather while a batch
+// is routed and leave before the call that routed them returns: one
+// sendmmsg on the mesh socket scatters to every peer, and one on an ext
+// socket reaches the collector, so delivered frames leave from the
+// node's line port. A frame is never queued, and each destination sees
+// frames in the order they were routed.
+type egress struct {
+	nd           *node
+	mesh, line   *pkt.Batch
+	to           []*net.UDPAddr // destination of each mesh frame
+	meshW, lineW *netio.BatchWriter
 }
 
-func (q *txQueue) push(p *pkt.Packet) bool {
-	q.mu.Lock()
-	ok := q.ring.Push(p)
-	q.mu.Unlock()
-	return ok
+func (nd *node) newEgress(ext *net.UDPConn) *egress {
+	cfg := netio.Config{ForceFallback: nd.fallback}
+	e := &egress{nd: nd, mesh: pkt.NewBatch(32), line: pkt.NewBatch(32),
+		meshW: netio.NewBatchWriter(nd.int_, cfg), lineW: netio.NewBatchWriter(ext, cfg)}
+	nd.wireMu.Lock()
+	nd.writers = append(nd.writers, e.meshW, e.lineW)
+	nd.wireMu.Unlock()
+	return e
 }
 
-// runWriter drains one egress queue in batches: each loop pops up to a
-// whole batch and flushes it through the queue's netio writer — one
-// sendmmsg on the fast path — so the syscall cost of a frame is
-// amortized over the batch instead of stalling a forwarding core per
-// frame. Exits only after a final drain once txStop is set.
-func (nd *node) runWriter(q *txQueue) {
-	defer nd.wwg.Done()
-	// Each writer goroutine recycles through its own pool shard: Put
-	// takes only that shard's lock, never a lock shared with the
-	// datapath cores or the other writers.
-	shard := pkt.DefaultPool.Shard(int(poolShardSeq.Add(1)))
-	batch := pkt.NewBatch(64)
-	idle := 0
-	for {
-		batch.Reset()
-		// PopBatchInto appends only live packets, so Packets() is exactly
-		// the n frames to flush — no nil re-scan.
-		n := q.ring.PopBatchInto(batch, batch.Cap())
-		if n == 0 {
-			if nd.txStop.Load() && q.ring.Len() == 0 {
-				return
-			}
-			idle++
-			if idle > 64 {
-				time.Sleep(50 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			continue
-		}
-		idle = 0
-		if q.dead.Load() {
-			// Destination declared dead: recycling beats blackholing —
-			// every in-flight frame shows up in tx_drained instead of
-			// silently vanishing into a closed socket.
-			shard.PutBatch(batch)
-			nd.txDrained.Add(uint64(n))
-			continue
-		}
-		// The kernel copies into skbs at syscall time, so the batch can
-		// recycle the moment WriteBatch returns.
-		q.w.WriteBatch(batch.Packets(), q.addr)
-		shard.PutBatch(batch)
-		nd.txBatches.Add(1)
-		if nd.txStop.Load() {
-			// Graceful shutdown: frames flushed after Stop are the drain —
-			// they reach the wire, and the count proves nothing was lost
-			// in the rings.
-			nd.txDrained.Add(uint64(n))
-		}
+// add routes p to peer j, or to the collector when j is nd.n.
+func (e *egress) add(ctx *click.Context, j int, p *pkt.Packet) {
+	nd := e.nd
+	if e.mesh.Full() || e.line.Full() {
+		e.flush(ctx)
+	}
+	switch {
+	case j < nd.n && !nd.dead[j].Load():
+		e.mesh.Add(p)
+		e.to = append(e.to, nd.peers[j])
+	case j == nd.n && nd.sink != nil:
+		e.line.Add(p)
+	default:
+		// A dead peer, or no collector configured: recycling beats
+		// blackholing, and tx_drained accounts every frame.
+		nd.txDrained.Add(1)
+		ctx.Recycle(pkt.DefaultPool, p)
 	}
 }
 
-// enqueue hands a frame to a destination's writer. When the ring is
-// full (the writer is behind a burst) the datapath core waits for
-// space rather than writing inline — an inline write would overtake
-// same-flow frames still queued, manufacturing exactly the reordering
-// this simulator exists to measure. The stall is counted so egress
-// backpressure shows up in -stats-addr. Frames are dropped (recycled,
-// counted as a stall) only when shutdown has already stopped the
-// writers.
-func (nd *node) enqueue(q *txQueue, p *pkt.Packet) {
-	if q.push(p) {
-		return
+// flush sends what add gathered. The kernel copies at syscall time, so
+// the frames recycle at once, into the running goroutine's shard; a send
+// error loses them as the wire would.
+func (e *egress) flush(ctx *click.Context) {
+	nd := e.nd
+	if n := e.mesh.Len(); n > 0 {
+		nd.forwarded.Add(uint64(n))
+		e.meshW.WriteScatter(e.mesh.Packets(), e.to)
+		e.to = e.to[:0]
+		ctx.RecycleBatch(pkt.DefaultPool, e.mesh)
 	}
-	nd.txStalls.Add(1)
-	for !q.push(p) {
-		if nd.txStop.Load() {
-			pkt.DefaultPool.Put(p)
-			return
-		}
-		runtime.Gosched()
+	if n := e.line.Len(); n > 0 {
+		nd.egressed.Add(uint64(n))
+		e.lineW.WriteBatch(e.line.Packets(), nd.sink)
+		ctx.RecycleBatch(pkt.DefaultPool, e.line)
 	}
 }
 
 // prebound resolves the instances a node's Click program may name, for
 // one chain. The `fib` name binds through Options.FIB (the cluster's
 // shared live table — each chain's LPMLookup snapshots it per batch);
-// each chain gets its own VLB balancer, which is single-threaded by
-// contract, and a chain runs on exactly one core at a time.
+// each chain gets its own VLB balancer and egress, which are
+// single-threaded by contract, and a chain runs on one goroutine at a
+// time.
 func (nd *node) prebound(flowlets bool, chain int) map[string]routebricks.Element {
 	return map[string]routebricks.Element{
-		"vlb": &udpForward{nd: nd, bal: vlb.New(vlb.Config{
-			Nodes: nd.n, Self: nd.id,
-			LineRateBps: 1e9, // demo-scale line rate for the quota clock
-			LinkCapBps:  1e9,
-			Flowlets:    flowlets,
-			Seed:        int64(nd.id)*64 + int64(chain) + 1,
-			Live:        nd.currentLive(),
-		})},
+		"vlb": &udpForward{
+			bal: vlb.New(vlb.Config{
+				Nodes: nd.n, Self: nd.id,
+				LineRateBps: 1e9, // demo-scale line rate for the quota clock
+				LinkCapBps:  1e9,
+				Flowlets:    flowlets,
+				Seed:        int64(nd.id)*64 + int64(chain) + 1,
+				Live:        nd.currentLive(),
+			}),
+			tx: nd.newEgress(nd.exts[chain%len(nd.exts)]),
+		},
 		"badhdr":    countDrop(&nd.hdrDrops),
 		"badttl":    countDrop(&nd.hdrDrops),
 		"missroute": countDrop(&nd.routeMiss),
@@ -315,25 +271,25 @@ func (nd *node) currentLive() []bool {
 	return append([]bool(nil), nd.live...)
 }
 
-// setLive installs a new membership vector and flips the per-peer
-// writer queues across the dead boundary: a dead peer's queue drains
-// (frames recycled and counted) until the peer rejoins. The balancers
-// pick the vector up at the next Reload — re-striping is a reload under
-// the drain barrier, not a live mutation of a running balancer.
+// setLive installs a new membership vector and flips each peer across
+// the dead boundary at once: frames for a dead peer drain (recycled and
+// counted) until it rejoins. The balancers pick the vector up at the
+// next Reload — re-striping is a reload under the drain barrier, not a
+// live mutation of a running balancer.
 func (nd *node) setLive(live []bool) {
 	nd.liveMu.Lock()
 	nd.live = append([]bool(nil), live...)
 	nd.liveMu.Unlock()
-	for j, q := range nd.txq {
-		if q == nil || j >= len(live) {
-			continue
+	for j := range nd.dead {
+		if j < len(live) {
+			nd.dead[j].Store(!live[j])
 		}
-		q.dead.Store(!live[j])
 	}
 }
 
 // countDrop builds a terminal that counts into the given node counter
-// and recycles the buffer — the element is the packet's last owner.
+// and recycles the buffer into the running goroutine's shard — the
+// element is the packet's last owner.
 func countDrop(n *atomic.Uint64) *elements.Sink {
 	return &elements.Sink{
 		Fn:      func(_ *click.Context, _ *pkt.Packet) { n.Add(1) },
@@ -403,14 +359,14 @@ func printStateClasses(w io.Writer, pipe *routebricks.Pipeline) {
 	case len(shared) > 0:
 		fmt.Fprintf(w, "steering: shared-state elements %v pin this graph to one chain — it will not be cloned across cores\n", shared)
 	case len(perFlow) > 0:
-		fmt.Fprintf(w, "steering: per-flow elements %v require flow-consistent dispatch — safe under PushFlow (RSS table), rejected under -steal\n", perFlow)
+		fmt.Fprintf(w, "steering: per-flow elements %v require flow-consistent dispatch — the kernel's SO_REUSEPORT hash keeps each outer 4-tuple on one socket loop\n", perFlow)
 	default:
 		fmt.Fprintf(w, "steering: all elements stateless — any dispatch is safe\n")
 	}
 }
 
-func newNode(id, n int, fib *routebricks.RouteAdmin, cfgText string, flowlets bool, cores int, kind click.PlanKind, steal bool, wire wireConfig) (*node, error) {
-	exts, err := netio.ListenReusePort("udp4", "127.0.0.1:0", wire.rxQueues)
+func newNode(id, n int, fib *routebricks.RouteAdmin, cfgText string, flowlets bool, cores int, kind click.PlanKind, fallback bool) (*node, error) {
+	exts, err := netio.ListenReusePort("udp4", "127.0.0.1:0", cores)
 	if err != nil {
 		return nil, err
 	}
@@ -418,38 +374,35 @@ func newNode(id, n int, fib *routebricks.RouteAdmin, cfgText string, flowlets bo
 	if err != nil {
 		return nil, err
 	}
-	return newNodeOnConns(id, n, exts, intc, fib, cfgText, flowlets, cores, kind, steal, wire)
+	return newNodeOnConns(id, n, exts, intc, fib, cfgText, flowlets, cores, kind, fallback)
 }
 
 // newNodeOnConns builds a node's datapath on caller-bound sockets — the
 // single-process demo binds ephemeral loopback ports, mesh mode binds
 // the addresses the topology file assigns this member. exts is the
-// ingress socket set: one plain socket, or SO_REUSEPORT siblings on one
-// port acting as kernel-hashed receive queues (netio.ListenReusePort).
-func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *routebricks.RouteAdmin, cfgText string, flowlets bool, cores int, kind click.PlanKind, steal bool, wire wireConfig) (*node, error) {
+// ingress socket set: SO_REUSEPORT siblings on one port acting as
+// kernel-hashed receive queues (netio.ListenReusePort), one per core.
+func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *routebricks.RouteAdmin, cfgText string, flowlets bool, cores int, kind click.PlanKind, fallback bool) (*node, error) {
 	// Deep kernel receive buffers: injection is bursty and a pipelined
 	// datapath on an oversubscribed host drains slowly, so the default
-	// rmem can overflow invisibly before the reader ever runs.
+	// rmem can overflow invisibly before the loop reads again.
 	for _, c := range exts {
 		c.SetReadBuffer(4 << 20)
 	}
 	intc.SetReadBuffer(4 << 20)
 	nd := &node{
-		id: id, n: n, ext: exts[0], extQs: exts, int_: intc, wire: wire,
+		id: id, n: n, exts: exts, int_: intc, fallback: fallback,
 		peers: make([]*net.UDPAddr, n),
+		dead:  make([]atomic.Bool, n),
 	}
-	var err error
-
 	// The ingress datapath: the Click program, loaded and placed. The
 	// graph is instantiated once per chain — a parallel plan clones the
 	// whole graph per core, a pipelined plan cuts its trunk across cores
 	// wherever the topology allows.
+	var err error
 	nd.ingress, err = routebricks.Load(cfgText, routebricks.Options{
 		Cores:     cores,
 		Placement: kind,
-		KP:        32,
-		InputCap:  4096,
-		Steal:     steal,
 		FIB:       fib,
 		Prebound: func(chain int) map[string]routebricks.Element {
 			return nd.prebound(flowlets, chain)
@@ -458,31 +411,16 @@ func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *rout
 	if err != nil {
 		return nil, fmt.Errorf("load ingress program: %w", err)
 	}
-
-	// Transit traffic moves by MAC only — a one-element graph, so
-	// parallel is the only sensible allocation regardless of -placement.
-	nd.transit, err = click.NewPlan(click.PlanConfig{
-		Kind:  click.Parallel,
-		Cores: cores,
-		Program: click.NewProgram(func(int) (*click.Router, error) {
-			r := click.NewRouter()
-			return r, r.Add("transit", &udpTransit{nd: nd})
-		}),
-		KP: 32, InputCap: 4096,
-	})
-	if err != nil {
-		return nil, err
-	}
 	return nd, nil
 }
 
 // udpForward is the terminal ingress element: it rewrites the steering
-// MACs, consults its chain's VLB balancer, and emits the frame on the
-// node's sockets.
+// MACs, consults its chain's VLB balancer, and emits the frame through
+// its chain's egress.
 type udpForward struct {
 	click.Base
-	nd  *node
 	bal *vlb.Balancer
+	tx  *egress
 }
 
 // InPorts reports 1.
@@ -491,56 +429,76 @@ func (f *udpForward) InPorts() int { return 1 }
 // OutPorts reports 0: the socket is the output.
 func (f *udpForward) OutPorts() int { return 0 }
 
-// Push routes the packet into the cluster.
-func (f *udpForward) Push(_ *click.Context, _ int, p *pkt.Packet) {
-	nd := f.nd
+// PushBatch routes a batch into the cluster and sends it before
+// returning.
+func (f *udpForward) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
+	now := nowVirtual()
+	for _, p := range b.Packets() {
+		if p != nil {
+			f.tx.add(ctx, f.route(now, p), p)
+		}
+	}
+	f.tx.flush(ctx)
+	b.Reset()
+}
+
+// Push is PushBatch for one packet.
+func (f *udpForward) Push(ctx *click.Context, _ int, p *pkt.Packet) {
+	f.tx.add(ctx, f.route(nowVirtual(), p), p)
+	f.tx.flush(ctx)
+}
+
+// route stamps the steering MACs and picks the frame's destination
+// slot: the collector for a prefix this node owns, otherwise the next
+// hop the chain's balancer chooses.
+func (f *udpForward) route(now sim.Time, p *pkt.Packet) int {
+	nd := f.tx.nd
 	out := p.NextHop // resolved by LPMLookup
 	p.Ether().SetSrc(pkt.NodeMAC(nd.id))
 	p.Ether().SetDst(pkt.NodeMAC(out))
 	if out == nd.id {
-		nd.egress(p)
-		return
+		return nd.n
 	}
-	d := f.bal.Route(nowVirtual(), p, out)
-	nd.send(d.Next, p)
+	return f.bal.Route(now, p, out).Next
 }
 
-// udpTransit is the terminal transit element: mesh packets move by MAC
-// only, to the external wire or the next node.
-type udpTransit struct {
-	click.Base
-	nd *node
-}
-
-// InPorts reports 1.
-func (t *udpTransit) InPorts() int { return 1 }
-
-// OutPorts reports 0.
-func (t *udpTransit) OutPorts() int { return 0 }
-
-// Push forwards without header processing.
-func (t *udpTransit) Push(_ *click.Context, _ int, p *pkt.Packet) {
-	out := p.Ether().Dst().Node()
-	if out == t.nd.id {
-		t.nd.egress(p)
-		return
+// transit returns the data socket loop's handler: mesh frames move by
+// MAC only, to the collector when this node owns the destination and to
+// the next node otherwise, through the loop's own egress.
+func (nd *node) transit(tx *egress) func(*click.Context, *pkt.Batch) {
+	return func(ctx *click.Context, b *pkt.Batch) {
+		nd.transited.Add(uint64(b.Len()))
+		for _, p := range b.Packets() {
+			out := p.Ether().Dst().Node()
+			switch {
+			case out == nd.id:
+				out = nd.n
+			case out >= nd.n:
+				// Not a member's MAC: rejected for its header.
+				nd.hdrDrops.Add(1)
+				ctx.Recycle(pkt.DefaultPool, p)
+				continue
+			}
+			tx.add(ctx, out, p)
+		}
+		tx.flush(ctx)
+		b.Reset()
 	}
-	t.nd.send(out, p)
 }
 
-// runReader pulls batches of UDP datagrams off one socket and hands
-// them to push — the RSS role. Datagrams land directly in pool-backed
-// packet buffers (netio points the kernel's iovecs at them), so there
-// is no staging buffer and no per-datagram copy on either syscall path.
-// The reader blocks with no deadline — shutdown wakes it with an
-// immediate-deadline poke rather than closing the socket, because the
-// egress writers still own the same descriptors until they finish
-// draining. The caller decides the steering policy: ingress pushes
-// through the pipeline's flow-consistent indirection table, transit
-// hashes modulo its chain count.
-func (nd *node) runReader(r *netio.BatchReader, shard *pkt.PoolShard, push func(p *pkt.Packet) bool) {
+// runLoop is one datapath core: it owns one socket from recvmmsg to
+// sendmmsg. Each turn reads a batch straight into pool buffers (netio
+// points the kernel's iovecs at them), drops runts, and hands the rest
+// to run — the ingress graph or transit — which flushes its egress
+// before returning, so nothing is in flight when the next read starts.
+// An idle loop parks in the read on the runtime poller, with no
+// deadline; shutdown wakes it with an immediate-deadline poke. The
+// loop's pool shard rides on the context, so every recycle on the way —
+// runts, counting drops, sent frames — stays shard-local.
+func (nd *node) runLoop(r *netio.BatchReader, shard *pkt.PoolShard, run func(*click.Context, *pkt.Batch)) {
 	defer nd.wg.Done()
 	defer r.Release()
+	ctx := &click.Context{PoolShard: shard}
 	batch := pkt.NewBatch(32)
 	for !nd.stop.Load() {
 		batch.Reset()
@@ -552,126 +510,90 @@ func (nd *node) runReader(r *netio.BatchReader, shard *pkt.PoolShard, push func(
 			}
 			continue
 		}
-		for _, p := range batch.Packets() {
+		for i, p := range batch.Packets() {
 			if len(p.Data) < pkt.EtherHdrLen+pkt.IPv4HdrLen {
 				// Runt: not even a frame header — rejected for its header.
 				nd.hdrDrops.Add(1)
-				shard.Put(p)
-				continue
+				shard.Put(batch.Take(i))
 			}
-			if !push(p) {
-				// Receive ring overflow: the reader is the packet's last owner.
-				nd.rxDrops.Add(1)
-				shard.Put(p)
-			}
+		}
+		if batch.Compact() > 0 {
+			run(ctx, batch)
+			ctx.TakeCycles()
 		}
 	}
 }
 
-// newReader builds one ingress receive queue: a netio batch reader on
-// its own pool shard (the RSS role's half of the shared-nothing bargain
-// — no allocation lock is ever contended between readers, writers, and
-// datapath cores), registered for the node's wire counters.
+// newReader builds one receive queue: a netio batch reader on its own
+// pool shard, registered for the node's wire counters.
 func (nd *node) newReader(conn *net.UDPConn) (*netio.BatchReader, *pkt.PoolShard) {
-	shard := pkt.DefaultPool.Shard(int(poolShardSeq.Add(1)))
-	r := netio.NewBatchReader(conn, nd.wire.netio(shard))
+	shard := nextShard()
+	r := netio.NewBatchReader(conn, netio.Config{Shard: shard, ForceFallback: nd.fallback})
+	nd.wireMu.Lock()
 	nd.readers = append(nd.readers, r)
+	nd.wireMu.Unlock()
 	return r, shard
 }
 
-// send queues the frame for a peer node's egress writer.
-func (nd *node) send(to int, p *pkt.Packet) {
-	nd.forwarded.Add(1)
-	nd.enqueue(nd.txq[to], p)
-}
-
-// egress queues the frame for the external wire (to the collector).
-func (nd *node) egress(p *pkt.Packet) {
-	nd.egressed.Add(1)
-	nd.enqueue(nd.sinkq, p)
-}
-
+// start places the ingress plan and launches the socket loops: one per
+// ingress socket, feeding chain q % Chains(), and one for transit.
 func (nd *node) start() error {
-	// Egress writers first, so the datapath never hits a cold queue.
-	// Each queue gets its own netio batch writer (writers are
-	// single-goroutine by contract, like the queues themselves).
-	nd.sinkq = &txQueue{ring: exec.NewRing(4096), conn: nd.ext, addr: nd.sink,
-		w: netio.NewBatchWriter(nd.ext, nd.wire.netio(nil))}
-	if nd.sink == nil {
-		// No collector configured (a mesh with no sink): egress frames
-		// are recycled and accounted rather than written to a nil addr.
-		nd.sinkq.dead.Store(true)
-	}
-	nd.wwg.Add(1)
-	go nd.runWriter(nd.sinkq)
-	nd.txq = make([]*txQueue, nd.n)
-	for j := range nd.txq {
-		if j == nd.id {
-			continue
-		}
-		nd.txq[j] = &txQueue{ring: exec.NewRing(4096), conn: nd.int_, addr: nd.peers[j],
-			w: netio.NewBatchWriter(nd.int_, nd.wire.netio(nil))}
-		nd.wwg.Add(1)
-		go nd.runWriter(nd.txq[j])
-	}
-	if err := nd.ingress.Start(); err != nil {
+	if err := nd.place(); err != nil {
 		return err
 	}
-	if err := nd.transit.Start(); err != nil {
-		return err
-	}
-	// Ingress steers through the pipeline's RSS indirection table: both
-	// directions of a 5-tuple and every fragment of a datagram land on
-	// the same chain, so cloned per-flow elements (Reassembler,
-	// FlowCounter) in a -config program stay correct — and the
-	// controller can rebalance by rewriting buckets instead of
-	// replanning. With one receive queue the reader is the table's sole
-	// producer (PushFlow); SO_REUSEPORT queues are parallel producers,
-	// so they serialize the ring push through PushFlowShared — the
-	// kernel-side work (syscall, copy into the pool buffer) still
-	// parallelizes across queues. Transit is MAC-only forwarding with no
-	// per-flow state, so a plain modulo over its (fixed) chain count is
-	// enough.
-	ingressPush := nd.ingress.PushFlow
-	if len(nd.extQs) > 1 {
-		ingressPush = nd.ingress.PushFlowShared
-	}
-	for _, c := range nd.extQs {
+	for q, c := range nd.exts {
 		r, shard := nd.newReader(c)
 		nd.wg.Add(1)
-		go nd.runReader(r, shard, ingressPush)
+		go nd.runLoop(r, shard, func(ctx *click.Context, b *pkt.Batch) { nd.ingress.RunBatch(q, ctx, b) })
 	}
-	transitChains := uint64(nd.transit.Chains())
-	tr, tshard := nd.newReader(nd.int_)
+	r, shard := nd.newReader(nd.int_)
 	nd.wg.Add(1)
-	go nd.runReader(tr, tshard, func(p *pkt.Packet) bool {
-		return nd.transit.Input(int(p.FlowHash() % transitChains)).Push(p)
-	})
+	go nd.runLoop(r, shard, nd.transit(nd.newEgress(nd.exts[0])))
 	return nil
 }
 
+// shutdown stops the loops — each flushes its last batch before it
+// exits — then the pipelined Runner, if any, and closes the sockets.
 func (nd *node) shutdown() {
 	if nd.ctrl != nil {
 		nd.ctrl.Stop()
 	}
 	nd.stop.Store(true)
-	// Wake blocked readers with an immediate deadline instead of Close:
-	// the egress writers still send on these descriptors until their
-	// final drain below.
 	now := time.Now()
-	for _, c := range nd.extQs {
+	for _, c := range nd.exts {
 		c.SetReadDeadline(now)
 	}
 	nd.int_.SetReadDeadline(now)
-	nd.wg.Wait() // readers gone: nothing feeds the datapath
+	nd.wg.Wait()
 	nd.ingress.Stop()
-	nd.transit.Stop() // cores halted: nothing feeds the egress queues
-	nd.txStop.Store(true)
-	nd.wwg.Wait() // writers flush what was queued, then exit
-	for _, c := range nd.extQs {
+	for _, c := range nd.exts {
 		c.Close()
 	}
 	nd.int_.Close()
+}
+
+// place runs the ingress plan the way its placement needs, after Load
+// and after every swap: a parallel plan runs wholly on the socket loops
+// and its Runner stays stopped; a pipelined plan runs its first group
+// on the loops and needs the Runner for its handoff consumers.
+func (nd *node) place() error {
+	nd.ingress.Stop()
+	if nd.ingress.Placement() != click.Pipelined {
+		return nil
+	}
+	return nd.ingress.Start()
+}
+
+// swap applies one Reload or Replan and places the result. swapMu keeps
+// concurrent swaps (SIGHUP, re-stripe, the admin API, the controller)
+// from placing a plan they did not install.
+func (nd *node) swap(do func() error) error {
+	nd.swapMu.Lock()
+	defer nd.swapMu.Unlock()
+	if err := do(); err != nil {
+		return err
+	}
+	return nd.place()
 }
 
 // reload hot-swaps the node's ingress program. Options inherit from the
@@ -679,7 +601,12 @@ func (nd *node) shutdown() {
 // balancers, and drop counters rebind to the new graph's chains through
 // the same closure — only Placement must be restated.
 func (nd *node) reload(cfgText string, kind click.PlanKind) error {
-	return nd.ingress.Reload(cfgText, routebricks.Options{Placement: kind})
+	return nd.swap(func() error { return nd.ingress.Reload(cfgText, routebricks.Options{Placement: kind}) })
+}
+
+// replan re-places the running program under the given allocation.
+func (nd *node) replan(kind click.PlanKind) error {
+	return nd.swap(func() error { return nd.ingress.Replan(routebricks.Options{Placement: kind}) })
 }
 
 func run() error {
@@ -688,17 +615,15 @@ func run() error {
 		packets    = flag.Int("packets", 20000, "packets to inject")
 		rate       = flag.Int("rate", 40000, "injection rate (packets/sec)")
 		flowlets   = flag.Bool("flowlets", true, "enable flowlet reordering avoidance")
-		cores      = flag.Int("cores", 1, "datapath cores per node")
+		cores      = flag.Int("cores", 1, "datapath cores per node, each owning one SO_REUSEPORT ingress socket")
 		placement  = flag.String("placement", "parallel", "core allocation: parallel, pipelined, or auto (calibrate and pick)")
 		configPath = flag.String("config", "", "Click-language ingress program (default: embedded IP router config)")
 		replanAuto = flag.Bool("replan-auto", false, "watch per-node load and Replan(auto) when the observed imbalance crosses the controller's threshold")
 		printGraph = flag.Bool("print-graph", false, "print the ingress element graph as Graphviz dot and exit")
 		pcapPath   = flag.String("pcap", "", "capture egress traffic to this pcap file")
 		statsAddr  = flag.String("stats-addr", "", "serve the versioned admin API (stats, controller, live FIB routes, replan) on this HTTP address under /api/v1")
-		steal      = flag.Bool("steal", false, "let idle datapath cores steal batches from overloaded siblings' input rings (trades flow affinity for utilization)")
 		meshTopo   = flag.String("mesh", "", "run as ONE member of a multi-process mesh defined by this topology file (see cmd/rbmesh); requires -mesh-id")
 		meshID     = flag.Int("mesh-id", -1, "this process's member id in the -mesh topology")
-		rxQueues   = flag.Int("rx-queues", 1, "SO_REUSEPORT receive queues per node's ingress port (kernel-hashed multi-queue receive; Linux only for >1)")
 		wireFall   = flag.Bool("wire-fallback", false, "force the portable per-packet syscall path instead of recvmmsg/sendmmsg batching")
 	)
 	flag.Parse()
@@ -726,12 +651,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *rxQueues < 1 || *rxQueues > 16 {
-		return fmt.Errorf("rx-queues must be in [1,16]")
-	}
-	wire := wireConfig{rxQueues: *rxQueues, fallback: *wireFall}
 	if *meshTopo != "" {
-		return runMesh(*meshTopo, *meshID, cfgText, *flowlets, *cores, kind, autoPlace, *steal, wire)
+		return runMesh(*meshTopo, *meshID, cfgText, *flowlets, *cores, kind, autoPlace, *wireFall)
 	}
 	if *nNodes < 2 || *nNodes > 64 {
 		return fmt.Errorf("nodes must be in [2,64]")
@@ -779,7 +700,7 @@ func run() error {
 
 	nodes := make([]*node, *nNodes)
 	for i := range nodes {
-		if nodes[i], err = newNode(i, *nNodes, fib, cfgText, *flowlets, *cores, kind, *steal, wire); err != nil {
+		if nodes[i], err = newNode(i, *nNodes, fib, cfgText, *flowlets, *cores, kind, *wireFall); err != nil {
 			return err
 		}
 	}
@@ -806,7 +727,6 @@ func run() error {
 	cfgCurrent := cfgText // kept in step with successful SIGHUP reloads
 	if *replanAuto {
 		for _, nd := range nodes {
-			nd := nd
 			nd.ctrl = nd.ingress.NewController(routebricks.ControllerConfig{
 				Replan: func() error {
 					cfgMu.Lock()
@@ -816,7 +736,7 @@ func run() error {
 					if err != nil {
 						return err
 					}
-					return nd.ingress.Replan(routebricks.Options{Placement: probe.Placement()})
+					return nd.replan(probe.Placement())
 				},
 			})
 			nd.ctrl.Start()
@@ -826,10 +746,10 @@ func run() error {
 	fmt.Printf("rbrouter: %d nodes meshed over UDP, injecting %d packets at %d pps (flowlets=%v)\n",
 		*nNodes, *packets, *rate, *flowlets)
 	wireMode := "fallback"
-	if netio.Available() && !wire.fallback {
+	if netio.Available() && !*wireFall {
 		wireMode = "mmsg"
 	}
-	fmt.Printf("wire I/O: %s, %d ingress queue(s) per node\n", wireMode, *rxQueues)
+	fmt.Printf("wire I/O: %s, %d ingress socket(s) per node, one run-to-completion loop each\n", wireMode, *cores)
 	fmt.Printf("per-node ingress placement: %s", nodes[0].ingress.Describe())
 
 	// SIGHUP → hot-reload: re-read -config and swap every node's ingress
@@ -888,9 +808,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			want := probe.Placement()
 			for _, nd := range nodes {
-				if err := nd.ingress.Replan(routebricks.Options{Placement: want}); err != nil {
+				if err := nd.replan(probe.Placement()); err != nil {
 					return fmt.Errorf("node %d: %w", nd.id, err)
 				}
 			}
@@ -899,7 +818,7 @@ func run() error {
 		srv := &http.Server{Handler: newAdminMux(nodes, fib, replanAll, nil)}
 		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Printf("admin API: http://%s/api/v1/{stats,controller,routes,replan,rss}\n", ln.Addr())
+		fmt.Printf("admin API: http://%s/api/v1/{stats,controller,routes,replan}\n", ln.Addr())
 	}
 
 	// Collector: count deliveries and measure reordering. Frames arrive
@@ -910,8 +829,8 @@ func run() error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		shard := pkt.DefaultPool.Shard(int(poolShardSeq.Add(1)))
-		rd := netio.NewBatchReader(collector, wire.netio(shard))
+		shard := nextShard()
+		rd := netio.NewBatchReader(collector, netio.Config{Shard: shard, ForceFallback: *wireFall})
 		defer rd.Release()
 		batch := pkt.NewBatch(32)
 		for received.Load() < uint64(*packets) {
@@ -941,8 +860,8 @@ func run() error {
 	// nodes, paced at the requested rate.
 	src := trafficgen.New(trafficgen.Config{Seed: 1, Sizes: trafficgen.Fixed(128), DstAddrs: cluster.DestPool(*nNodes, 8)})
 	interval := time.Second / time.Duration(*rate)
-	// SIGTERM/SIGINT stops injection early but still drains: the writers
-	// flush every queued frame (counted in tx_drained) before the report.
+	// SIGTERM/SIGINT stops injection early; the report still waits for
+	// the collector to go quiet.
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGTERM, os.Interrupt)
 	defer signal.Stop(term)
@@ -952,7 +871,7 @@ func run() error {
 	// one sendmmsg per burst on the fast path, matching the pacing
 	// granularity below. WriteScatter carries a destination per frame,
 	// so a burst spanning several input nodes still costs one syscall.
-	inj := netio.NewBatchWriter(collector, wire.netio(nil))
+	inj := netio.NewBatchWriter(collector, netio.Config{ForceFallback: *wireFall})
 	burst := make([]*pkt.Packet, 0, 8)
 	dests := make([]*net.UDPAddr, 0, 8)
 	flush := func() error {
@@ -969,7 +888,7 @@ func run() error {
 	for i := 0; i < *packets && !stopping; i++ {
 		select {
 		case <-term:
-			fmt.Println("rbrouter: signal received, draining egress queues")
+			fmt.Println("rbrouter: signal received, stopping injection")
 			stopping = true
 			continue
 		default:
@@ -986,13 +905,15 @@ func run() error {
 		// could prevent.
 		in := nodes[int(p.IPv4().SrcUint32())%*nNodes]
 		burst = append(burst, p)
-		dests = append(dests, in.ext.LocalAddr().(*net.UDPAddr))
+		dests = append(dests, in.exts[0].LocalAddr().(*net.UDPAddr))
 		injected++
 		if i%8 == 7 {
 			if err := flush(); err != nil {
 				return err
 			}
-			time.Sleep(8 * interval) // pace in small bursts; Sleep granularity is coarse
+			// Pace against the clock, not per burst: Sleep rounds short waits
+			// up, and the bursts after an oversleep catch up unslept.
+			time.Sleep(time.Until(start.Add(time.Duration(i+1) * interval)))
 		}
 	}
 	if err := flush(); err != nil {
@@ -1005,20 +926,19 @@ func run() error {
 		nd.shutdown()
 	}
 
-	var forwarded, egressed, miss, hdr, rxd, drained uint64
+	var forwarded, egressed, miss, hdr, drained uint64
 	for _, nd := range nodes {
 		forwarded += nd.forwarded.Load()
 		egressed += nd.egressed.Load()
 		miss += nd.routeMiss.Load()
 		hdr += nd.hdrDrops.Load()
-		rxd += nd.rxDrops.Load()
 		drained += nd.txDrained.Load()
 	}
 	fmt.Printf("delivered %d/%d packets in %v (%.0f pps through the mesh)\n",
 		received.Load(), injected, elapsed.Round(time.Millisecond),
 		float64(received.Load())/elapsed.Seconds())
-	fmt.Printf("internal forwards: %d, route misses: %d, header drops: %d, rx-ring drops: %d, shutdown-drained: %d\n",
-		forwarded, miss, hdr, rxd, drained)
+	fmt.Printf("internal forwards: %d, egressed: %d, route misses: %d, header drops: %d, tx-drained: %d\n",
+		forwarded, egressed, miss, hdr, drained)
 	fmt.Printf("reordering: %s\n", meter)
 	if received.Load() < uint64(injected)*95/100 {
 		return fmt.Errorf("lost more than 5%% of packets")
@@ -1043,6 +963,8 @@ type nodeSnapshot struct {
 // TxFrames/TxBatches.
 func (nd *node) wireSnapshot() *stats.WireSnapshot {
 	w := &stats.WireSnapshot{Mode: "fallback"}
+	nd.wireMu.Lock()
+	defer nd.wireMu.Unlock()
 	for _, r := range nd.readers {
 		s := r.Stats()
 		w.RxBatches += s.Batches
@@ -1052,22 +974,18 @@ func (nd *node) wireSnapshot() *stats.WireSnapshot {
 			w.Mode = "mmsg"
 		}
 	}
-	for _, q := range append([]*txQueue{nd.sinkq}, nd.txq...) {
-		if q == nil || q.w == nil {
-			continue
-		}
-		s := q.w.Stats()
+	for _, wr := range nd.writers {
+		s := wr.Stats()
 		w.TxBatches += s.Batches
 		w.TxFrames += s.Frames
 	}
 	return w
 }
 
+// snapshot reads the node's counters. TransitQueued, RxDrops and
+// TxStalls stay zero: no frame waits in a queue on the node, and a full
+// socket buffer parks the loop in sendmmsg instead of stalling a ring.
 func (nd *node) snapshot() nodeSnapshot {
-	var transitPkts uint64
-	for _, s := range nd.transit.Stats() {
-		transitPkts += s.Packets()
-	}
 	var ctrlState *routebricks.ControllerState
 	if nd.ctrl != nil {
 		st := nd.ctrl.State()
@@ -1079,15 +997,12 @@ func (nd *node) snapshot() nodeSnapshot {
 		NodeStats: stats.NodeStats{
 			ID:             nd.id,
 			Ingress:        ing,
-			TransitQueued:  nd.transit.Queued(),
-			TransitPackets: transitPkts,
+			TransitPackets: nd.transited.Load(),
 			Forwarded:      nd.forwarded.Load(),
 			Egressed:       nd.egressed.Load(),
 			RouteMisses:    nd.routeMiss.Load(),
 			HeaderDrops:    nd.hdrDrops.Load(),
-			RxDrops:        nd.rxDrops.Load(),
-			TxBatches:      nd.txBatches.Load(),
-			TxStalls:       nd.txStalls.Load(),
+			TxBatches:      ing.Wire.TxBatches,
 			TxDrained:      nd.txDrained.Load(),
 			Restripes:      nd.restripes.Load(),
 		},

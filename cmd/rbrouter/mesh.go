@@ -33,7 +33,7 @@ import (
 	"routebricks/internal/netio"
 )
 
-func runMesh(path string, self int, cfgText string, flowlets bool, cores int, kind click.PlanKind, autoPlace, steal bool, wire wireConfig) error {
+func runMesh(path string, self int, cfgText string, flowlets bool, cores int, kind click.PlanKind, autoPlace, fallback bool) error {
 	topo, err := mesh.LoadTopology(path)
 	if err != nil {
 		return err
@@ -71,9 +71,9 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 		}
 		return c, nil
 	}
-	// The external port binds as one socket or as -rx-queues SO_REUSEPORT
-	// siblings — kernel-hashed receive queues on the member's line port.
-	exts, err := netio.ListenReusePort("udp4", me.Ext, wire.rxQueues)
+	// The external port binds one SO_REUSEPORT socket per core —
+	// kernel-hashed receive queues on the member's line port.
+	exts, err := netio.ListenReusePort("udp4", me.Ext, cores)
 	if err != nil {
 		return fmt.Errorf("bind ext %s: %w", me.Ext, err)
 	}
@@ -82,7 +82,7 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 		return err
 	}
 
-	nd, err := newNodeOnConns(self, n, exts, data, fib, cfgText, flowlets, cores, kind, steal, wire)
+	nd, err := newNodeOnConns(self, n, exts, data, fib, cfgText, flowlets, cores, kind, fallback)
 	if err != nil {
 		return err
 	}
@@ -143,7 +143,7 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 		if err != nil {
 			return err
 		}
-		return nd.ingress.Replan(routebricks.Options{Placement: probe.Placement()})
+		return nd.replan(probe.Placement())
 	}
 	ln, err := net.Listen("tcp", me.API)
 	if err != nil {
@@ -158,9 +158,8 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 		self, me.Data, me.Ctrl, me.Ext, ln.Addr())
 
 	// SIGTERM/SIGINT is the graceful exit: stop heartbeating (peers will
-	// detect the death and re-stripe around us), halt the datapath, and
-	// let the writers flush every queued frame — the drained count in
-	// the final line is the proof nothing died in a ring.
+	// detect the death and re-stripe around us) and halt the socket
+	// loops, each of which flushes what it holds before it exits.
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGTERM, os.Interrupt)
 	<-term
@@ -169,7 +168,7 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 	srv.Close()
 	ctrl.Stop()
 	nd.shutdown()
-	fmt.Printf("rbrouter[%d]: shutdown complete — forwarded %d, egressed %d, drained %d queued frames\n",
+	fmt.Printf("rbrouter[%d]: shutdown complete — forwarded %d, egressed %d, tx-drained %d\n",
 		self, nd.forwarded.Load(), nd.egressed.Load(), nd.txDrained.Load())
 	return nil
 }

@@ -2,7 +2,9 @@ package click
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"routebricks/internal/exec"
@@ -24,11 +26,13 @@ import (
 //     handoff — the cost the paper measured to conclude that parallel
 //     wins.
 //
-// A plan can be driven two ways: Start/Stop spins up the hardened
-// Runner (one goroutine per core, real parallelism), while RunStep
-// executes one core's quantum synchronously — the hook the cluster
-// simulator and deterministic tests use to run the same plan types on
-// virtual cores.
+// A plan can be driven three ways: Start/Stop spins up the hardened
+// Runner (one goroutine per core, real parallelism); RunStep executes
+// one core's quantum synchronously — the hook the cluster simulator and
+// deterministic tests use to run the same plan types on virtual cores;
+// and RunBatch runs a caller's batch through a chain's first stage on
+// the caller's goroutine — the run-to-completion entry for callers that
+// own a receive queue.
 
 // PlanKind selects the §4.2 core allocation.
 type PlanKind int
@@ -170,13 +174,16 @@ type Plan struct {
 	topo   Topology
 	cost   CostModel
 
-	inputs       []*exec.Ring // one per chain; callers feed these
-	inputCore    []int        // first core of each chain (polls the input ring)
-	inputStat    []*CoreStat  // first core's stat block per chain (steal accounting)
-	handoffs     []*exec.Ring // pipelined only: all inter-stage rings
-	handoffChain []int        // chain owning each handoff ring
-	handoffFrom  []int        // producer core of each handoff ring
-	handoffTo    []int        // consumer core of each handoff ring
+	inputs       []*exec.Ring  // one per chain; callers feed these
+	inputCore    []int         // first core of each chain (polls the input ring)
+	inputStat    []*CoreStat   // first core's stat block per chain (steal and RunBatch accounting)
+	entry        []BatchOutput // first-stage dispatch per chain (RunBatch)
+	entryOut     []*exec.Ring  // first stage's handoff ring per chain (nil when the chain is one group)
+	chainMu      []sync.Mutex  // serializes RunBatch feeders that share a chain
+	handoffs     []*exec.Ring  // pipelined only: all inter-stage rings
+	handoffChain []int         // chain owning each handoff ring
+	handoffFrom  []int         // producer core of each handoff ring
+	handoffTo    []int         // consumer core of each handoff ring
 	stats        []*CoreStat
 	instances    []*Instance // one per chain, in chain order
 
@@ -318,7 +325,7 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	// after the chains are built and read by every poll closure at run
 	// time.
 	p.steal = cfg.Steal && p.chains > 1
-	p.runner = NewRunner(p.sched)
+	p.chainMu = make([]sync.Mutex, p.chains)
 	return p, nil
 }
 
@@ -416,10 +423,13 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 		stat := &CoreStat{Core: cores[g], Socket: cfg.Topo.SocketOf(cores[g]),
 			Chain: chain, Stages: strings.Join(in.names[lo:hi], "+")}
 		p.stats = append(p.stats, stat)
+		dispatch := BatchDispatch(in.segs[lo], 0)
 		if g == 0 {
 			p.inputStat = append(p.inputStat, stat)
+			p.entry = append(p.entry, dispatch)
+			p.entryOut = append(p.entryOut, downstream)
 		}
-		p.sched.MustBind(cores[g], p.pollTask(upstream, downstream, in.segs[lo], cfg.KP, stat, chain, g == 0))
+		p.sched.MustBind(cores[g], p.pollTask(upstream, downstream, dispatch, cfg.KP, stat, chain, g == 0))
 		upstream = downstream
 	}
 	return nil
@@ -433,12 +443,18 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 // dispatched graph runs against core-local freelist state. First-stage
 // cores of a steal-enabled plan consume their input ring through the
 // shared (consumer-locked) protocol and, when it runs dry, drain the
-// deepest sibling backlog instead of reporting an empty poll.
-func (p *Plan) pollTask(upstream, downstream *exec.Ring, entry Element, kp int, stat *CoreStat, chain int, firstStage bool) Task {
+// deepest sibling backlog instead of reporting an empty poll. A
+// pipelined first stage takes the chain's RunBatch lock, since RunBatch
+// runs the same stage, and produces into the same handoff ring, inline.
+func (p *Plan) pollTask(upstream, downstream *exec.Ring, dispatch BatchOutput, kp int, stat *CoreStat, chain int, firstStage bool) Task {
 	scratch := pkt.NewBatch(kp)
-	dispatch := BatchDispatch(entry, 0)
 	shard := pkt.DefaultPool.Shard(stat.Core)
+	inline := firstStage && downstream != nil
 	return TaskFunc(func(ctx *Context) int {
+		if inline {
+			p.chainMu[chain].Lock()
+			defer p.chainMu[chain].Unlock()
+		}
 		ctx.PoolShard = shard
 		limit := kp
 		if downstream != nil {
@@ -498,6 +514,39 @@ func (p *Plan) stealInto(b *pkt.Batch, limit, chain int, stat *CoreStat) int {
 		stat.steals.Add(uint64(n))
 		p.inputStat[victim].stolen.Add(uint64(n))
 	}
+	return n
+}
+
+// RunBatch runs b through chain's first-stage group on the calling
+// goroutine, with no input ring in between, and credits the chain's
+// first-stage CoreStat with one poll of b.Len() packets, which it
+// returns. b comes back empty. Feeders sharing a chain serialize on a
+// per-chain lock, which a pipelined first stage's own poll also takes.
+//
+// A pipelined first group ends in a handoff ring. While the Runner is
+// started, RunBatch waits for room for the whole batch — the
+// backpressure a polling first stage gets by capping its poll; without
+// a Runner nothing would drain the ring, so overflow counts in Drops as
+// for any handoff. The caller must not race Start/Stop, and must not
+// feed a parallel chain's input ring while its Runner is started.
+func (p *Plan) RunBatch(chain int, ctx *Context, b *pkt.Batch) int {
+	n := b.Len()
+	if n == 0 {
+		return 0
+	}
+	mu := &p.chainMu[chain]
+	mu.Lock()
+	defer mu.Unlock()
+	stat := p.inputStat[chain]
+	if out := p.entryOut[chain]; out != nil {
+		for p.runner != nil && out.Free() < n {
+			runtime.Gosched()
+		}
+		stat.handoffs.Add(1)
+	}
+	stat.polls.Add(1)
+	stat.packets.Add(uint64(n))
+	p.entry[chain](ctx, b)
 	return n
 }
 
@@ -649,11 +698,24 @@ func (p *Plan) Processed() uint64 {
 	return n
 }
 
-// Start launches the plan on real cores via the hardened Runner.
-func (p *Plan) Start() error { return p.runner.Start() }
+// Start launches the plan on real cores via the hardened Runner. A
+// stopped plan may start again: each Start gets a fresh Runner.
+func (p *Plan) Start() error {
+	if p.runner != nil {
+		return fmt.Errorf("click: plan already started")
+	}
+	p.runner = NewRunner(p.sched)
+	return p.runner.Start()
+}
 
-// Stop halts the Runner and waits for the per-core goroutines.
-func (p *Plan) Stop() { p.runner.Stop() }
+// Stop halts the Runner and waits for the per-core goroutines (a no-op
+// on a plan that is not started).
+func (p *Plan) Stop() {
+	if p.runner != nil {
+		p.runner.Stop()
+		p.runner = nil
+	}
+}
 
 // RunStep executes one quantum of the given core synchronously — the
 // virtual-core hook: the cluster simulator and deterministic tests

@@ -29,7 +29,7 @@
 // one ingress port with SO_REUSEPORT are kernel-hashed receive queues —
 // the kernel steers each 4-tuple consistently to one socket, so N
 // BatchReaders are software RSS backed by real kernel steering. See
-// docs/netio.md for the REUSEPORT-vs-PushFlow contract.
+// docs/netio.md for how rbrouter runs one loop per queue.
 package netio
 
 import (

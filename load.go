@@ -327,10 +327,6 @@ type Pipeline struct {
 	// they are accounted in Drops and the Snapshot.
 	drainDrops atomic.Uint64
 
-	// flowMu serializes PushFlowShared producers; PushFlow bypasses it
-	// (single producer needs no serialization).
-	flowMu sync.Mutex
-
 	// rssTable is the flow-steering indirection table behind PushFlow.
 	// Like the FIB it outlives plan generations — a Reload/Replan
 	// restripes it only when the chain count changes, so controller
@@ -574,6 +570,26 @@ func (p *Pipeline) Push(i int, pk *Packet) bool {
 		return false
 	}
 	return p.plan.Input(i).Push(pk)
+}
+
+// RunBatch runs b to completion on the calling goroutine: it dispatches
+// the batch into the first-stage group of chain queue % Chains() (queue
+// must be non-negative) and credits that chain's first-stage CoreStat,
+// so Snapshot and the replan controller see the traffic. It returns the
+// packets dispatched and leaves b empty. Set ctx.PoolShard so graph
+// exits recycle into the caller's shard.
+//
+// It is the entry for callers that own a receive queue, such as a
+// socket loop: a parallel plan then runs wholly on the callers and is
+// never started, while a pipelined plan runs its first group here and
+// needs Start for the stages behind it. Unlike Push it blocks through a
+// Reload/Replan: the caller is the datapath, and a swap is a short
+// pause, not backpressure. Several goroutines may feed one chain; do
+// not mix RunBatch with Push on a started parallel plan.
+func (p *Pipeline) RunBatch(queue int, ctx *click.Context, b *pkt.Batch) int {
+	p.pmu.RLock()
+	defer p.pmu.RUnlock()
+	return p.plan.RunBatch(queue%p.plan.Chains(), ctx, b)
 }
 
 // Router returns chain i's element graph, for inspection (counters,

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -299,6 +300,119 @@ func TestLoadEquivalenceSteal(t *testing.T) {
 				t.Errorf("steals (%d) != stolen (%d)", steals, stolen)
 			}
 			t.Logf("cores=%d: %d packets stolen under full skew", cores, steals)
+		})
+	}
+}
+
+// TestRunBatchEquivalence is TestLoadEquivalence for the
+// run-to-completion entry: feeders hand batches to RunBatch on their own
+// goroutines, a parallel plan runs wholly on them and a pipelined one
+// runs its first stage there and the rest on the started Runner. The
+// per-port counts must match the single-core reference. The last case
+// puts two feeders on one chain to exercise the per-chain lock.
+func TestRunBatchEquivalence(t *testing.T) {
+	const n = 8192
+	table := equivTable(t)
+	ref := newEquivTerminals()
+	router, err := click.ParseConfig(branchyConfig, elements.StandardRegistry(), ref.prebound(table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := router.Get("check")
+	for _, p := range equivPackets(n) {
+		entry.Push(&click.Context{}, 0, p)
+	}
+	want := ref.counts()
+
+	type tc struct {
+		kind   PlanKind
+		cores  int
+		shared bool // two feeders on chain 0 instead of one feeder per chain
+	}
+	var cases []tc
+	for _, kind := range []PlanKind{Parallel, Pipelined} {
+		for _, cores := range []int{1, 2, 4} {
+			cases = append(cases, tc{kind, cores, false})
+		}
+	}
+	cases = append(cases, tc{Pipelined, 2, true})
+	for _, c := range cases {
+		name := fmt.Sprintf("%s/cores=%d", c.kind, c.cores)
+		if c.shared {
+			name += "/shared-chain"
+		}
+		t.Run(name, func(t *testing.T) {
+			var chains []*equivTerminals
+			pipe, err := Load(branchyConfig, Options{
+				Cores:     c.cores,
+				Placement: c.kind,
+				Prebound: func(chain int) map[string]Element {
+					term := newEquivTerminals()
+					chains = append(chains, term)
+					return term.prebound(table)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.kind == Pipelined {
+				if err := pipe.Start(); err != nil {
+					t.Fatal(err)
+				}
+				defer pipe.Stop()
+			}
+			// Feeder f runs queue f, so queue % Chains() gives each chain
+			// one feeder — or, shared, puts both feeders on chain 0.
+			feeders, queues := pipe.Chains(), pipe.Chains()
+			if c.shared {
+				feeders, queues = 2, 1
+			}
+			packets := equivPackets(n)
+			var wg sync.WaitGroup
+			for f := 0; f < feeders; f++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ctx := &click.Context{PoolShard: pkt.DefaultPool.Shard(f)}
+					b := pkt.NewBatch(32)
+					for i := f; i < n; i += feeders {
+						b.Add(packets[i])
+						if b.Full() {
+							pipe.RunBatch(f%queues, ctx, b)
+						}
+					}
+					pipe.RunBatch(f%queues, ctx, b)
+				}()
+			}
+			wg.Wait()
+
+			total := func() uint64 {
+				var s uint64
+				for _, term := range chains {
+					s += term.total()
+				}
+				return s
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for total() < n {
+				runtime.Gosched()
+				if time.Now().After(deadline) {
+					t.Fatalf("delivered %d/%d before deadline", total(), n)
+				}
+			}
+			if pipe.Drops() != 0 {
+				t.Errorf("%d plan drops, want 0 (loss-free contract)", pipe.Drops())
+			}
+			var got [4]uint64
+			for _, term := range chains {
+				cnt := term.counts()
+				for i := range got {
+					got[i] += cnt[i]
+				}
+			}
+			if got != want {
+				t.Errorf("per-port counts = %v, want %v (single-core reference)", got, want)
+			}
 		})
 	}
 }

@@ -42,26 +42,10 @@ func (p *Pipeline) PushFlow(pk *Packet) bool {
 	return true
 }
 
-// PushFlowShared is PushFlow for multiple producer goroutines: it
-// serializes the ring push through a mutex so N kernel receive queues
-// (SO_REUSEPORT readers, see internal/netio) can feed one pipeline
-// without violating the input rings' single-producer contract. The
-// serialized section is only the table lookup and ring push — the
-// expensive per-packet work (the syscall, the copy into the pool
-// buffer, flow hashing) already happened on the calling goroutine, so
-// queues still parallelize where it matters. Single-queue callers
-// should keep using PushFlow and skip the lock.
-func (p *Pipeline) PushFlowShared(pk *Packet) bool {
-	p.flowMu.Lock()
-	defer p.flowMu.Unlock()
-	return p.PushFlow(pk)
-}
-
 // RSS exposes the pipeline's flow-steering indirection table for
-// advanced callers (rbrouter's /api/v1/rss serves it; tests inspect
-// it). The table is shared with the datapath and persists across
-// Reload/Replan; rewrite it through ReSteer, not Apply, so moves land
-// under a drain barrier.
+// advanced callers (tests inspect it). The table is shared with the
+// datapath and persists across Reload/Replan; rewrite it through
+// ReSteer, not Apply, so moves land under a drain barrier.
 func (p *Pipeline) RSS() *rss.Table {
 	return p.rssTable
 }
