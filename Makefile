@@ -19,6 +19,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench .
 
 # End-to-end gate for the multi-process mesh: build rbrouter + rbmesh,
 # boot a 3-member cluster, kill one member mid-traffic, assert the

@@ -449,11 +449,6 @@ func runPlacement(b *testing.B, kind click.PlanKind, cores int) {
 		Cores:     cores,
 		Placement: kind,
 		KP:        kp,
-		// Idle cores drain overloaded siblings: on an oversubscribed host
-		// (GOMAXPROCS < cores) this is what keeps adding cores from
-		// reducing throughput — whichever worker the scheduler runs next
-		// finds work, whether or not it is the worker the feeder targeted.
-		Steal: true,
 		Prebound: func(chain int) map[string]Element {
 			// Error ports terminate in counting recycling sinks; they see
 			// no traffic in this loss-free loop, but a misroute must show
@@ -472,9 +467,9 @@ func runPlacement(b *testing.B, kind click.PlanKind, cores int) {
 			}
 		},
 		Sink: func(int) Element {
-			// A stolen packet is delivered by the stealer's sink, so any
-			// one free ring may transiently hold the entire workset —
-			// size each for the whole fleet.
+			// The gather-anywhere feeder may route the whole workset
+			// through one chain, so any one free ring may transiently hold
+			// all of it — size each for the whole fleet.
 			s := &placementSink{free: exec.NewRing(workset), delivered: &delivered, lost: &lost}
 			frees = append(frees, s.free)
 			return s
@@ -516,9 +511,7 @@ func driveForwarding(b *testing.B, pipe *Pipeline, frees []*exec.Ring, delivered
 	b.ResetTimer()
 	remaining := b.N
 	// Scatter without stalling: recycled buffers are gathered from
-	// whichever free rings hold them (work stealing means a packet fed
-	// into one chain may be delivered — and recycled — by another), then
-	// pushed to the target chain. A chain whose input ring is full is
+	// whichever free rings hold them, then pushed to the target chain. A chain whose input ring is full is
 	// skipped, not waited on; the feeder yields the CPU only after a
 	// whole rotation moves nothing, so one slow chain costs one skip
 	// instead of a scheduler round trip. The feeder is the sole producer
@@ -610,7 +603,6 @@ func runChurn(b *testing.B, live bool, cores int) {
 		Cores:     cores,
 		Placement: click.Parallel,
 		KP:        kp,
-		Steal:     true,
 		FIB:       fib,
 		Prebound: func(chain int) map[string]Element {
 			drop := func() Element {

@@ -142,13 +142,13 @@ func TestWireRunToCompletion(t *testing.T) {
 			if q := nd.ingress.Queued(); q != 0 {
 				t.Fatalf("node %d: %d packets queued in the ingress plan", nd.id, q)
 			}
-			for _, cs := range nd.ingress.Stats() {
-				if cs.Empty() != 0 {
-					t.Fatalf("node %d core %d: %d empty polls of %d", nd.id, cs.Core, cs.Empty(), cs.Polls())
+			for _, cs := range nd.ingress.Snapshot().CoreStats {
+				if cs.Empty != 0 {
+					t.Fatalf("node %d core %d: %d empty polls of %d", nd.id, cs.Core, cs.Empty, cs.Polls)
 				}
 			}
 		}
-		if p := nodes[0].ingress.Stats()[0].Packets(); p != 2*k {
+		if p := nodes[0].ingress.Snapshot().CoreStats[0].Packets; p != 2*k {
 			t.Fatalf("node 0 ingress core credited %d packets, want %d", p, 2*k)
 		}
 
@@ -185,10 +185,10 @@ func TestWireRunToCompletion(t *testing.T) {
 		sendTo(t, nodes[0].exts[0].LocalAddr(), append(framesFor(0, k), framesFor(1, k)...)...)
 		collect(t, collector, 2*k)
 		var handoffs, later uint64
-		for _, cs := range nodes[0].ingress.Stats() {
-			handoffs += cs.Handoffs()
-			if cs.Handoffs() == 0 {
-				later += cs.Packets()
+		for _, cs := range nodes[0].ingress.Snapshot().CoreStats {
+			handoffs += cs.Handoffs
+			if cs.Handoffs == 0 {
+				later += cs.Packets
 			}
 		}
 		if handoffs == 0 || later != 2*k {

@@ -248,19 +248,6 @@ type ControllerConfig struct {
 	// placement against hermetic stand-ins first and then replans with
 	// the explicit winner (see rbrouter -replan-auto).
 	Replan func() error
-	// StealEscalation opts the controller into toggling work stealing
-	// when a replan did not cure the skew: after the controller has
-	// fired, if StealPersist further intervals still show imbalance at
-	// or above HighWater and the current plan runs without stealing,
-	// the controller replans once more with Steal forced on (placement
-	// kept — no recalibration). The escalation applies even when a
-	// custom Replan hook is set: it is a different corrective action,
-	// and it is the only way the controller flips Options.Steal, which
-	// Reload/Replan take as given rather than inherit. Default off.
-	StealEscalation bool
-	// StealPersist is how many consecutive still-skewed intervals after
-	// a replan trigger the steal escalation (default 2).
-	StealPersist int
 	// ReSteer opts the controller into flow re-steering as its first
 	// corrective action: on an imbalance trip it plans a bounded batch
 	// of bucket migrations (rss.PlanMoves over the interval's per-bucket
@@ -297,9 +284,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.RejectedStep == 0 {
 		c.RejectedStep = 4096
 	}
-	if c.StealPersist <= 0 {
-		c.StealPersist = 2
-	}
 	if c.ReSteerMax <= 0 {
 		c.ReSteerMax = 8
 	}
@@ -334,31 +318,11 @@ type ControllerState struct {
 	LastReason string `json:"last_reason,omitempty"`
 	// LastError records the most recent Replan failure, if any.
 	LastError string `json:"last_error,omitempty"`
-	// StealActive mirrors the current plan's work-stealing flag (a
-	// gauge, refreshed each observation).
-	StealActive bool `json:"steal_active,omitempty"`
-	// StealEscalations counts times the controller forced stealing on
-	// because imbalance persisted across a replan (see
-	// ControllerConfig.StealEscalation).
-	StealEscalations uint64 `json:"steal_escalations,omitempty"`
 	// ReSteers counts controller-driven steering-table rewrites, and
 	// MovedBuckets the buckets those rewrites migrated (see
 	// ControllerConfig.ReSteer).
 	ReSteers     uint64 `json:"re_steers,omitempty"`
 	MovedBuckets uint64 `json:"moved_buckets,omitempty"`
-	// CoreSteals carries the most recent non-idle interval's per-core
-	// steal traffic — packets each core pulled from siblings (Steals)
-	// and had pulled from it (Stolen), per observation interval.
-	// Populated only while the plan runs with stealing enabled.
-	CoreSteals []CoreStealRate `json:"core_steals,omitempty"`
-}
-
-// CoreStealRate is one core's work-stealing activity over a controller
-// observation interval.
-type CoreStealRate struct {
-	Core   int    `json:"core"`
-	Steals uint64 `json:"steals"`
-	Stolen uint64 `json:"stolen"`
 }
 
 // Controller is the adaptive half of the Replan story: it samples the
@@ -383,9 +347,6 @@ type Controller struct {
 	state ControllerState
 	prev  Snapshot
 	ready bool // prev holds a baseline for the current generation
-	// persist counts consecutive still-skewed intervals since the last
-	// replan, for the steal escalation.
-	persist int
 	// steered marks that the last corrective action was a re-steer;
 	// steerPersist counts consecutive still-skewed intervals since it,
 	// for the escalation to a full replan. Both reset when the load
@@ -462,12 +423,10 @@ func (c *Controller) Observe() bool {
 	c.obsMu.Lock()
 	defer c.obsMu.Unlock()
 	snap := c.pipe.Snapshot()
-	stealOn := c.pipe.Steal()
 
 	c.mu.Lock()
 	prev, hadPrev := c.prev, c.ready
 	c.prev, c.ready = snap, true
-	c.state.StealActive = stealOn
 	if !hadPrev || prev.Generation != snap.Generation || prev.Plan != snap.Plan {
 		// First sample of a generation: establish the baseline only.
 		c.mu.Unlock()
@@ -481,14 +440,6 @@ func (c *Controller) Observe() bool {
 	}
 	c.state.Observations++
 	c.state.LastImbalance = d.Imbalance
-	c.state.CoreSteals = nil
-	if stealOn {
-		rates := make([]CoreStealRate, 0, len(d.CoreStats))
-		for _, cs := range d.CoreStats {
-			rates = append(rates, CoreStealRate{Core: cs.Core, Steals: cs.Steals, Stolen: cs.Stolen})
-		}
-		c.state.CoreSteals = rates
-	}
 
 	rejectedTrip := c.cfg.RejectedStep > 0 && d.Rejected >= uint64(c.cfg.RejectedStep)
 	trip := false
@@ -539,40 +490,7 @@ func (c *Controller) Observe() bool {
 			c.steerPersist = 0
 		}
 	}
-	// Steal escalation: a replan fired but the skew is still here. The
-	// controller sits disarmed (the load never settles below LowWater),
-	// so without this path it would watch a persistently imbalanced plan
-	// forever; with it, StealPersist such intervals force stealing on.
-	escalate := false
-	if c.cfg.StealEscalation && !trip && !c.state.Armed && !stealOn && c.state.Replans > 0 {
-		if d.Imbalance >= c.cfg.HighWater {
-			if c.persist++; c.persist >= c.cfg.StealPersist {
-				escalate = true
-				c.persist = 0
-				c.state.LastReason = fmt.Sprintf(
-					"steal escalation: imbalance %.2f persisted across replan", d.Imbalance)
-			}
-		} else {
-			c.persist = 0
-		}
-	}
 	c.mu.Unlock()
-	if escalate {
-		// Keep the placement the previous replan decided — this swap
-		// only flips Steal, which Replan takes as given.
-		err := c.pipe.Replan(Options{Placement: c.pipe.Placement(), Steal: true})
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if err != nil {
-			c.state.LastError = err.Error()
-			return false
-		}
-		c.state.LastError = ""
-		c.state.StealEscalations++
-		c.state.StealActive = true
-		c.prev = c.pipe.Snapshot()
-		return true
-	}
 	if len(moves) > 0 {
 		// The trip is handled by a re-steer: the table rewrite runs
 		// outside c.mu for the same reason the replan does (it holds the
@@ -620,7 +538,6 @@ func (c *Controller) Observe() bool {
 	}
 	c.state.LastError = ""
 	c.state.Replans++
-	c.persist = 0 // the new plan gets a fresh persistence window
 	c.steered = false
 	c.steerPersist = 0
 	// The swap reset the pipeline's counters; rebase the next delta.
@@ -630,14 +547,12 @@ func (c *Controller) Observe() bool {
 
 // replan performs the controller's corrective action: Replan with the
 // configured Replan hook when one is set, the library's calibrated
-// Replan(Placement: Auto) otherwise. The default action carries the
-// current Steal flag forward — Replan takes it as given, and a replan
-// must not silently undo a steal escalation.
+// Replan(Placement: Auto) otherwise.
 func (c *Controller) replan() error {
 	if c.cfg.Replan != nil {
 		return c.cfg.Replan()
 	}
-	return c.pipe.Replan(Options{Placement: Auto, Steal: c.pipe.Steal()})
+	return c.pipe.Replan(Options{Placement: Auto})
 }
 
 // maxDrainRounds bounds the reload drain barrier: a healthy graph
@@ -654,9 +569,9 @@ const maxDrainRounds = 4096
 // Then a drain barrier runs: new Push calls are blocked, the old
 // plan's cores are stopped, in-flight packets are stepped out of the
 // rings synchronously (or, past a bounded number of rounds, recycled
-// and accounted in Drops), the new plan is installed, and — when the
-// pipeline was started — its cores launch. Works in both Start and
-// Step modes.
+// and accounted in Snapshot().Drops), the new plan is installed, and —
+// when the pipeline was started — its cores launch. Works in both
+// Start and Step modes.
 //
 // Zero fields of opts inherit the current plan's values (see merge);
 // Prebound in particular carries over, so prebound resources — FIBs,

@@ -554,7 +554,7 @@ func TestReloadEquivalence(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if drops := pipe.Drops(); drops != 0 {
+	if drops := pipe.Snapshot().Drops; drops != 0 {
 		t.Errorf("%d drops across reloads, want 0 (zero-loss drain contract)", drops)
 	}
 	var got [4]uint64
@@ -623,8 +623,8 @@ func TestReloadStepMode(t *testing.T) {
 	if total != n {
 		t.Fatalf("delivered %d of %d across a step-mode reload", total, n)
 	}
-	if pipe.Drops() != 0 {
-		t.Fatalf("%d drops", pipe.Drops())
+	if drops := pipe.Snapshot().Drops; drops != 0 {
+		t.Fatalf("%d drops", drops)
 	}
 }
 
@@ -714,9 +714,8 @@ func TestSnapshotUnifies(t *testing.T) {
 		t.Errorf("Delta across generations should return the new snapshot unchanged")
 	}
 
-	// The legacy accessors are shims over the same data.
-	if pipe.Queued() != snap3.Queued || pipe.Drops() != snap3.Drops {
-		t.Error("Queued/Drops disagree with Snapshot")
+	if pipe.Queued() != snap3.Queued {
+		t.Error("Queued disagrees with Snapshot")
 	}
 }
 

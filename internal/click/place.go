@@ -102,21 +102,6 @@ type PlanConfig struct {
 	// without it.
 	FlowSteered bool
 
-	// Steal lets a first-stage core whose own input ring runs dry drain
-	// a hot sibling chain's input ring instead of idling — a bounded
-	// batch steal from the consumer end, serialized by the ring's
-	// consumer lock (exec.Ring.PopBatchShared). Stolen packets run
-	// through the stealer's own graph instance, so per-chain element
-	// state stays single-core; what stealing trades away is flow-to-core
-	// affinity, which is why it is opt-in. Only meaningful when the plan
-	// has more than one chain.
-	Steal bool
-	// StealMin is the backlog (packets) a sibling's input ring must hold
-	// before an idle core steals from it — the imbalance threshold that
-	// keeps a trickle of traffic from ping-ponging between cores.
-	// Default KP (steal only when at least a full poll batch is waiting).
-	StealMin int
-
 	// SegWeights, when its length matches the trunk segment count,
 	// weights the pipelined trunk cut by measured per-segment cycles
 	// (click.Profiler) instead of balancing raw segment counts, so each
@@ -138,8 +123,6 @@ type CoreStat struct {
 	polls    atomic.Uint64 // poll attempts
 	empty    atomic.Uint64 // polls that moved nothing
 	handoffs atomic.Uint64 // batches pushed onward to another core
-	steals   atomic.Uint64 // packets this core stole from sibling input rings
-	stolen   atomic.Uint64 // packets siblings stole from this core's input ring
 }
 
 // Packets reports packets this core pulled from its upstream ring.
@@ -155,14 +138,6 @@ func (s *CoreStat) Empty() uint64 { return s.empty.Load() }
 // ring (always 0 for parallel plans and final stages).
 func (s *CoreStat) Handoffs() uint64 { return s.handoffs.Load() }
 
-// Steals reports packets this core pulled out of sibling chains' input
-// rings because its own ran dry (0 unless the plan enables stealing).
-func (s *CoreStat) Steals() uint64 { return s.steals.Load() }
-
-// Stolen reports packets sibling cores took from this core's input
-// ring. Steals and Stolen balance across a plan's first-stage cores.
-func (s *CoreStat) Stolen() uint64 { return s.stolen.Load() }
-
 // Plan is a materialized core allocation: graphs instantiated per
 // chain, rings allocated, tasks bound to schedule cores.
 type Plan struct {
@@ -176,7 +151,7 @@ type Plan struct {
 
 	inputs       []*exec.Ring  // one per chain; callers feed these
 	inputCore    []int         // first core of each chain (polls the input ring)
-	inputStat    []*CoreStat   // first core's stat block per chain (steal and RunBatch accounting)
+	inputStat    []*CoreStat   // first core's stat block per chain (RunBatch accounting)
 	entry        []BatchOutput // first-stage dispatch per chain (RunBatch)
 	entryOut     []*exec.Ring  // first stage's handoff ring per chain (nil when the chain is one group)
 	chainMu      []sync.Mutex  // serializes RunBatch feeders that share a chain
@@ -187,12 +162,6 @@ type Plan struct {
 	stats        []*CoreStat
 	instances    []*Instance // one per chain, in chain order
 
-	// steal enables the first-stage work-stealing protocol (resolved
-	// from PlanConfig.Steal; forced off for single-chain plans, where
-	// there is no sibling to steal from). stealMin is the victim-backlog
-	// threshold.
-	steal    bool
-	stealMin int
 	// lost counts packets the plan itself recycled because a handoff
 	// ring rejected them — possible only when a stage emits more packets
 	// than it polled, since polling is capped by downstream free space.
@@ -255,23 +224,14 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 			return nil, fmt.Errorf("click: %d-chain %s plan would clone shared-state elements %v; shared elements pin the graph to a single chain",
 				wouldChains, cfg.Kind, names)
 		}
-		if names := first.ElementsOfClass(PerFlow); len(names) > 0 {
-			if !cfg.FlowSteered {
-				return nil, fmt.Errorf("click: %d-chain %s plan would split per-flow state across clones of %v; feed the chains through flow-consistent steering (PlanConfig.FlowSteered) or run one chain",
-					wouldChains, cfg.Kind, names)
-			}
-			if cfg.Steal {
-				return nil, fmt.Errorf("click: work stealing moves packets across chains, breaking the flow affinity the per-flow elements %v depend on; disable Steal or run one chain",
-					names)
-			}
+		if names := first.ElementsOfClass(PerFlow); len(names) > 0 && !cfg.FlowSteered {
+			return nil, fmt.Errorf("click: %d-chain %s plan would split per-flow state across clones of %v; feed the chains through flow-consistent steering (PlanConfig.FlowSteered) or run one chain",
+				wouldChains, cfg.Kind, names)
 		}
 	}
 
-	if cfg.StealMin <= 0 {
-		cfg.StealMin = cfg.KP
-	}
 	p := &Plan{kind: cfg.Kind, cores: cfg.Cores, sched: NewSchedule(cfg.Cores),
-		topo: cfg.Topo, cost: cfg.Cost, stealMin: cfg.StealMin}
+		topo: cfg.Topo, cost: cfg.Cost}
 	instance := func(chain int) (*Instance, error) {
 		if chain == 0 {
 			return first, nil
@@ -321,10 +281,6 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 			}
 		}
 	}
-	// Stealing needs a sibling chain to steal from; the flag is resolved
-	// after the chains are built and read by every poll closure at run
-	// time.
-	p.steal = cfg.Steal && p.chains > 1
 	p.chainMu = make([]sync.Mutex, p.chains)
 	return p, nil
 }
@@ -440,10 +396,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 // a full handoff ring backpressures instead of dropping — and push them
 // through the core's stage group as one batch. Each run pins the core's
 // pool shard on the context, so every recycle and allocation inside the
-// dispatched graph runs against core-local freelist state. First-stage
-// cores of a steal-enabled plan consume their input ring through the
-// shared (consumer-locked) protocol and, when it runs dry, drain the
-// deepest sibling backlog instead of reporting an empty poll. A
+// dispatched graph runs against core-local freelist state. A
 // pipelined first stage takes the chain's RunBatch lock, since RunBatch
 // runs the same stage, and produces into the same handoff ring, inline.
 func (p *Plan) pollTask(upstream, downstream *exec.Ring, dispatch BatchOutput, kp int, stat *CoreStat, chain int, firstStage bool) Task {
@@ -466,17 +419,8 @@ func (p *Plan) pollTask(upstream, downstream *exec.Ring, dispatch BatchOutput, k
 			}
 		}
 		scratch.Reset()
-		stealing := firstStage && p.steal
-		var n int
-		if stealing {
-			n = upstream.PopBatchShared(scratch, limit)
-		} else {
-			n = upstream.PopBatchInto(scratch, limit)
-		}
+		n := upstream.PopBatchInto(scratch, limit)
 		stat.polls.Add(1)
-		if n == 0 && stealing {
-			n = p.stealInto(scratch, limit, chain, stat)
-		}
 		if n == 0 {
 			stat.empty.Add(1)
 			return 0
@@ -490,45 +434,19 @@ func (p *Plan) pollTask(upstream, downstream *exec.Ring, dispatch BatchOutput, k
 	})
 }
 
-// stealInto drains up to limit packets from the sibling chain whose
-// input ring holds the deepest backlog (at least stealMin), crediting
-// the steal to the thief and the loss to the victim. The victim's ring
-// is consumed through its consumer lock, so the steal cannot race the
-// victim's own poll; the stolen packets run through the thief's graph
-// instance.
-func (p *Plan) stealInto(b *pkt.Batch, limit, chain int, stat *CoreStat) int {
-	victim, deepest := -1, p.stealMin
-	for ch, r := range p.inputs {
-		if ch == chain {
-			continue
-		}
-		if l := r.Len(); l >= deepest {
-			victim, deepest = ch, l
-		}
-	}
-	if victim < 0 {
-		return 0
-	}
-	n := p.inputs[victim].PopBatchShared(b, limit)
-	if n > 0 {
-		stat.steals.Add(uint64(n))
-		p.inputStat[victim].stolen.Add(uint64(n))
-	}
-	return n
-}
-
 // RunBatch runs b through chain's first-stage group on the calling
 // goroutine, with no input ring in between, and credits the chain's
 // first-stage CoreStat with one poll of b.Len() packets, which it
 // returns. b comes back empty. Feeders sharing a chain serialize on a
 // per-chain lock, which a pipelined first stage's own poll also takes.
 //
-// A pipelined first group ends in a handoff ring. While the Runner is
-// started, RunBatch waits for room for the whole batch — the
-// backpressure a polling first stage gets by capping its poll; without
-// a Runner nothing would drain the ring, so overflow counts in Drops as
-// for any handoff. The caller must not race Start/Stop, and must not
-// feed a parallel chain's input ring while its Runner is started.
+// A pipelined first group ends in a handoff ring. RunBatch feeds it
+// chunks no larger than the ring and, while the Runner is started,
+// waits for room for each chunk — the backpressure a polling first
+// stage gets by capping its poll; without a Runner nothing would drain
+// the ring, so overflow counts in Drops as for any handoff. The caller
+// must not race Start/Stop, and must not feed a parallel chain's input
+// ring while its Runner is started.
 func (p *Plan) RunBatch(chain int, ctx *Context, b *pkt.Batch) int {
 	n := b.Len()
 	if n == 0 {
@@ -538,15 +456,33 @@ func (p *Plan) RunBatch(chain int, ctx *Context, b *pkt.Batch) int {
 	mu.Lock()
 	defer mu.Unlock()
 	stat := p.inputStat[chain]
-	if out := p.entryOut[chain]; out != nil {
-		for p.runner != nil && out.Free() < n {
+	stat.polls.Add(1)
+	stat.packets.Add(uint64(n))
+	out := p.entryOut[chain]
+	if out == nil {
+		p.entry[chain](ctx, b)
+		return n
+	}
+	// A batch larger than the ring could never find room for itself at
+	// once, so it goes through in ring-sized chunks.
+	part, size := b, out.Cap()
+	if n > size {
+		part = pkt.NewBatch(size)
+	}
+	for lo := 0; lo < n; lo += size {
+		if part != b {
+			part.Reset()
+			for _, pk := range b.Packets()[lo:min(lo+size, n)] {
+				part.Add(pk)
+			}
+		}
+		for p.runner != nil && out.Free() < part.Len() {
 			runtime.Gosched()
 		}
 		stat.handoffs.Add(1)
+		p.entry[chain](ctx, part)
 	}
-	stat.polls.Add(1)
-	stat.packets.Add(uint64(n))
-	p.entry[chain](ctx, b)
+	b.Reset()
 	return n
 }
 
@@ -606,9 +542,6 @@ func (p *Plan) Chains() int { return p.chains }
 // Input returns chain i's input ring. The caller is the single producer
 // for that ring; feed each chain from exactly one goroutine.
 func (p *Plan) Input(i int) *exec.Ring { return p.inputs[i] }
-
-// Inputs returns all input rings, one per chain.
-func (p *Plan) Inputs() []*exec.Ring { return p.inputs }
 
 // PlanRing describes one of a plan's rings for observability, scoring,
 // and teardown: Role is "input" (caller-fed, one per chain) or

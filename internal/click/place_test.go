@@ -1,6 +1,7 @@
 package click
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -186,8 +187,8 @@ func TestPlanShapes(t *testing.T) {
 			t.Errorf("%s/%d: handoffs = %d, want %d",
 				tc.kind, tc.cores, len(plan.handoffs), tc.wantHandoffsTotal)
 		}
-		if len(plan.Inputs()) != tc.wantChains {
-			t.Errorf("%s/%d: inputs = %d, want %d", tc.kind, tc.cores, len(plan.Inputs()), tc.wantChains)
+		if len(plan.inputs) != tc.wantChains {
+			t.Errorf("%s/%d: inputs = %d, want %d", tc.kind, tc.cores, len(plan.inputs), tc.wantChains)
 		}
 	}
 }
@@ -263,5 +264,40 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := NewPlan(PlanConfig{Kind: PlanKind(9), Cores: 1, Program: threeStages()}); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// TestChooseBoundsWeighted checks the cycle-balancing DP: cuts move
+// toward equalizing summed weight, not segment count, while respecting
+// forbidden boundaries; uniform weights reduce to the unweighted split.
+func TestChooseBoundsWeighted(t *testing.T) {
+	cases := []struct {
+		n, g  int
+		noCut []bool
+		w     []float64
+		want  []int
+	}{
+		// Uniform weights: same even split chooseBounds picks.
+		{4, 2, []bool{false, false, false}, []float64{1, 1, 1, 1}, []int{0, 2, 4}},
+		// One heavy head segment: it gets a group of its own.
+		{4, 2, []bool{false, false, false}, []float64{10, 1, 1, 1}, []int{0, 1, 4}},
+		// Heavy tail: everything before it groups together.
+		{4, 2, []bool{false, false, false}, []float64{1, 1, 1, 10}, []int{0, 3, 4}},
+		// The balanced cut (after seg 0) is forbidden: take the legal one.
+		{4, 2, []bool{true, false, false}, []float64{10, 1, 1, 1}, []int{0, 2, 4}},
+		// Three groups around a heavy middle.
+		{5, 3, []bool{false, false, false, false}, []float64{1, 1, 8, 1, 1}, []int{0, 2, 3, 5}},
+	}
+	for _, tc := range cases {
+		got := chooseBoundsWeighted(tc.n, tc.g, tc.noCut, tc.w)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("chooseBoundsWeighted(%d,%d,%v,%v) = %v, want %v", tc.n, tc.g, tc.noCut, tc.w, got, tc.want)
+			continue
+		}
+		for i := 1; i < len(got)-1; i++ {
+			if got[i] <= got[i-1] || tc.noCut[got[i]-1] {
+				t.Errorf("chooseBoundsWeighted(%d,%d,%v,%v) = %v: illegal boundary %d", tc.n, tc.g, tc.noCut, tc.w, got, got[i])
+			}
+		}
 	}
 }

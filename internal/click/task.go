@@ -68,8 +68,11 @@ func (s *Schedule) RunStep(core int, ctx *Context) int {
 }
 
 // Runner drives a Schedule with one goroutine per core, Click's polling
-// mode on real threads. It is used by the live UDP router (cmd/rbrouter);
-// simulations drive RunStep themselves on virtual time.
+// mode on real threads. Plan.Start uses it for routebricks.Load callers
+// that feed input rings and for the stages behind a pipelined rbrouter
+// node's socket loops; a parallel rbrouter node runs wholly on its
+// socket loops and never starts one. Simulations drive RunStep
+// themselves on virtual time.
 type Runner struct {
 	sched   *Schedule
 	stop    atomic.Bool

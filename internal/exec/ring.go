@@ -14,7 +14,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"routebricks/internal/pkt"
@@ -30,31 +29,39 @@ import (
 // available up to its limit, as a NIC poll does. Head and tail live on
 // separate cache lines so the two cores never false-share.
 //
+// Go does not align heap objects to cache lines: a Ring starts on
+// whatever 16-byte boundary its size class gives it, and that varies
+// with allocation order. So each group of fields is fenced by a whole
+// line of padding on both sides — fields 64 bytes apart never share a
+// line, wherever the Ring starts — rather than placed for one alignment
+// that other alignments would break.
+//
 // Exactly one goroutine may push and one may pop. Violating that is a
 // programming error: no memory is corrupted (indices are atomics), but
 // packets can be dropped or duplicated. Tests enforce the discipline.
 type Ring struct {
+	_ [cacheLine]byte
+	// Read by both sides, written only by NewRing.
 	buf  []*pkt.Packet
 	mask uint64
-	_    [40]byte
-	// Producer-owned line: tail is published to the consumer; headCache
-	// is the producer's private snapshot of head.
+	_    [cacheLine]byte
+	// Producer-owned: tail is published to the consumer; headCache is
+	// the producer's private snapshot of head; rejected counts pushes
+	// that found the ring full.
 	tail      atomic.Uint64
 	headCache uint64
-	_         [48]byte
-	// Consumer-owned line: head is published to the producer; tailCache
-	// is the consumer's private snapshot of tail.
+	rejected  atomic.Uint64
+	_         [cacheLine]byte
+	// Consumer-owned: head is published to the producer; tailCache is
+	// the consumer's private snapshot of tail.
 	head      atomic.Uint64
 	tailCache uint64
-	_         [48]byte
-	rejected  atomic.Uint64
-
-	// cmu serializes the consumer side for rings that opt into shared
-	// consumption via PopBatchShared — the work-stealing protocol, where
-	// an idle sibling core drains this ring alongside its owner. The
-	// SPSC paths never touch it, so plans without stealing pay nothing.
-	cmu sync.Mutex
+	_         [cacheLine]byte
 }
+
+// cacheLine is the coherence unit the Ring's padding assumes (x86-64 and
+// most arm64 parts).
+const cacheLine = 64
 
 // NewRing creates a handoff ring with capacity rounded up to a power of
 // two (minimum 2).
@@ -184,20 +191,6 @@ func (r *Ring) PopBatchInto(b *pkt.Batch, max int) int {
 		r.head.Store(head + n)
 	}
 	return int(n)
-}
-
-// PopBatchShared is PopBatchInto under the ring's consumer lock — the
-// steal-side protocol: when a plan enables work stealing, the ring's
-// owning core and any stealing sibling both consume through this
-// method, so head and tailCache stay single-writer even with several
-// candidate consumers. The producer side is untouched: pushes remain
-// lock-free SPSC. Mixing PopBatchShared with the unlocked consumer
-// methods on the same ring is a programming error.
-func (r *Ring) PopBatchShared(b *pkt.Batch, max int) int {
-	r.cmu.Lock()
-	n := r.PopBatchInto(b, max)
-	r.cmu.Unlock()
-	return n
 }
 
 // Drain pops every packet currently in the ring into fn and reports how

@@ -4,9 +4,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"routebricks/internal/pkt"
 )
@@ -15,6 +15,34 @@ import (
 // side of the ring.
 func mark(seq uint64) *pkt.Packet {
 	return &pkt.Packet{SeqNo: seq}
+}
+
+// TestRingLayout checks that the shared, producer and consumer field
+// groups sit at least a cache line apart from each other and from the
+// Ring's neighbours on the heap, so no start alignment can put two of
+// them on one line.
+func TestRingLayout(t *testing.T) {
+	var r Ring
+	type span struct {
+		name   string
+		lo, hi uintptr // [lo, hi) byte offsets
+	}
+	end := func(off, size uintptr) uintptr { return off + size }
+	groups := []span{
+		{"shared", unsafe.Offsetof(r.buf), end(unsafe.Offsetof(r.mask), unsafe.Sizeof(r.mask))},
+		{"producer", unsafe.Offsetof(r.tail), end(unsafe.Offsetof(r.rejected), unsafe.Sizeof(r.rejected))},
+		{"consumer", unsafe.Offsetof(r.head), end(unsafe.Offsetof(r.tailCache), unsafe.Sizeof(r.tailCache))},
+	}
+	prevHi := uintptr(0) // the previous heap object ends at offset 0
+	for _, g := range groups {
+		if g.lo < prevHi+cacheLine-1 {
+			t.Errorf("%s group starts at %d, within a line of what ends at %d", g.name, g.lo, prevHi)
+		}
+		prevHi = g.hi
+	}
+	if size := unsafe.Sizeof(r); size < prevHi+cacheLine-1 {
+		t.Errorf("Ring is %d bytes, the consumer group ends at %d: the next heap object is within a line", size, prevHi)
+	}
 }
 
 func TestRingBasics(t *testing.T) {
@@ -528,84 +556,5 @@ func TestRingDrain(t *testing.T) {
 	// The ring stays usable afterwards.
 	if !r.Push(mark(42)) || r.Pop().SeqNo != 42 {
 		t.Fatal("ring unusable after Drain")
-	}
-}
-
-// TestRingPopBatchShared is the steal-protocol gate under -race: one
-// producer, many consumers all popping through the shared (locked)
-// consumer path. Every pushed packet must be popped exactly once —
-// counted via a per-packet sequence bitmap — with none lost or
-// duplicated, no matter how the locked pops interleave.
-func TestRingPopBatchShared(t *testing.T) {
-	const (
-		total     = 100000
-		consumers = 4
-	)
-	r := NewRing(256)
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() { // single producer, batch pushes
-		defer wg.Done()
-		batch := pkt.NewBatch(16)
-		seq := uint64(0)
-		for seq < total {
-			batch.Reset()
-			for i := 0; i < 16 && seq+uint64(i) < total; i++ {
-				batch.Add(mark(seq + uint64(i)))
-			}
-			n := uint64(batch.Len())
-			for batch.Len() > 0 {
-				r.PushBatch(batch)
-				if batch.Len() > 0 {
-					runtime.Gosched()
-				}
-			}
-			seq += n
-		}
-	}()
-
-	seen := make([]atomic.Uint32, total)
-	var popped atomic.Uint64
-	var dupes atomic.Uint64
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := pkt.NewBatch(32)
-			for popped.Load() < total {
-				out.Reset()
-				n := r.PopBatchShared(out, 32)
-				if n == 0 {
-					runtime.Gosched()
-					continue
-				}
-				for _, p := range out.Packets() {
-					if p == nil {
-						continue
-					}
-					if !seen[p.SeqNo].CompareAndSwap(0, 1) {
-						dupes.Add(1)
-					}
-				}
-				popped.Add(uint64(n))
-			}
-		}()
-	}
-
-	wg.Wait()
-	if got := popped.Load(); got != total {
-		t.Fatalf("popped %d packets, want %d", got, total)
-	}
-	if d := dupes.Load(); d != 0 {
-		t.Fatalf("%d packets popped twice", d)
-	}
-	for i := range seen {
-		if seen[i].Load() == 0 {
-			t.Fatalf("packet %d never popped", i)
-		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("ring not drained: %s", r)
 	}
 }

@@ -273,7 +273,7 @@ func (s *PoolShard) flushLocked() {
 
 // Put returns a packet to the shard's freelist, regardless of which
 // shard it was drawn from — the recycling core keeps the buffer local
-// to itself, which is what a steal- or handoff-crossed packet wants.
+// to itself, which is what a packet that crossed a handoff ring wants.
 // nil and double Puts are ignored.
 func (s *PoolShard) Put(p *Packet) {
 	if p == nil {

@@ -110,7 +110,7 @@ func TestPoolShardStress(t *testing.T) {
 				for i := 0; i < batch; i++ {
 					buf = append(buf, own.Get(64))
 				}
-				// Odd rounds recycle remotely: the steal/handoff pattern.
+				// Odd rounds recycle remotely: the handoff-ring pattern.
 				dst := own
 				if r%2 == 1 {
 					dst = remote

@@ -1,12 +1,11 @@
 package stats
 
 // This file defines the unified observability schema of a loaded
-// pipeline: one typed Snapshot carrying everything the scattered
-// Stats()/Drops()/Queued() accessors used to expose piecemeal, shaped
-// for JSON export (cmd/rbrouter serves it on -stats-addr) and for rate
-// computation via Delta. The types are pure data — the routebricks
-// facade fills them from a live plan; nothing here touches the
-// datapath.
+// pipeline: one typed Snapshot of per-core counters, drops, ring state
+// and element counters, shaped for JSON export (cmd/rbrouter serves it
+// on -stats-addr) and for rate computation via Delta. The types are
+// pure data — the routebricks facade fills them from a live plan;
+// nothing here touches the datapath.
 
 // CoreSnapshot is one core's counter block at snapshot time. Socket is
 // the CPU socket the placement assigned the core to (0 on flat
@@ -20,11 +19,6 @@ type CoreSnapshot struct {
 	Polls    uint64 `json:"polls"`
 	Empty    uint64 `json:"empty"`
 	Handoffs uint64 `json:"handoffs"`
-	// Steals counts packets this core pulled from sibling chains' input
-	// rings; Stolen counts packets siblings took from this core's ring.
-	// Both stay 0 unless the plan enables work stealing.
-	Steals uint64 `json:"steals,omitempty"`
-	Stolen uint64 `json:"stolen,omitempty"`
 }
 
 // PoolSnapshot is the packet pool's freelist health: how many shards it
@@ -216,8 +210,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 			out.CoreStats[i].Polls = sub(out.CoreStats[i].Polls, p.Polls)
 			out.CoreStats[i].Empty = sub(out.CoreStats[i].Empty, p.Empty)
 			out.CoreStats[i].Handoffs = sub(out.CoreStats[i].Handoffs, p.Handoffs)
-			out.CoreStats[i].Steals = sub(out.CoreStats[i].Steals, p.Steals)
-			out.CoreStats[i].Stolen = sub(out.CoreStats[i].Stolen, p.Stolen)
 		}
 	}
 

@@ -40,9 +40,6 @@ type Packet = pkt.Packet
 // Ring is the lock-free SPSC packet ring used for plan inputs.
 type Ring = exec.Ring
 
-// CoreStat is the per-core counter block of a running pipeline.
-type CoreStat = click.CoreStat
-
 // PlanKind selects the §4.2 core allocation for a loaded pipeline.
 type PlanKind = click.PlanKind
 
@@ -143,20 +140,6 @@ type Options struct {
 	// custom pricing, test stubs). When set, Topology still steers
 	// queue affinity but HandoffCycles is ignored.
 	CostModel CostModel
-	// Steal lets a chain's first core drain a hot sibling chain's input
-	// ring when its own runs dry — bounded batch steals from the
-	// consumer end, serialized by a per-ring consumer lock, with
-	// per-core Steals/Stolen counters in the Snapshot. Stolen packets
-	// run through the stealer's own graph copy, so per-chain element
-	// state stays single-core; what stealing gives up is flow-to-core
-	// affinity (packets of one flow may interleave across cores), which
-	// is why it defaults off. Like Placement, the flag is taken as given
-	// on Reload/Replan rather than inherited.
-	Steal bool
-	// StealMin is the backlog a sibling's input ring must hold before an
-	// idle core steals from it (default KP — a full poll batch).
-	// Negative values are rejected.
-	StealMin int
 }
 
 // validate rejects malformed options with a descriptive error instead
@@ -179,9 +162,6 @@ func (o Options) validate() error {
 	}
 	if o.HandoffCycles < 0 {
 		return fmt.Errorf("routebricks: HandoffCycles must be non-negative (0 means measure at Load), got %g", o.HandoffCycles)
-	}
-	if o.StealMin < 0 {
-		return fmt.Errorf("routebricks: StealMin must be non-negative (0 means the default KP), got %d", o.StealMin)
 	}
 	if o.Topology != nil {
 		if err := o.Topology.Validate(); err != nil {
@@ -289,9 +269,6 @@ func merge(cur, next Options) Options {
 	if next.CostModel == nil {
 		next.CostModel = cur.CostModel
 	}
-	if next.StealMin == 0 {
-		next.StealMin = cur.StealMin
-	}
 	return next
 }
 
@@ -299,8 +276,8 @@ func merge(cur, next Options) Options {
 // control plane over it: Start/Stop/Step drive the current plan,
 // Reload/Replan swap it under a drain barrier, Snapshot observes it.
 //
-// Concurrency: the data-plane accessors (Push, Step, Snapshot, Stats,
-// ...) may be called from any goroutine and remain safe across
+// Concurrency: the data-plane accessors (Push, RunBatch, Step,
+// Snapshot, ...) may be called from any goroutine and remain safe across
 // concurrent Reload/Replan calls — a swap briefly blocks them at the
 // drain barrier. Pointers obtained through Input, Router, Element, or
 // Plan refer to the plan that was current at call time and go stale
@@ -324,7 +301,7 @@ type Pipeline struct {
 
 	// drainDrops counts packets a bounded reload drain had to recycle
 	// because the old graph would not drain them (a wedged terminal);
-	// they are accounted in Drops and the Snapshot.
+	// they are accounted in Snapshot().Drops.
 	drainDrops atomic.Uint64
 
 	// rssTable is the flow-steering indirection table behind PushFlow.
@@ -438,13 +415,9 @@ func planConfig(prog *click.Program, opts Options, kind PlanKind, segWeights []f
 		Sink:       opts.Sink,
 		Topo:       *opts.Topology,
 		Cost:       opts.costModel(),
-		Steal:      opts.Steal,
-		StealMin:   opts.StealMin,
 		SegWeights: segWeights,
 		// The pipeline always carries a flow-steering table (PushFlow),
-		// so cloned per-flow elements are safe by construction. NewPlan
-		// still rejects Steal × PerFlow — stealing breaks the affinity
-		// the table provides.
+		// so cloned per-flow elements are safe by construction.
 		FlowSteered: true,
 	}
 }
@@ -521,15 +494,6 @@ func (p *Pipeline) Placement() PlanKind {
 	p.pmu.RLock()
 	defer p.pmu.RUnlock()
 	return p.plan.Kind()
-}
-
-// Steal reports whether the current plan runs with work stealing
-// enabled — the live value of Options.Steal, which the replan
-// controller may toggle (see ControllerConfig.StealEscalation).
-func (p *Pipeline) Steal() bool {
-	p.pmu.RLock()
-	defer p.pmu.RUnlock()
-	return p.opts.Steal
 }
 
 // Generation reports how many plan swaps (Reload/Replan) have been
@@ -611,27 +575,9 @@ func (p *Pipeline) Element(chain int, name string) Element {
 	return nil
 }
 
-// Stats returns the per-core counter blocks of the current plan, in
-// core order — a shim over Snapshot for callers that want the live
-// atomics rather than a copied view.
-func (p *Pipeline) Stats() []*CoreStat {
-	p.pmu.RLock()
-	defer p.pmu.RUnlock()
-	return p.plan.Stats()
-}
-
-// Drops reports packets the pipeline itself lost: handoff-ring
-// overflow in the current plan (0 in steady state — polling is
-// backpressure-capped) plus packets a bounded reload drain had to
-// recycle. A shim over Snapshot().Drops.
-func (p *Pipeline) Drops() uint64 {
-	p.pmu.RLock()
-	defer p.pmu.RUnlock()
-	return p.plan.Drops() + p.drainDrops.Load()
-}
-
-// Queued reports packets currently sitting in the pipeline's rings. A
-// shim over Snapshot().Queued.
+// Queued reports packets currently sitting in the pipeline's rings —
+// Snapshot().Queued without building the rest of the Snapshot, for
+// drain loops.
 func (p *Pipeline) Queued() int {
 	p.pmu.RLock()
 	defer p.pmu.RUnlock()

@@ -183,8 +183,8 @@ func TestLoadEquivalence(t *testing.T) {
 					}
 				}
 
-				if pipe.Drops() != 0 {
-					t.Errorf("%d plan drops, want 0 (loss-free contract)", pipe.Drops())
+				if drops := pipe.Snapshot().Drops; drops != 0 {
+					t.Errorf("%d plan drops, want 0 (loss-free contract)", drops)
 				}
 				var got [4]uint64
 				for _, term := range chains {
@@ -198,109 +198,6 @@ func TestLoadEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestLoadEquivalenceSteal is the work-stealing analog of
-// TestLoadEquivalence: the whole workload is fed to chain 0 of a
-// multi-core parallel plan with stealing enabled — the worst imbalance
-// a plan can see. The per-port counts must still match the single-core
-// reference exactly: a steal moves a packet to a sibling's graph, it
-// must never lose, duplicate, or misclassify one. Run under -race this
-// is the concurrency gate for the steal path end to end.
-func TestLoadEquivalenceSteal(t *testing.T) {
-	const n = 8192
-	table := equivTable(t)
-
-	ref := newEquivTerminals()
-	router, err := click.ParseConfig(branchyConfig, elements.StandardRegistry(), ref.prebound(table))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry := router.Get("check")
-	ctx := &click.Context{}
-	for _, p := range equivPackets(n) {
-		entry.Push(ctx, 0, p)
-	}
-	want := ref.counts()
-
-	for _, cores := range []int{2, 4} {
-		t.Run(fmt.Sprintf("parallel/cores=%d", cores), func(t *testing.T) {
-			var chains []*equivTerminals
-			pipe, err := Load(branchyConfig, Options{
-				Cores:     cores,
-				Placement: Parallel,
-				Steal:     true,
-				StealMin:  1,
-				Prebound: func(chain int) map[string]Element {
-					term := newEquivTerminals()
-					chains = append(chains, term)
-					return term.prebound(table)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := func() uint64 {
-				var s uint64
-				for _, term := range chains {
-					s += term.total()
-				}
-				return s
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			packets := equivPackets(n)
-			// Build the backlog before the cores exist: every worker's
-			// first observation is a deep ring 0, so the idle siblings
-			// must steal their share rather than find it already drained.
-			fed := 0
-			for fed < n && pipe.Push(0, packets[fed]) {
-				fed++
-			}
-			if err := pipe.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer pipe.Stop()
-			for fed < n { // everything into chain 0
-				if pipe.Push(0, packets[fed]) {
-					fed++
-				} else {
-					runtime.Gosched()
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("feed stalled at %d/%d", fed, n)
-				}
-			}
-			for total() < n {
-				runtime.Gosched()
-				if time.Now().After(deadline) {
-					t.Fatalf("delivered %d/%d before deadline", total(), n)
-				}
-			}
-
-			if pipe.Drops() != 0 {
-				t.Errorf("%d plan drops, want 0 (loss-free contract)", pipe.Drops())
-			}
-			var got [4]uint64
-			for _, term := range chains {
-				c := term.counts()
-				for i := range got {
-					got[i] += c[i]
-				}
-			}
-			if got != want {
-				t.Errorf("per-port counts = %v, want %v (single-core reference)", got, want)
-			}
-			var steals, stolen uint64
-			for _, cs := range pipe.Plan().Stats() {
-				steals += cs.Steals()
-				stolen += cs.Stolen()
-			}
-			if steals != stolen {
-				t.Errorf("steals (%d) != stolen (%d)", steals, stolen)
-			}
-			t.Logf("cores=%d: %d packets stolen under full skew", cores, steals)
-		})
 	}
 }
 
@@ -400,8 +297,8 @@ func TestRunBatchEquivalence(t *testing.T) {
 					t.Fatalf("delivered %d/%d before deadline", total(), n)
 				}
 			}
-			if pipe.Drops() != 0 {
-				t.Errorf("%d plan drops, want 0 (loss-free contract)", pipe.Drops())
+			if drops := pipe.Snapshot().Drops; drops != 0 {
+				t.Errorf("%d plan drops, want 0 (loss-free contract)", drops)
 			}
 			var got [4]uint64
 			for _, term := range chains {
@@ -414,6 +311,64 @@ func TestRunBatchEquivalence(t *testing.T) {
 				t.Errorf("per-port counts = %v, want %v (single-core reference)", got, want)
 			}
 		})
+	}
+}
+
+// TestRunBatchSmallHandoff: a started pipelined chain whose handoff
+// ring is smaller than the batch must still take the whole batch.
+// Waiting for room for all of it at once would spin forever, holding
+// the locks Stop needs; RunBatch instead feeds the ring in ring-sized
+// chunks, and every packet is delivered or counted as a drop.
+func TestRunBatchSmallHandoff(t *testing.T) {
+	const n = 32
+	table := equivTable(t)
+	var chains []*equivTerminals
+	pipe, err := Load(branchyConfig, Options{
+		Cores:      2,
+		Placement:  Pipelined,
+		HandoffCap: 8,
+		Prebound: func(chain int) map[string]Element {
+			term := newEquivTerminals()
+			chains = append(chains, term)
+			return term.prebound(table)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pipe.Plan().Rings()) != 2 {
+		t.Fatalf("want one chain with one handoff ring:\n%s", pipe.Describe())
+	}
+	if err := pipe.Start(); err != nil {
+		t.Fatal(err)
+	}
+	b := pkt.NewBatch(n)
+	for _, p := range equivPackets(n) {
+		b.Add(p)
+	}
+	done := make(chan int, 1)
+	go func() { done <- pipe.RunBatch(0, &click.Context{PoolShard: pkt.DefaultPool.Shard(0)}, b) }()
+	select {
+	case got := <-done:
+		if got != n || b.Len() != 0 {
+			t.Fatalf("RunBatch = %d with %d left in the batch, want %d and 0", got, b.Len(), n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunBatch stuck on a handoff ring smaller than the batch")
+	}
+	defer pipe.Stop()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var delivered uint64
+		for _, term := range chains {
+			delivered += term.total()
+		}
+		if got := delivered + pipe.Snapshot().Drops; got == n {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("delivered + drops = %d, want %d", got, n)
+		}
+		runtime.Gosched()
 	}
 }
 

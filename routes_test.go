@@ -2,7 +2,6 @@ package routebricks
 
 import (
 	"net/netip"
-	"strings"
 	"testing"
 
 	"routebricks/internal/elements"
@@ -183,95 +182,5 @@ func TestLiveFIBPreboundPrecedence(t *testing.T) {
 	// `rt :: LPMLookup(fib)` aliases the prebound fib instance as rt.
 	if pipe.Element(0, "rt") != Element(own) {
 		t.Fatal("Options.FIB overrode an explicitly prebound fib")
-	}
-}
-
-// TestControllerStealEscalation: with StealEscalation opted in, a skew
-// that persists after the first replan flips work stealing on — one
-// extra replan, placement preserved — and the controller surfaces
-// per-core steal rates and the escalation in its state.
-func TestControllerStealEscalation(t *testing.T) {
-	pipe := controllerPipe(t)
-	replans := 0
-	ctrl := pipe.NewController(ControllerConfig{
-		HighWater:       1.5,
-		LowWater:        1.1,
-		MinPackets:      64,
-		RejectedStep:    -1,
-		StealEscalation: true,
-		StealPersist:    2,
-		// The hook stands in for a host replan that keeps the placement;
-		// the skew persists because nothing about the load changes.
-		Replan: func() error { replans++; return nil },
-	})
-
-	// Interval 1: skew trips the controller — one hook replan.
-	feedStep(t, pipe, 0, 512)
-	if !ctrl.Observe() {
-		t.Fatal("skewed interval did not fire")
-	}
-	if replans != 1 || pipe.Steal() {
-		t.Fatalf("after first trip: replans=%d steal=%v", replans, pipe.Steal())
-	}
-
-	// Interval 2: still skewed, still disarmed — persistence 1 of 2.
-	feedStep(t, pipe, 0, 512)
-	if ctrl.Observe() {
-		t.Fatal("escalated before StealPersist intervals")
-	}
-
-	// Interval 3: persistence reaches 2 — the controller replans with
-	// Steal forced on, keeping the placement.
-	feedStep(t, pipe, 0, 512)
-	if !ctrl.Observe() {
-		t.Fatal("persistent skew did not escalate")
-	}
-	if !pipe.Steal() {
-		t.Fatal("escalation did not enable stealing")
-	}
-	if pipe.Placement() != Parallel {
-		t.Fatalf("escalation changed placement to %s", pipe.Placement())
-	}
-	st := ctrl.State()
-	if st.StealEscalations != 1 || !st.StealActive {
-		t.Fatalf("state after escalation: %+v", st)
-	}
-	if !strings.Contains(st.LastReason, "steal escalation") {
-		t.Fatalf("LastReason = %q", st.LastReason)
-	}
-	if replans != 1 {
-		t.Fatalf("escalation went through the hook: replans=%d", replans)
-	}
-
-	// Interval 4: with stealing on, the observation carries per-core
-	// steal rates. Build the backlog on chain 0 before stepping so the
-	// idle sibling sees a deep ring and actually steals (the
-	// TestLoadEquivalenceSteal idiom).
-	packets := equivPackets(512)
-	for fed := 0; fed < len(packets); {
-		if pipe.Push(0, packets[fed]) {
-			fed++
-		} else {
-			pipe.Step()
-		}
-	}
-	for quiet := 0; quiet < 2; {
-		if pipe.Step() == 0 && pipe.Queued() == 0 {
-			quiet++
-		} else {
-			quiet = 0
-		}
-	}
-	ctrl.Observe()
-	st = ctrl.State()
-	if len(st.CoreSteals) != pipe.Cores() {
-		t.Fatalf("CoreSteals = %+v, want %d cores", st.CoreSteals, pipe.Cores())
-	}
-	var steals uint64
-	for _, cs := range st.CoreSteals {
-		steals += cs.Steals
-	}
-	if steals == 0 {
-		t.Fatal("no steals recorded under full skew with stealing enabled")
 	}
 }

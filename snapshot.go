@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the observability half of the control plane: one typed
-// Snapshot unifying what Stats()/Drops()/Queued() and ad-hoc element
-// counter reads used to expose piecemeal. cmd/rbrouter serves it as
-// JSON on -stats-addr; Snapshot.Delta turns two snapshots into rates.
+// Snapshot of per-core counters, drops, ring state and element
+// counters. cmd/rbrouter serves it as JSON on -stats-addr;
+// Snapshot.Delta turns two snapshots into rates.
 
 // Snapshot captures a point-in-time view of the pipeline: plan
 // identity (kind, generation, calibration decision), per-core
@@ -68,8 +68,6 @@ func (p *Pipeline) Snapshot() Snapshot {
 			Polls:    cs.Polls(),
 			Empty:    cs.Empty(),
 			Handoffs: cs.Handoffs(),
-			Steals:   cs.Steals(),
-			Stolen:   cs.Stolen(),
 		})
 	}
 	s.Imbalance = s.ImbalanceRatio()

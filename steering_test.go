@@ -237,7 +237,7 @@ func TestFlowConsistency(t *testing.T) {
 			}
 			pipe.Stop()
 
-			if drops := pipe.Drops(); drops != 0 {
+			if drops := pipe.Snapshot().Drops; drops != 0 {
 				t.Errorf("%d drops, want 0", drops)
 			}
 			// Per-flow delivery order matches the oracle exactly — flow
@@ -382,7 +382,7 @@ func TestFlowConsistencyReSteer(t *testing.T) {
 	if rec.total() != total {
 		t.Fatalf("delivered %d of %d packets across the re-steer", rec.total(), total)
 	}
-	if drops := pipe.Drops(); drops != 0 {
+	if drops := pipe.Snapshot().Drops; drops != 0 {
 		t.Fatalf("%d drops across the re-steer, want 0", drops)
 	}
 	for k, seq := range rec.sequences() {

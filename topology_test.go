@@ -42,7 +42,7 @@ func TestTopologyPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cs := range pipe.Stats() {
+	for _, cs := range pipe.Snapshot().CoreStats {
 		want := topo.QueueSocketOf(cs.Chain)
 		if cs.Socket != want {
 			t.Errorf("chain %d placed on core %d (socket %d), want its queue's socket %d",
@@ -54,12 +54,6 @@ func TestTopologyPlacement(t *testing.T) {
 	}
 	if desc := pipe.Describe(); !strings.Contains(desc, "(socket 1)") {
 		t.Errorf("Describe does not show sockets:\n%s", desc)
-	}
-	snap := pipe.Snapshot()
-	for _, cs := range snap.CoreStats {
-		if cs.Socket != topo.SocketOf(cs.Core) {
-			t.Errorf("snapshot core %d socket %d, want %d", cs.Core, cs.Socket, topo.SocketOf(cs.Core))
-		}
 	}
 
 	// The cross-socket premium is real: the same program calibrated at
