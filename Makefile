@@ -5,7 +5,7 @@ GO      ?= go
 COUNT   ?= 6
 BENCH   ?= .
 
-.PHONY: all build test vet bench bench-smoke mesh-smoke wire-smoke
+.PHONY: all build test vet bench bench-smoke mesh-smoke
 
 all: vet build test
 
@@ -25,16 +25,10 @@ vet:
 # boot a 3-member cluster, kill one member mid-traffic, assert the
 # survivors converge and deliver post-failure traffic without loss,
 # then restart it and assert the rejoin. Drives only the public HTTP
-# surfaces — what an operator would use.
+# surfaces — what an operator would use. Runs once per §4.2 placement:
+# -cores 1 parallel, then -cores 2 pipelined.
 mesh-smoke:
 	$(GO) run ./internal/tools/meshsmoke
-
-# The single-process rbrouter demo on real loopback sockets, once per
-# §4.2 placement: run to completion (-cores 1) and pipelined across two
-# cores. Each run fails below 95% delivery.
-wire-smoke:
-	$(GO) run ./cmd/rbrouter -nodes 3 -packets 20000 -cores 1
-	$(GO) run ./cmd/rbrouter -nodes 3 -packets 20000 -cores 2 -placement pipelined
 
 # benchstat-friendly output: fixed benchtime, repeated counts, no tests.
 bench:

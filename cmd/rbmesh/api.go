@@ -194,6 +194,7 @@ func (l *launcher) inject(packets, rate int) (int, error) {
 	burst := make([]*pkt.Packet, 0, 8)
 	dests := make([]*net.UDPAddr, 0, 8)
 	sent := 0
+	start := time.Now()
 	flush := func() error {
 		if len(burst) == 0 {
 			return nil
@@ -214,7 +215,9 @@ func (l *launcher) inject(packets, rate int) (int, error) {
 			if err := flush(); err != nil {
 				return sent, err
 			}
-			time.Sleep(8 * interval)
+			// Pace against the clock, not per burst: Sleep rounds short waits
+			// up, and the bursts after an oversleep catch up unslept.
+			time.Sleep(time.Until(start.Add(time.Duration(i+1) * interval)))
 		}
 	}
 	if err := flush(); err != nil {

@@ -16,6 +16,7 @@
 //
 //	rbmesh -n 3                          # boot a 3-member local mesh
 //	rbmesh -n 4 -cores 2 -addr 127.0.0.1:8800
+//	rbmesh -n 3 -pcap egress.pcap         # also capture every delivered frame
 //	curl http://127.0.0.1:8800/api/v1/cluster        # aggregate snapshot
 //	curl -X POST http://127.0.0.1:8800/api/v1/kill?id=2
 //	curl -X POST 'http://127.0.0.1:8800/api/v1/inject?packets=1000'
@@ -23,6 +24,8 @@
 package main
 
 import (
+	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
 	"net"
@@ -37,6 +40,7 @@ import (
 
 	"routebricks/internal/mesh"
 	"routebricks/internal/netio"
+	"routebricks/internal/pcap"
 	"routebricks/internal/pkt"
 )
 
@@ -68,8 +72,12 @@ type launcher struct {
 	members []*member
 
 	// Collector: every member's egress frames arrive on the sink
-	// socket; the ledger below is the cluster's delivery proof.
+	// socket; the ledger below is the cluster's delivery proof, and
+	// capture, when set (-pcap), records every frame it counts. Only the
+	// collector goroutine writes capture and capErr, its first error.
 	sink     *net.UDPConn
+	capture  *pcap.Writer
+	capErr   error
 	collMu   sync.Mutex
 	received uint64
 	byNode   map[int]uint64
@@ -155,11 +163,13 @@ func (l *launcher) stopAll(timeout time.Duration) {
 }
 
 // runCollector counts egress deliveries per destination-owning node:
-// the dst address's second octet under the 10.d.0.0/16 convention.
-// Frames arrive in batches straight into pool buffers (one recvmmsg per
-// batch on the fast path) and the ledger lock is taken once per batch,
-// not once per frame. The reader blocks with no deadline; closing the
-// sink socket at shutdown wakes and ends it.
+// the dst address's second octet under the 10.d.0.0/16 convention, and
+// writes each counted frame to the capture, if any. Frames arrive in
+// batches straight into pool buffers (one recvmmsg per batch on the
+// fast path) and the ledger lock is taken once per batch, not once per
+// frame; a frame is captured before the ledger counts it, into a
+// buffer, and a failed write ends the capture. The reader blocks with no
+// deadline; closing the sink socket at shutdown wakes and ends it.
 func (l *launcher) runCollector() {
 	shard := pkt.DefaultPool.Shard(0)
 	rd := netio.NewBatchReader(l.sink, netio.Config{Shard: shard})
@@ -170,9 +180,13 @@ func (l *launcher) runCollector() {
 		if _, err := rd.ReadBatch(batch); err != nil {
 			return // socket closed: shutdown
 		}
+		now := time.Now().UnixNano()
 		l.collMu.Lock()
 		for _, p := range batch.Packets() {
 			if len(p.Data) >= pkt.EtherHdrLen+pkt.IPv4HdrLen {
+				if l.capture != nil && l.capErr == nil {
+					l.capErr = l.capture.WritePacket(now, p.Data)
+				}
 				dst := p.IPv4().DstUint32()
 				l.received++
 				l.byNode[int(dst>>16)&0xFF]++
@@ -181,6 +195,38 @@ func (l *launcher) runCollector() {
 		l.collMu.Unlock()
 		shard.PutBatch(batch)
 	}
+}
+
+// collect starts the collector, capturing to a pcap file at path unless
+// path is empty. The returned stop closes the sink, waits for the
+// collector to end, then flushes and closes the capture, and reports the
+// capture's first error; calls after the first repeat its result.
+func (l *launcher) collect(path string) (stop func() error, err error) {
+	var f *os.File
+	var buf *bufio.Writer
+	if path != "" {
+		if f, err = os.Create(path); err != nil {
+			return nil, err
+		}
+		buf = bufio.NewWriterSize(f, 1<<16)
+		if l.capture, err = pcap.NewWriter(buf); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		l.runCollector()
+		close(done)
+	}()
+	return sync.OnceValue(func() error {
+		l.sink.Close()
+		<-done
+		if f == nil {
+			return nil
+		}
+		return cmp.Or(l.capErr, buf.Flush(), f.Close())
+	}), nil
 }
 
 // collectorCounts snapshots the delivery ledger.
@@ -222,6 +268,7 @@ func run() error {
 		heartbeat = flag.Int("heartbeat-ms", 0, "heartbeat interval override for a generated topology")
 		deadAfter = flag.Int("dead-ms", 0, "dead-after override for a generated topology")
 		wireFall  = flag.Bool("wire-fallback", false, "force the per-packet syscall path in members (passed through)")
+		pcapPath  = flag.String("pcap", "", "capture every frame the sink collector counts to this pcap file")
 	)
 	flag.Parse()
 
@@ -281,7 +328,12 @@ func run() error {
 	for i := range topo.Members {
 		l.members = append(l.members, &member{id: i, logPath: filepath.Join(dir, fmt.Sprintf("member-%d.log", i))})
 	}
-	go l.runCollector()
+	stopCollector, err := l.collect(*pcapPath)
+	if err != nil {
+		return err
+	}
+	// Error paths too end the collector before the capture closes.
+	defer stopCollector()
 
 	for i := range l.members {
 		if err := l.spawn(i); err != nil {
@@ -306,9 +358,12 @@ func run() error {
 	fmt.Println("rbmesh: signal received, stopping members")
 	srv.Close()
 	l.stopAll(5 * time.Second)
+	// Once the collector has ended, the capture holds every frame the
+	// ledger counted.
+	err = stopCollector()
 	received, _ := l.collectorCounts()
 	fmt.Printf("rbmesh: done — collector received %d egress frames\n", received)
-	return nil
+	return err
 }
 
 func main() {

@@ -1,17 +1,20 @@
 package main
 
-// The versioned admin API served on -stats-addr. Everything lives under
-// /api/v1 with method checks and a JSON error envelope. The route
-// endpoints write through the cluster's shared live FIB — updates commit RCU-style and reach every node's forwarding
-// cores without stalling them.
+// The versioned admin API a member serves on its topology "api"
+// address. Everything lives under /api/v1 with method checks and a JSON
+// error envelope. The route endpoints write through the member's live
+// FIB — updates commit RCU-style and reach the forwarding cores without
+// stalling them. Stats and controller state are one-element arrays, the
+// shape rbmesh and the benchmark harness decode; a member runs no
+// replan controller, so its controller entry is null.
 //
-//	GET    /api/v1/stats       cluster snapshot (all nodes)
-//	GET    /api/v1/controller  per-node replan-controller state
+//	GET    /api/v1/stats       this member's snapshot
+//	GET    /api/v1/controller  [{id, controller: null}]
 //	GET    /api/v1/routes      FIB listing + generation
 //	POST   /api/v1/routes      batch add/withdraw, one FIB commit
 //	DELETE /api/v1/routes      withdraw one prefix (?prefix= or JSON body)
-//	POST   /api/v1/replan      re-decide every node's placement now
-//	GET    /api/v1/mesh        membership table + heartbeat RTTs (mesh mode only)
+//	POST   /api/v1/replan      re-decide the placement now
+//	GET    /api/v1/mesh        membership table + heartbeat RTTs
 
 import (
 	"encoding/json"
@@ -21,6 +24,7 @@ import (
 
 	"routebricks"
 	"routebricks/internal/mesh"
+	"routebricks/internal/stats"
 )
 
 // errorEnvelope is the JSON error shape of every non-2xx API response.
@@ -79,20 +83,14 @@ type routesUpdate struct {
 	Withdraw []string    `json:"withdraw,omitempty"`
 }
 
-// controllerDoc is one node's entry in GET /api/v1/controller.
-type controllerDoc struct {
-	ID         int                          `json:"id"`
-	Controller *routebricks.ControllerState `json:"controller"`
-}
-
-// newAdminMux builds the -stats-addr HTTP surface. replanAll, when
-// non-nil, is the POST /api/v1/replan action (re-deciding every node's
-// placement); fib is the cluster's shared live FIB. meshCtrl, when
-// non-nil (mesh mode), adds GET /api/v1/mesh: the member's view of the
-// cluster — per-peer state and heartbeat RTT, incarnations, and the
+// newAdminMux builds the member's HTTP surface. POST /api/v1/replan
+// runs nd.replan; the routes endpoints write through nd's live FIB.
+// meshCtrl, when non-nil, adds GET /api/v1/mesh: the member's view of
+// the cluster — per-peer state and heartbeat RTT, incarnations, and the
 // re-stripe generation each member advertises.
-func newAdminMux(nodes []*node, fib *routebricks.RouteAdmin, replanAll func() error, meshCtrl *mesh.Node) *http.ServeMux {
+func newAdminMux(nd *node, meshCtrl *mesh.Node) *http.ServeMux {
 	mux := http.NewServeMux()
+	fib := nd.ingress.Routes()
 
 	if meshCtrl != nil {
 		mux.HandleFunc("/api/v1/mesh", methodCheck(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
@@ -101,19 +99,11 @@ func newAdminMux(nodes []*node, fib *routebricks.RouteAdmin, replanAll func() er
 	}
 
 	mux.HandleFunc("/api/v1/stats", methodCheck(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, clusterSnapshot(nodes))
+		writeJSON(w, http.StatusOK, []stats.NodeStats{nd.snapshot()})
 	}))
 
 	mux.HandleFunc("/api/v1/controller", methodCheck(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
-		out := make([]controllerDoc, len(nodes))
-		for i, nd := range nodes {
-			out[i] = controllerDoc{ID: nd.id}
-			if nd.ctrl != nil {
-				st := nd.ctrl.State()
-				out[i].Controller = &st
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, []map[string]any{{"id": nd.id, "controller": nil}})
 	}))
 
 	mux.HandleFunc("/api/v1/routes", func(w http.ResponseWriter, r *http.Request) {
@@ -193,19 +183,11 @@ func newAdminMux(nodes []*node, fib *routebricks.RouteAdmin, replanAll func() er
 	})
 
 	mux.HandleFunc("/api/v1/replan", methodCheck(http.MethodPost, func(w http.ResponseWriter, _ *http.Request) {
-		if replanAll == nil {
-			writeError(w, http.StatusServiceUnavailable, "replan unavailable")
-			return
-		}
-		if err := replanAll(); err != nil {
+		if err := nd.replan(); err != nil {
 			writeError(w, http.StatusInternalServerError, "replan failed: %v", err)
 			return
 		}
-		placements := make([]string, len(nodes))
-		for i, nd := range nodes {
-			placements[i] = nd.ingress.Placement().String()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"replanned": len(nodes), "placements": placements})
+		writeJSON(w, http.StatusOK, map[string]any{"replanned": 1, "placements": []string{nd.ingress.Placement().String()}})
 	}))
 
 	return mux

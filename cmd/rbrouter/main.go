@@ -1,26 +1,30 @@
-// Command rbrouter runs a real-I/O RouteBricks cluster on this machine:
-// N router nodes in one process, meshed over actual UDP sockets, moving
-// real IPv4-in-UDP frames through the same element pipelines, DIR-24-8
-// lookup, and Direct-VLB/flowlet logic as the simulation — but on
-// wall-clock time and OS sockets (stdlib net only).
+// Command rbrouter is one RouteBricks server: ONE member of a
+// Valiant-load-balanced mesh of such processes, moving real
+// IPv4-in-UDP frames over actual UDP sockets through the same element
+// pipelines, DIR-24-8 lookup, and Direct-VLB/flowlet logic as the
+// simulation — but on wall-clock time and OS sockets (stdlib net only).
+// The paper's RB4 is N copies of one server; a topology file (-mesh,
+// see docs/mesh.md) tells this copy where its peers are, and cmd/rbmesh
+// is the way to run a cluster: it boots and supervises N members on one
+// machine, injects traffic and collects what they deliver.
 //
-// It demonstrates the programmability claim of the paper: each node's
+// It demonstrates the programmability claim of the paper: the member's
 // ingress datapath is a Click-language program loaded through
 // routebricks.Load — the default is the embedded config below, and
 // -config swaps in any .click file written against the standard element
 // registry plus the prebound names the command supplies:
 //
-//	fib        LPMLookup bound to the cluster's live FIB (node d owns 10.d.0.0/16)
+//	fib        LPMLookup bound to the member's live FIB (member d owns 10.d.0.0/16)
 //	vlb        terminal Direct-VLB forwarder (MAC rewrite + mesh emit)
 //	badhdr     counting drop for CheckIPHeader failures
 //	badttl     counting drop for expired TTLs
 //	missroute  counting drop for FIB misses
 //
-// The cluster FIB is a routebricks.RouteAdmin (RCU generation-swapped
-// live table, bound through Options.FIB): routes can be added and
-// withdrawn while every node forwards at full rate, and the admin API
-// exposes exactly that — route changes commit once and reach all nodes'
-// datapath cores without a reload.
+// The FIB is a routebricks.RouteAdmin (RCU generation-swapped live
+// table, bound through Options.FIB): routes can be added and withdrawn
+// while the member forwards at full rate, and the admin API exposes
+// exactly that — route changes commit once and reach the datapath cores
+// without a reload.
 //
 // The framework parallelizes whatever graph the config describes:
 // -cores picks the core count and -placement the §4.2 allocation
@@ -28,7 +32,7 @@
 // its own queue; pipelined = the graph's trunk is cut across cores,
 // joined by SPSC handoff rings), driven on real goroutines.
 //
-// Every node runs to completion on the wire. A -cores N node binds N
+// The member runs to completion on the wire. A -cores N member binds N
 // SO_REUSEPORT sockets on its external port — the kernel's flow hash is
 // the RSS stage — and one goroutine per socket reads a batch
 // (recvmmsg), runs the Click graph inline (Pipeline.RunBatch) and
@@ -41,61 +45,49 @@
 // traffic from one sender shares one outer 4-tuple, so it all lands on
 // one socket loop.
 //
-// The process is live-operable while it runs: SIGHUP re-reads -config
-// and hot-swaps every node's ingress pipeline under the library's drain
-// barrier (prebound FIB/VLB resources carry over), -replan-auto starts
-// a per-node controller that watches observed load and re-decides the
-// placement automatically when the per-core imbalance crosses its
-// hysteresis threshold, and -stats-addr serves the versioned admin API
-// (stats, controller state, live FIB route ops, replan) as JSON over
-// HTTP.
+// The member is live-operable while it runs: SIGHUP re-reads -config
+// (or the embedded program) and hot-swaps the ingress pipeline under
+// the library's drain barrier (prebound FIB/VLB resources carry over; a
+// bad config is reported and the old datapath keeps forwarding), and
+// the topology's api address serves the versioned admin API (stats,
+// membership, live FIB route ops, replan) as JSON over HTTP.
 //
-// Usage:
+// Usage ($API is the member's "api" address in the topology file):
 //
-//	rbrouter                      # 4-node demo, 20000 packets
-//	rbrouter -nodes 6 -packets 50000 -flowlets=false
-//	rbrouter -cores 4 -placement pipelined
-//	rbrouter -cores 4 -placement auto   # calibrate and pick the allocation
-//	rbrouter -cores 4 -placement auto -replan-auto   # keep re-deciding under load
-//	rbrouter -config my.click     # custom per-node ingress program
-//	rbrouter -stats-addr 127.0.0.1:8642   # versioned admin API (see below)
-//	curl http://127.0.0.1:8642/api/v1/stats        # cluster snapshot
-//	curl http://127.0.0.1:8642/api/v1/controller   # replan-controller state
-//	curl http://127.0.0.1:8642/api/v1/routes       # live FIB listing + generation
+//	rbmesh -n 3 -cores 2 -placement auto     # a 3-member cluster on this machine
+//	rbrouter -mesh topo.json -mesh-id 0      # one member by hand
+//	rbrouter -mesh topo.json -mesh-id 0 -cores 4 -placement auto
+//	rbrouter -mesh topo.json -mesh-id 0 -config my.click
+//	curl http://$API/api/v1/stats        # this member's snapshot
+//	curl http://$API/api/v1/mesh         # membership view
+//	curl http://$API/api/v1/routes       # live FIB listing + generation
 //	curl -X POST -d '{"add":[{"prefix":"192.0.2.0/24","next_hop":1}]}' \
-//	     http://127.0.0.1:8642/api/v1/routes       # commit a route batch live
-//	curl -X DELETE 'http://127.0.0.1:8642/api/v1/routes?prefix=192.0.2.0/24'
-//	curl -X POST http://127.0.0.1:8642/api/v1/replan   # re-decide placement now
+//	     http://$API/api/v1/routes       # commit a route batch live
+//	curl -X DELETE "http://$API/api/v1/routes?prefix=192.0.2.0/24"
+//	curl -X POST http://$API/api/v1/replan   # re-decide placement now
 //	kill -HUP <pid>               # reload -config into the running datapath
 //	rbrouter -print-graph         # dump the ingress graph as Graphviz dot and exit
 //	rbrouter -print-graph | dot -Tsvg > graph.svg
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"routebricks"
 	"routebricks/internal/click"
-	"routebricks/internal/cluster"
 	"routebricks/internal/elements"
 	"routebricks/internal/netio"
-	"routebricks/internal/pcap"
 	"routebricks/internal/pkt"
 	"routebricks/internal/sim"
 	"routebricks/internal/stats"
-	"routebricks/internal/trafficgen"
 	"routebricks/internal/vlb"
 )
 
@@ -118,18 +110,18 @@ const defaultConfig = `
 
 func nowVirtual() sim.Time { return sim.Time(time.Now().UnixNano()) }
 
-// poolShardSeq deals pool shards out to the long-lived I/O goroutines
-// (socket loops, the collector) round-robin, so no two of them share a
-// shard lock by accident. Runner cores get their shards from the plan.
+// poolShardSeq deals pool shards out to the long-lived socket loops
+// round-robin, so no two of them share a shard lock by accident. Runner
+// cores get their shards from the plan.
 var poolShardSeq atomic.Uint32
 
 func nextShard() *pkt.PoolShard { return pkt.DefaultPool.Shard(int(poolShardSeq.Add(1))) }
 
-// node is one cluster server. Its ext sockets receive line traffic and
-// emit egress frames to the collector; int carries mesh links to peers.
-// Its datapath is a loaded Click pipeline for ingress (the -config
-// program) plus MAC-only transit, both run to completion by the loop
-// that owns the socket a frame arrived on.
+// node is the member's datapath. Its ext sockets receive line traffic
+// and emit egress frames to the collector; int carries mesh links to
+// peers. Its datapath is a loaded Click pipeline for ingress (the
+// -config program) plus MAC-only transit, both run to completion by the
+// loop that owns the socket a frame arrived on.
 type node struct {
 	id       int
 	n        int
@@ -147,14 +139,13 @@ type node struct {
 	writers []*netio.BatchWriter
 
 	ingress *routebricks.Pipeline
-	ctrl    *routebricks.Controller // adaptive replan watcher (-replan-auto)
-	swapMu  sync.Mutex              // serializes swaps with the placement that follows each
+	swapMu  sync.Mutex // serializes swaps with the placement that follows each
 
-	// live is the current membership vector in mesh mode (nil in the
-	// single-process demo, where every peer is always up). It is read by
-	// prebound when a Reload re-creates the VLB balancers, so a reload
-	// under the drain barrier re-stripes the spread matrix against the
-	// members that are actually alive.
+	// live is the current membership vector (nil until the first
+	// membership change: every peer up). It is read by prebound when a
+	// Reload re-creates the VLB balancers, so a reload under the drain
+	// barrier re-stripes the spread matrix against the members that are
+	// actually alive.
 	liveMu sync.Mutex
 	live   []bool
 	// dead marks the peers the failure detector declared dead: frames
@@ -171,7 +162,7 @@ type node struct {
 	hdrDrops  atomic.Uint64
 	transited atomic.Uint64 // frames the transit loop handled
 	txDrained atomic.Uint64 // frames for a dead peer or a missing collector (accounted, not lost)
-	restripes atomic.Uint64 // VLB re-stripe generation (mesh mode)
+	restripes atomic.Uint64 // VLB re-stripe generation
 }
 
 // egress is one goroutine's transmit side. Frames gather while a batch
@@ -261,7 +252,7 @@ func (nd *node) prebound(flowlets bool, chain int) map[string]routebricks.Elemen
 }
 
 // currentLive snapshots the membership vector for a balancer being
-// built (nil = everyone up, the demo default).
+// built (nil = everyone up).
 func (nd *node) currentLive() []bool {
 	nd.liveMu.Lock()
 	defer nd.liveMu.Unlock()
@@ -274,8 +265,8 @@ func (nd *node) currentLive() []bool {
 // setLive installs a new membership vector and flips each peer across
 // the dead boundary at once: frames for a dead peer drain (recycled and
 // counted) until it rejoins. The balancers pick the vector up at the
-// next Reload — re-striping is a reload under the drain barrier, not a
-// live mutation of a running balancer.
+// next plan swap — re-striping (restripe) is a Replan under the drain
+// barrier, not a live mutation of a running balancer.
 func (nd *node) setLive(live []bool) {
 	nd.liveMu.Lock()
 	nd.live = append([]bool(nil), live...)
@@ -301,7 +292,7 @@ func countDrop(n *atomic.Uint64) *elements.Sink {
 // calibration against hermetic stand-in terminals: calibration drives
 // synthetic packets through the candidate plans, so the probe graph
 // must not touch sockets or pollute node counters. Used at startup for
-// -placement auto and again by every -replan-auto controller trip.
+// -placement auto and again by every replan.
 func probePlacement(cfgText string, fib *routebricks.RouteAdmin, cores int) (*routebricks.Pipeline, error) {
 	return routebricks.Load(cfgText, routebricks.Options{
 		Cores:     cores,
@@ -365,23 +356,10 @@ func printStateClasses(w io.Writer, pipe *routebricks.Pipeline) {
 	}
 }
 
-func newNode(id, n int, fib *routebricks.RouteAdmin, cfgText string, flowlets bool, cores int, kind click.PlanKind, fallback bool) (*node, error) {
-	exts, err := netio.ListenReusePort("udp4", "127.0.0.1:0", cores)
-	if err != nil {
-		return nil, err
-	}
-	intc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, err
-	}
-	return newNodeOnConns(id, n, exts, intc, fib, cfgText, flowlets, cores, kind, fallback)
-}
-
-// newNodeOnConns builds a node's datapath on caller-bound sockets — the
-// single-process demo binds ephemeral loopback ports, mesh mode binds
-// the addresses the topology file assigns this member. exts is the
-// ingress socket set: SO_REUSEPORT siblings on one port acting as
-// kernel-hashed receive queues (netio.ListenReusePort), one per core.
+// newNodeOnConns builds a node's datapath on caller-bound sockets: the
+// addresses the topology file assigns this member. exts is the ingress
+// socket set: SO_REUSEPORT siblings on one port acting as kernel-hashed
+// receive queues (netio.ListenReusePort), one per core.
 func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *routebricks.RouteAdmin, cfgText string, flowlets bool, cores int, kind click.PlanKind, fallback bool) (*node, error) {
 	// Deep kernel receive buffers: injection is bursty and a pipelined
 	// datapath on an oversubscribed host drains slowly, so the default
@@ -555,9 +533,6 @@ func (nd *node) start() error {
 // shutdown stops the loops — each flushes its last batch before it
 // exits — then the pipelined Runner, if any, and closes the sockets.
 func (nd *node) shutdown() {
-	if nd.ctrl != nil {
-		nd.ctrl.Stop()
-	}
 	nd.stop.Store(true)
 	now := time.Now()
 	for _, c := range nd.exts {
@@ -585,8 +560,8 @@ func (nd *node) place() error {
 }
 
 // swap applies one Reload or Replan and places the result. swapMu keeps
-// concurrent swaps (SIGHUP, re-stripe, the admin API, the controller)
-// from placing a plan they did not install.
+// concurrent swaps (SIGHUP, re-stripe, the admin API) from placing a
+// plan they did not install.
 func (nd *node) swap(do func() error) error {
 	nd.swapMu.Lock()
 	defer nd.swapMu.Unlock()
@@ -596,364 +571,57 @@ func (nd *node) swap(do func() error) error {
 	return nd.place()
 }
 
-// reload hot-swaps the node's ingress program. Options inherit from the
-// running pipeline (merge semantics), so the prebound FIB, VLB
-// balancers, and drop counters rebind to the new graph's chains through
-// the same closure — only Placement must be restated.
-func (nd *node) reload(cfgText string, kind click.PlanKind) error {
-	return nd.swap(func() error { return nd.ingress.Reload(cfgText, routebricks.Options{Placement: kind}) })
+// restripe installs a new membership vector and replans the program in
+// force onto its current placement under the drain barrier, so the
+// rebuilt VLB balancers spread the direct quota over the live members
+// and neither a reload nor a replan is undone. It returns the new
+// re-stripe generation.
+func (nd *node) restripe(live []bool) (uint64, error) {
+	nd.setLive(live)
+	if err := nd.swap(func() error { return nd.ingress.Replan(routebricks.Options{Placement: nd.ingress.Placement()}) }); err != nil {
+		return 0, err
+	}
+	return nd.restripes.Add(1), nil
 }
 
-// replan re-places the running program under the given allocation.
-func (nd *node) replan(kind click.PlanKind) error {
-	return nd.swap(func() error { return nd.ingress.Replan(routebricks.Options{Placement: kind}) })
-}
-
-func run() error {
-	var (
-		nNodes     = flag.Int("nodes", 4, "cluster size")
-		packets    = flag.Int("packets", 20000, "packets to inject")
-		rate       = flag.Int("rate", 40000, "injection rate (packets/sec)")
-		flowlets   = flag.Bool("flowlets", true, "enable flowlet reordering avoidance")
-		cores      = flag.Int("cores", 1, "datapath cores per node, each owning one SO_REUSEPORT ingress socket")
-		placement  = flag.String("placement", "parallel", "core allocation: parallel, pipelined, or auto (calibrate and pick)")
-		configPath = flag.String("config", "", "Click-language ingress program (default: embedded IP router config)")
-		replanAuto = flag.Bool("replan-auto", false, "watch per-node load and Replan(auto) when the observed imbalance crosses the controller's threshold")
-		printGraph = flag.Bool("print-graph", false, "print the ingress element graph as Graphviz dot and exit")
-		pcapPath   = flag.String("pcap", "", "capture egress traffic to this pcap file")
-		statsAddr  = flag.String("stats-addr", "", "serve the versioned admin API (stats, controller, live FIB routes, replan) on this HTTP address under /api/v1")
-		meshTopo   = flag.String("mesh", "", "run as ONE member of a multi-process mesh defined by this topology file (see cmd/rbmesh); requires -mesh-id")
-		meshID     = flag.Int("mesh-id", -1, "this process's member id in the -mesh topology")
-		wireFall   = flag.Bool("wire-fallback", false, "force the portable per-packet syscall path instead of recvmmsg/sendmmsg batching")
-	)
-	flag.Parse()
-	cfgText := defaultConfig
-	if *configPath != "" {
-		raw, err := os.ReadFile(*configPath)
+// replan re-decides the placement of the program in force against the
+// hermetic probe and re-places it with the winner: the action of POST
+// /api/v1/replan. Replan(Auto) itself would calibrate through the node's
+// live terminals and emit synthetic frames into the mesh. The probe runs
+// under swapMu, so it decides for the program the swap re-places.
+func (nd *node) replan() error {
+	return nd.swap(func() error {
+		probe, err := probePlacement(nd.ingress.Program(), nd.ingress.Routes(), len(nd.exts))
 		if err != nil {
 			return err
 		}
-		cfgText = string(raw)
-	}
-	if *printGraph {
-		pipe, err := routebricks.Load(cfgText, routebricks.Options{Prebound: printPrebound})
-		if err != nil {
-			return err
-		}
-		fmt.Print(pipe.DOT())
-		printStateClasses(os.Stderr, pipe)
-		return nil
-	}
-	if *cores < 1 || *cores > 64 {
-		return fmt.Errorf("cores must be in [1,64]")
-	}
-	kind, autoPlace, err := parsePlacement(*placement)
+		return nd.ingress.Replan(routebricks.Options{Placement: probe.Placement()})
+	})
+}
+
+// hup is the member's SIGHUP handler: it re-reads the -config file at
+// path, or takes the embedded program when path is empty, and hot-swaps
+// it in on the running placement. Options inherit from the running
+// pipeline (merge semantics), so the prebound FIB, VLB balancers, and
+// drop counters rebind to the new graph's chains through the same
+// closure — only Placement must be restated. On error the running
+// program keeps forwarding.
+func (nd *node) hup(path string) error {
+	text, err := readProgram(path)
 	if err != nil {
 		return err
 	}
-	if *meshTopo != "" {
-		return runMesh(*meshTopo, *meshID, cfgText, *flowlets, *cores, kind, autoPlace, *wireFall)
-	}
-	if *nNodes < 2 || *nNodes > 64 {
-		return fmt.Errorf("nodes must be in [2,64]")
-	}
-	var capture *pcap.Writer
-	if *pcapPath != "" {
-		f, err := os.Create(*pcapPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if capture, err = pcap.NewWriter(f); err != nil {
-			return err
-		}
-	}
-
-	// Shared live FIB: node d owns 10.d.0.0/16, seeded as one commit.
-	// Every node's LPMLookup snapshots this table per batch, so route
-	// changes posted to /api/v1/routes reach all datapath cores without
-	// touching the running plans.
-	fib, err := routebricks.NewFIB(cluster.SeedRoutes(*nNodes)...)
-	if err != nil {
-		return err
-	}
-
-	// Resolve -placement auto once, against hermetic stand-in terminals
-	// (calibration drives synthetic traffic through the graph, so the
-	// probe must not touch sockets or pollute node counters); every node
-	// then gets the measured decision.
-	if autoPlace {
-		probe, err := probePlacement(cfgText, fib, *cores)
-		if err != nil {
-			return fmt.Errorf("auto placement calibration: %w", err)
-		}
-		kind = probe.Placement()
-		fmt.Printf("placement %s\n", describeDecision(probe))
-	}
-
-	collector, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return err
-	}
-	defer collector.Close()
-	collector.SetReadBuffer(4 << 20)
-
-	nodes := make([]*node, *nNodes)
-	for i := range nodes {
-		if nodes[i], err = newNode(i, *nNodes, fib, cfgText, *flowlets, *cores, kind, *wireFall); err != nil {
-			return err
-		}
-	}
-	for _, nd := range nodes {
-		nd.sink = collector.LocalAddr().(*net.UDPAddr)
-		for j, peer := range nodes {
-			nd.peers[j] = peer.int_.LocalAddr().(*net.UDPAddr)
-		}
-	}
-	for _, nd := range nodes {
-		if err := nd.start(); err != nil {
-			return err
-		}
-	}
-	// -replan-auto: one controller per node watches the ingress
-	// pipeline's Snapshot deltas and re-decides the placement when the
-	// observed per-core imbalance (or ring backpressure growth) crosses
-	// the hysteresis thresholds. State is served in -stats-addr JSON.
-	// The controller's default action would calibrate through the
-	// node's live terminals and emit synthetic frames into the mesh, so
-	// the hook decides against the hermetic probe first and replans
-	// with the explicit winner.
-	var cfgMu sync.Mutex
-	cfgCurrent := cfgText // kept in step with successful SIGHUP reloads
-	if *replanAuto {
-		for _, nd := range nodes {
-			nd.ctrl = nd.ingress.NewController(routebricks.ControllerConfig{
-				Replan: func() error {
-					cfgMu.Lock()
-					text := cfgCurrent
-					cfgMu.Unlock()
-					probe, err := probePlacement(text, fib, *cores)
-					if err != nil {
-						return err
-					}
-					return nd.replan(probe.Placement())
-				},
-			})
-			nd.ctrl.Start()
-		}
-		fmt.Println("replan-auto: per-node controllers watching ingress load")
-	}
-	fmt.Printf("rbrouter: %d nodes meshed over UDP, injecting %d packets at %d pps (flowlets=%v)\n",
-		*nNodes, *packets, *rate, *flowlets)
-	wireMode := "fallback"
-	if netio.Available() && !*wireFall {
-		wireMode = "mmsg"
-	}
-	fmt.Printf("wire I/O: %s, %d ingress socket(s) per node, one run-to-completion loop each\n", wireMode, *cores)
-	fmt.Printf("per-node ingress placement: %s", nodes[0].ingress.Describe())
-
-	// SIGHUP → hot-reload: re-read -config and swap every node's ingress
-	// pipeline under the library's drain barrier. Prebound resources
-	// (FIB, VLB balancers, drop counters) carry over via option
-	// inheritance; a bad config is reported and the old datapath keeps
-	// forwarding.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			text := defaultConfig
-			src := "embedded config"
-			if *configPath != "" {
-				raw, err := os.ReadFile(*configPath)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "rbrouter: reload:", err)
-					continue
-				}
-				text, src = string(raw), *configPath
-			}
-			ok := true
-			for _, nd := range nodes {
-				if err := nd.reload(text, kind); err != nil {
-					fmt.Fprintf(os.Stderr, "rbrouter: reload node %d: %v\n", nd.id, err)
-					ok = false
-					break
-				}
-			}
-			if ok {
-				cfgMu.Lock()
-				cfgCurrent = text
-				cfgMu.Unlock()
-				fmt.Printf("rbrouter: reloaded %s (generation %d)\n", src, nodes[0].ingress.Generation())
-			}
-		}
-	}()
-
-	// -stats-addr: the versioned admin API — the cluster's unified
-	// observability surface (every node's typed ingress Snapshot plus its
-	// socket-level counters, and per-node controller state) alongside the
-	// write side: live FIB route ops and an on-demand cluster replan.
-	if *statsAddr != "" {
-		ln, err := net.Listen("tcp", *statsAddr)
-		if err != nil {
-			return fmt.Errorf("stats-addr: %w", err)
-		}
-		// POST /api/v1/replan re-decides every node's placement against
-		// the hermetic probe — the same guarded path -replan-auto uses.
-		replanAll := func() error {
-			cfgMu.Lock()
-			text := cfgCurrent
-			cfgMu.Unlock()
-			probe, err := probePlacement(text, fib, *cores)
-			if err != nil {
-				return err
-			}
-			for _, nd := range nodes {
-				if err := nd.replan(probe.Placement()); err != nil {
-					return fmt.Errorf("node %d: %w", nd.id, err)
-				}
-			}
-			return nil
-		}
-		srv := &http.Server{Handler: newAdminMux(nodes, fib, replanAll, nil)}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("admin API: http://%s/api/v1/{stats,controller,routes,replan}\n", ln.Addr())
-	}
-
-	// Collector: count deliveries and measure reordering. Frames arrive
-	// in batches straight into pool buffers; the 2s quiescence deadline
-	// is re-armed once per batch, not once per datagram.
-	meter := stats.NewReorderMeter()
-	var received atomic.Uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		shard := nextShard()
-		rd := netio.NewBatchReader(collector, netio.Config{Shard: shard, ForceFallback: *wireFall})
-		defer rd.Release()
-		batch := pkt.NewBatch(32)
-		for received.Load() < uint64(*packets) {
-			collector.SetReadDeadline(time.Now().Add(2 * time.Second))
-			batch.Reset()
-			if _, err := rd.ReadBatch(batch); err != nil {
-				return // quiescent: give up
-			}
-			for _, p := range batch.Packets() {
-				if capture != nil {
-					capture.WritePacket(time.Now().UnixNano(), p.Data)
-				}
-				payload := p.L4Payload()
-				if len(payload) >= 8 {
-					seq := uint64(payload[0])<<56 | uint64(payload[1])<<48 | uint64(payload[2])<<40 |
-						uint64(payload[3])<<32 | uint64(payload[4])<<24 | uint64(payload[5])<<16 |
-						uint64(payload[6])<<8 | uint64(payload[7])
-					meter.Observe(p.FlowHash(), seq)
-				}
-				received.Add(1)
-				shard.Put(p)
-			}
-		}
-	}()
-
-	// Injector: flows aimed at node prefixes, round-robin over input
-	// nodes, paced at the requested rate.
-	src := trafficgen.New(trafficgen.Config{Seed: 1, Sizes: trafficgen.Fixed(128), DstAddrs: cluster.DestPool(*nNodes, 8)})
-	interval := time.Second / time.Duration(*rate)
-	// SIGTERM/SIGINT stops injection early; the report still waits for
-	// the collector to go quiet.
-	term := make(chan os.Signal, 1)
-	signal.Notify(term, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(term)
-	start := time.Now()
-	injected, stopping := 0, false
-	// Injection goes out in 8-frame bursts through one netio writer —
-	// one sendmmsg per burst on the fast path, matching the pacing
-	// granularity below. WriteScatter carries a destination per frame,
-	// so a burst spanning several input nodes still costs one syscall.
-	inj := netio.NewBatchWriter(collector, netio.Config{ForceFallback: *wireFall})
-	burst := make([]*pkt.Packet, 0, 8)
-	dests := make([]*net.UDPAddr, 0, 8)
-	flush := func() error {
-		if len(burst) == 0 {
-			return nil
-		}
-		_, err := inj.WriteScatter(burst, dests)
-		for _, p := range burst {
-			pkt.DefaultPool.Put(p) // the kernel copied at syscall time
-		}
-		burst, dests = burst[:0], dests[:0]
-		return err
-	}
-	for i := 0; i < *packets && !stopping; i++ {
-		select {
-		case <-term:
-			fmt.Println("rbrouter: signal received, stopping injection")
-			stopping = true
-			continue
-		default:
-		}
-		p := src.Next()
-		payload := p.L4Payload()
-		seq := p.SeqNo
-		for b := 0; b < 8; b++ {
-			payload[b] = byte(seq >> (56 - 8*b))
-		}
-		// A flow always enters at the same external port (keyed on its
-		// source address), as it would in a real deployment; spraying one
-		// flow across input nodes would manufacture reordering no router
-		// could prevent.
-		in := nodes[int(p.IPv4().SrcUint32())%*nNodes]
-		burst = append(burst, p)
-		dests = append(dests, in.exts[0].LocalAddr().(*net.UDPAddr))
-		injected++
-		if i%8 == 7 {
-			if err := flush(); err != nil {
-				return err
-			}
-			// Pace against the clock, not per burst: Sleep rounds short waits
-			// up, and the bursts after an oversleep catch up unslept.
-			time.Sleep(time.Until(start.Add(time.Duration(i+1) * interval)))
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	<-done
-	elapsed := time.Since(start)
-
-	for _, nd := range nodes {
-		nd.shutdown()
-	}
-
-	var forwarded, egressed, miss, hdr, drained uint64
-	for _, nd := range nodes {
-		forwarded += nd.forwarded.Load()
-		egressed += nd.egressed.Load()
-		miss += nd.routeMiss.Load()
-		hdr += nd.hdrDrops.Load()
-		drained += nd.txDrained.Load()
-	}
-	fmt.Printf("delivered %d/%d packets in %v (%.0f pps through the mesh)\n",
-		received.Load(), injected, elapsed.Round(time.Millisecond),
-		float64(received.Load())/elapsed.Seconds())
-	fmt.Printf("internal forwards: %d, egressed: %d, route misses: %d, header drops: %d, tx-drained: %d\n",
-		forwarded, egressed, miss, hdr, drained)
-	fmt.Printf("reordering: %s\n", meter)
-	if received.Load() < uint64(injected)*95/100 {
-		return fmt.Errorf("lost more than 5%% of packets")
-	}
-	return nil
+	return nd.swap(func() error { return nd.ingress.Reload(text, routebricks.Options{Placement: nd.ingress.Placement()}) })
 }
 
-// nodeSnapshot is one node's slice of the -stats-addr JSON document:
-// the shared stats.NodeStats wire shape (rbmesh decodes exactly that
-// when it aggregates member snapshots) plus process-local extras the
-// wire type does not carry — controller state, which cannot live in
-// internal/stats without an import cycle through the facade.
-type nodeSnapshot struct {
-	stats.NodeStats
-	Controller *routebricks.ControllerState `json:"controller,omitempty"`
+// readProgram returns the text of the -config file at path, or the
+// embedded program when path is empty.
+func readProgram(path string) (string, error) {
+	if path == "" {
+		return defaultConfig, nil
+	}
+	raw, err := os.ReadFile(path)
+	return string(raw), err
 }
 
 // wireSnapshot sums the node's netio reader and writer counters into
@@ -982,64 +650,38 @@ func (nd *node) wireSnapshot() *stats.WireSnapshot {
 	return w
 }
 
-// snapshot reads the node's counters. TransitQueued, RxDrops and
-// TxStalls stay zero: no frame waits in a queue on the node, and a full
-// socket buffer parks the loop in sendmmsg instead of stalling a ring.
-func (nd *node) snapshot() nodeSnapshot {
-	var ctrlState *routebricks.ControllerState
-	if nd.ctrl != nil {
-		st := nd.ctrl.State()
-		ctrlState = &st
-	}
+// snapshot reads the node's counters in the stats.NodeStats wire shape
+// that rbmesh and the benchmark harness decode. TransitQueued, RxDrops
+// and TxStalls stay zero: no frame waits in a queue on the node, and a
+// full socket buffer parks the loop in sendmmsg instead of stalling a
+// ring.
+func (nd *node) snapshot() stats.NodeStats {
 	ing := nd.ingress.Snapshot()
 	ing.Wire = nd.wireSnapshot()
-	return nodeSnapshot{
-		NodeStats: stats.NodeStats{
-			ID:             nd.id,
-			Ingress:        ing,
-			TransitPackets: nd.transited.Load(),
-			Forwarded:      nd.forwarded.Load(),
-			Egressed:       nd.egressed.Load(),
-			RouteMisses:    nd.routeMiss.Load(),
-			HeaderDrops:    nd.hdrDrops.Load(),
-			TxBatches:      ing.Wire.TxBatches,
-			TxDrained:      nd.txDrained.Load(),
-			Restripes:      nd.restripes.Load(),
-		},
-		Controller: ctrlState,
+	return stats.NodeStats{
+		ID:             nd.id,
+		Ingress:        ing,
+		TransitPackets: nd.transited.Load(),
+		Forwarded:      nd.forwarded.Load(),
+		Egressed:       nd.egressed.Load(),
+		RouteMisses:    nd.routeMiss.Load(),
+		HeaderDrops:    nd.hdrDrops.Load(),
+		TxBatches:      ing.Wire.TxBatches,
+		TxDrained:      nd.txDrained.Load(),
+		Restripes:      nd.restripes.Load(),
 	}
 }
 
-func clusterSnapshot(nodes []*node) []nodeSnapshot {
-	out := make([]nodeSnapshot, len(nodes))
-	for i, nd := range nodes {
-		out[i] = nd.snapshot()
+// parsePlacement maps the -placement flag to a plan kind by its name;
+// Auto is resolved later by the probe, once a FIB exists to probe
+// against.
+func parsePlacement(s string) (click.PlanKind, error) {
+	for _, k := range []click.PlanKind{click.Parallel, click.Pipelined, click.Auto} {
+		if k.String() == s {
+			return k, nil
+		}
 	}
-	return out
-}
-
-// parsePlacement maps the -placement flag to a plan kind; auto is
-// resolved later by calibration, once a FIB exists to probe against.
-func parsePlacement(s string) (click.PlanKind, bool, error) {
-	switch s {
-	case "parallel":
-		return click.Parallel, false, nil
-	case "pipelined":
-		return click.Pipelined, false, nil
-	case "auto":
-		return click.Parallel, true, nil
-	}
-	return 0, false, fmt.Errorf("placement must be parallel, pipelined, or auto, got %q", s)
-}
-
-// describeDecision renders an auto-placement probe's outcome for the
-// startup banner.
-func describeDecision(p *routebricks.Pipeline) string {
-	s := fmt.Sprintf("auto → %s", p.Placement())
-	for _, c := range p.Calibration() {
-		s += fmt.Sprintf("  [%s score %.0f, %d handoff pkts]", c.Plan, c.Score, c.HandoffPackets)
-	}
-	return s
+	return 0, fmt.Errorf("placement must be parallel, pipelined, or auto, got %q", s)
 }
 
 func main() {

@@ -3,18 +3,37 @@ package main
 import (
 	"net"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"routebricks"
 	"routebricks/internal/click"
 	"routebricks/internal/cluster"
+	"routebricks/internal/elements"
+	"routebricks/internal/netio"
 	"routebricks/internal/pkt"
 )
 
-// wireCluster starts an n-node in-process cluster on loopback sockets,
-// every node's egress aimed at the returned collector. The nodes shut
-// down at cleanup.
+// newNode builds member id of an n-member mesh on ephemeral loopback
+// sockets; the caller wires up its peers and sink.
+func newNode(id, n int, fib *routebricks.RouteAdmin, cfgText string, flowlets bool, cores int, kind click.PlanKind, fallback bool) (*node, error) {
+	exts, err := netio.ListenReusePort("udp4", "127.0.0.1:0", cores)
+	if err != nil {
+		return nil, err
+	}
+	intc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return nil, err
+	}
+	return newNodeOnConns(id, n, exts, intc, fib, cfgText, flowlets, cores, kind, fallback)
+}
+
+// wireCluster starts n members in this process on loopback sockets,
+// every member's egress aimed at the returned collector. The members
+// shut down at cleanup.
 func wireCluster(t *testing.T, n, cores int, kind click.PlanKind) ([]*node, *net.UDPConn) {
 	t.Helper()
 	fib, err := routebricks.NewFIB(cluster.SeedRoutes(n)...)
@@ -113,6 +132,45 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 func port(nd *node) int { return nd.exts[0].LocalAddr().(*net.UDPAddr).Port }
 
+// shutdownBalanced stops nd and checks its ledger: every frame it
+// received was forwarded, egressed, or dropped for a counted reason.
+func shutdownBalanced(t *testing.T, nd *node) {
+	t.Helper()
+	nd.shutdown()
+	rx := nd.wireSnapshot().RxFrames
+	sum := nd.forwarded.Load() + nd.egressed.Load() + nd.hdrDrops.Load() + nd.routeMiss.Load() + nd.txDrained.Load()
+	if rx != sum {
+		t.Errorf("node %d: rx %d != forwarded+egressed+header_drops+route_misses+tx_drained %d", nd.id, rx, sum)
+	}
+}
+
+// countedConfig is the embedded program with a named Counter, seen,
+// spliced in behind the header check.
+const countedConfig = `
+	check :: CheckIPHeader;
+	seen  :: Counter;
+	rt    :: LPMLookup(fib);
+	ttl   :: DecIPTTL;
+
+	check[0] -> seen;
+	seen     -> rt;
+	check[1] -> badhdr;
+	rt[0]    -> ttl;
+	rt[1]    -> missroute;
+	ttl[0]   -> vlb;
+	ttl[1]   -> badttl;
+`
+
+// writeConfig writes text to a fresh -config file and returns its path.
+func writeConfig(t *testing.T, text string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ingress.click")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestWireRunToCompletion checks the run-to-completion contract on a
 // 2-node cluster, with frames for both prefixes sent into node 0 from
 // one socket.
@@ -165,12 +223,7 @@ func TestWireRunToCompletion(t *testing.T) {
 			return nodes[0].hdrDrops.Load() == 2 && nodes[0].routeMiss.Load() == 1 && nodes[1].hdrDrops.Load() == 1
 		})
 		for _, nd := range nodes {
-			nd.shutdown()
-			rx := nd.wireSnapshot().RxFrames
-			sum := nd.forwarded.Load() + nd.egressed.Load() + nd.hdrDrops.Load() + nd.routeMiss.Load() + nd.txDrained.Load()
-			if rx != sum {
-				t.Errorf("node %d: rx %d != forwarded+egressed+header_drops+route_misses+tx_drained %d", nd.id, rx, sum)
-			}
+			shutdownBalanced(t, nd)
 		}
 	})
 
@@ -230,4 +283,104 @@ func TestReaderCountsRunts(t *testing.T) {
 	if got := nodes[0].snapshot().HeaderDrops; got != 1 {
 		t.Fatalf("header drops = %d after one 10-byte datagram, want 1", got)
 	}
+}
+
+// TestMemberHUP streams frames into a member and runs its SIGHUP
+// handler halfway: the reload swaps in a program with a new element
+// without losing a frame, and the ledger balances afterwards. A config
+// that does not parse is refused and the running program stays.
+func TestMemberHUP(t *testing.T) {
+	const total, window = 2000, 128
+	nodes, collector := wireCluster(t, 2, 1, click.Parallel)
+	cfg := writeConfig(t, countedConfig)
+
+	// The collector drains on its own goroutine, so the sender keeps a
+	// bounded window of frames in flight across the reload instead of
+	// overrunning a socket buffer.
+	var collected atomic.Int64
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			if _, err := collector.Read(buf); err != nil {
+				return // closed at cleanup
+			}
+			collected.Add(1)
+		}
+	}()
+	conn, err := net.DialUDP("udp4", nil, nodes[0].exts[0].LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < total; i++ {
+		if i == total/2 {
+			if err := nodes[0].hup(cfg); err != nil {
+				t.Fatalf("reload: %v", err)
+			}
+		}
+		eventually(t, "room in the send window", func() bool { return int64(i)-collected.Load() < window })
+		dst := netip.AddrFrom4([4]byte{10, byte(i % 2), 0, byte(1 + i%200)})
+		if _, err := conn.Write(frame(dst, i, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventually(t, "every frame collected", func() bool { return collected.Load() == total })
+
+	// Generation counts swaps from 0 at Load: the one reload reads 1.
+	if g := nodes[0].ingress.Generation(); g != 1 {
+		t.Fatalf("generation %d after one reload, want 1", g)
+	}
+	seen, ok := nodes[0].ingress.Element(0, "seen").(*elements.Counter)
+	if !ok {
+		t.Fatal("the reloaded program has no Counter named seen")
+	}
+	// Every frame sent after the reload crossed the new graph.
+	if c := seen.Packets(); c < total/2 || c > total {
+		t.Fatalf("seen counted %d frames, want %d..%d", c, total/2, total)
+	}
+
+	if err := nodes[0].hup(writeConfig(t, "check :: NoSuchElement;")); err == nil {
+		t.Fatal("a config naming an unknown element reloaded")
+	}
+	if g := nodes[0].ingress.Generation(); g != 1 || nodes[0].ingress.Element(0, "seen") == nil {
+		t.Fatalf("a refused reload changed the running program (generation %d)", g)
+	}
+	for _, nd := range nodes {
+		shutdownBalanced(t, nd)
+	}
+}
+
+// TestRestripeKeepsReloadAndReplan: a membership change re-installs the
+// program and placement in force, not the ones the member started
+// with, so it undoes neither a SIGHUP reload nor a replan.
+func TestRestripeKeepsReloadAndReplan(t *testing.T) {
+	nodes, collector := wireCluster(t, 2, 2, click.Parallel)
+	nd := nodes[0]
+	if err := nd.hup(writeConfig(t, countedConfig)); err != nil {
+		t.Fatal(err)
+	}
+	// The member's own replan probes the reloaded program, not the one it
+	// started with, and re-places it.
+	if err := nd.replan(); err != nil {
+		t.Fatal(err)
+	}
+	if g := nd.ingress.Generation(); g != 2 || nd.ingress.Program() != countedConfig || nd.ingress.Element(0, "seen") == nil {
+		t.Fatalf("after the replan: generation %d, the reloaded program in force %v", g, nd.ingress.Program() == countedConfig)
+	}
+	// A replan that lands on pipelined, forced here rather than probed.
+	if err := nd.swap(func() error { return nd.ingress.Replan(routebricks.Options{Placement: click.Pipelined}) }); err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := nd.restripe([]bool{true, true}); err != nil || gen != 1 {
+		t.Fatalf("restripe: generation %d, err %v", gen, err)
+	}
+	if got := nd.ingress.Placement(); got != click.Pipelined {
+		t.Fatalf("placement %s after the re-stripe, want pipelined", got)
+	}
+	if nd.ingress.Element(0, "seen") == nil {
+		t.Fatal("the re-stripe reverted the reloaded program")
+	}
+	// The re-striped datapath forwards through the started Runner.
+	sendTo(t, nd.exts[0].LocalAddr(), append(framesFor(0, 64), framesFor(1, 64)...)...)
+	collect(t, collector, 128)
 }

@@ -1,24 +1,29 @@
 package main
 
-// Mesh mode: `rbrouter -mesh topo.json -mesh-id K` runs this process as
-// ONE member of a multi-process VLB cluster — the §6 RB4 story with
-// real process boundaries instead of goroutines in one address space.
-// The topology file (written by cmd/rbmesh or by hand) assigns each
-// member four addresses: a data port for inter-node mesh frames, a
-// control port for membership heartbeats, an external port for line
-// traffic, and a TCP address for the member's admin API.
+// `rbrouter -mesh topo.json -mesh-id K` runs this process as ONE member
+// of a multi-process VLB cluster — the §6 RB4 story with real process
+// boundaries. The topology file (written by cmd/rbmesh or by hand)
+// assigns each member four addresses: a data port for inter-node mesh
+// frames, a control port for membership heartbeats, an external port
+// for line traffic, and a TCP address for the member's admin API.
 //
 // The control plane (internal/mesh) heartbeats every peer and walks the
 // suspect→dead state machine. Crossing the dead boundary — a peer dies,
 // or a dead peer rejoins — re-stripes the data plane: the new live
-// vector is installed on the node, the ingress pipeline reloads under
-// the drain barrier (in-flight packets finish or drain into accounted
-// counters; nothing is silently lost), and the rebuilt VLB balancers
-// spread the R/n quota across the members that are actually alive. The
-// re-stripe generation is advertised in subsequent heartbeats, so
-// cluster-wide convergence is observable from any member's /api/v1/mesh.
+// vector is installed on the node, the program in force is replanned
+// onto its current placement under the drain barrier (in-flight packets
+// finish or drain into accounted counters; nothing is silently lost),
+// and the rebuilt VLB balancers spread the R/n quota across the members
+// that are actually alive. The re-stripe generation is advertised in
+// subsequent heartbeats, so cluster-wide convergence is observable from
+// any member's /api/v1/mesh.
+//
+// SIGHUP reloads -config (nd.hup), and POST /api/v1/replan re-decides
+// the placement against the hermetic probe (nd.replan).
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -27,14 +32,61 @@ import (
 	"syscall"
 
 	"routebricks"
-	"routebricks/internal/click"
 	"routebricks/internal/cluster"
 	"routebricks/internal/mesh"
 	"routebricks/internal/netio"
 )
 
-func runMesh(path string, self int, cfgText string, flowlets bool, cores int, kind click.PlanKind, autoPlace, fallback bool) error {
-	topo, err := mesh.LoadTopology(path)
+// run parses the command line and runs this process as one mesh member
+// until SIGTERM or SIGINT; -print-graph renders the program and exits.
+func run() error {
+	var (
+		topoPath, configPath, placement string
+		self, cores                     int
+		flowlets, fallback, printGraph  bool
+	)
+	flag.StringVar(&topoPath, "mesh", "", "run as ONE member of the mesh defined by this topology file (see cmd/rbmesh); requires -mesh-id")
+	flag.IntVar(&self, "mesh-id", -1, "this process's member id in the -mesh topology")
+	flag.BoolVar(&flowlets, "flowlets", true, "enable flowlet reordering avoidance")
+	flag.IntVar(&cores, "cores", 1, "datapath cores, each owning one SO_REUSEPORT ingress socket")
+	flag.StringVar(&placement, "placement", "parallel", "core allocation: parallel, pipelined, or auto (calibrate and pick)")
+	flag.StringVar(&configPath, "config", "", "Click-language ingress program, re-read on SIGHUP (default: embedded IP router config)")
+	flag.BoolVar(&fallback, "wire-fallback", false, "force the portable per-packet syscall path instead of recvmmsg/sendmmsg batching")
+	flag.BoolVar(&printGraph, "print-graph", false, "print the ingress element graph as Graphviz dot and exit")
+	flag.Parse()
+	cfgText, err := readProgram(configPath)
+	if err != nil {
+		return err
+	}
+	if printGraph {
+		pipe, err := routebricks.Load(cfgText, routebricks.Options{Prebound: printPrebound})
+		if err != nil {
+			return err
+		}
+		fmt.Print(pipe.DOT())
+		printStateClasses(os.Stderr, pipe)
+		return nil
+	}
+	if topoPath == "" {
+		flag.Usage()
+		return errors.New("-mesh is required: rbrouter runs one mesh member (cmd/rbmesh runs a cluster)")
+	}
+
+	// SIGHUP is caught from here on: left to its default action, it
+	// terminates the process. One that arrives during start-up waits for
+	// the datapath.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+
+	if cores < 1 || cores > 64 {
+		return fmt.Errorf("cores must be in [1,64]")
+	}
+	kind, err := parsePlacement(placement)
+	if err != nil {
+		return err
+	}
+	topo, err := mesh.LoadTopology(topoPath)
 	if err != nil {
 		return err
 	}
@@ -51,13 +103,13 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 	if err != nil {
 		return err
 	}
-	if autoPlace {
+	if kind == routebricks.Auto {
 		probe, err := probePlacement(cfgText, fib, cores)
 		if err != nil {
 			return fmt.Errorf("auto placement calibration: %w", err)
 		}
 		kind = probe.Placement()
-		fmt.Printf("rbrouter[%d]: placement %s\n", self, describeDecision(probe))
+		fmt.Printf("rbrouter[%d]: placement\n%s", self, probe.Describe())
 	}
 
 	bind := func(what, addr string) (*net.UDPConn, error) {
@@ -102,6 +154,15 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 	if err := nd.start(); err != nil {
 		return err
 	}
+	go func() {
+		for range hup {
+			if err := nd.hup(configPath); err != nil {
+				fmt.Fprintf(os.Stderr, "rbrouter[%d]: reload: %v; the old datapath keeps forwarding\n", self, err)
+				continue
+			}
+			fmt.Printf("rbrouter[%d]: reloaded the ingress program (generation %d)\n", self, nd.ingress.Generation())
+		}
+	}()
 
 	// The membership control plane. OnChange fires only across the dead
 	// boundary (death or rejoin) — a suspect peer keeps its VLB share,
@@ -110,20 +171,13 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 	// overlap.
 	var ctrl *mesh.Node
 	onChange := func(ev mesh.Event) {
-		nd.setLive(ev.Live)
-		if err := nd.reload(cfgText, kind); err != nil {
+		gen, err := nd.restripe(ev.Live)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "rbrouter[%d]: re-stripe reload: %v\n", self, err)
 			return
 		}
-		gen := nd.restripes.Add(1)
 		ctrl.SetGeneration(gen)
-		alive := 0
-		for _, l := range ev.Live {
-			if l {
-				alive++
-			}
-		}
-		fmt.Printf("rbrouter[%d]: re-stripe generation %d (%d/%d members live)\n", self, gen, alive, n)
+		fmt.Printf("rbrouter[%d]: re-stripe generation %d (%d/%d members live)\n", self, gen, ctrl.Tracker().AliveCount(), n)
 	}
 	ctrl, err = mesh.NewNode(mesh.NodeConfig{
 		Self:     self,
@@ -138,23 +192,16 @@ func runMesh(path string, self int, cfgText string, flowlets bool, cores int, ki
 		return err
 	}
 
-	replanAll := func() error {
-		probe, err := probePlacement(cfgText, fib, cores)
-		if err != nil {
-			return err
-		}
-		return nd.replan(probe.Placement())
-	}
 	ln, err := net.Listen("tcp", me.API)
 	if err != nil {
 		nd.shutdown()
 		return fmt.Errorf("bind api %s: %w", me.API, err)
 	}
-	srv := &http.Server{Handler: newAdminMux([]*node{nd}, fib, replanAll, ctrl)}
+	srv := &http.Server{Handler: newAdminMux(nd, ctrl)}
 	go srv.Serve(ln)
 
 	ctrl.Start()
-	fmt.Printf("rbrouter[%d]: mesh member up — data %s ctrl %s ext %s api http://%s/api/v1/{stats,mesh,routes}\n",
+	fmt.Printf("rbrouter[%d]: mesh member up — data %s ctrl %s ext %s api http://%s/api/v1/{stats,controller,mesh,routes,replan}\n",
 		self, me.Data, me.Ctrl, me.Ext, ln.Addr())
 
 	// SIGTERM/SIGINT is the graceful exit: stop heartbeating (peers will

@@ -246,7 +246,7 @@ type ControllerConfig struct {
 	// terminals — hosts whose terminals touch the outside world (emit
 	// on sockets, count into shared stats) supply a hook that decides
 	// placement against hermetic stand-ins first and then replans with
-	// the explicit winner (see rbrouter -replan-auto).
+	// the explicit winner (as rbrouter's POST /api/v1/replan does).
 	Replan func() error
 	// ReSteer opts the controller into flow re-steering as its first
 	// corrective action: on an imbalance trip it plans a bounded batch
@@ -301,8 +301,8 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 }
 
 // ControllerState is the controller's observable state, shaped for the
-// stats JSON (rbrouter -stats-addr serves it next to each node's
-// Snapshot).
+// stats JSON (an rbrouter member serves it next to its Snapshot on its
+// admin API).
 type ControllerState struct {
 	// Armed reports whether the next threshold breach will replan; the
 	// controller disarms when it fires and re-arms below LowWater.
@@ -340,7 +340,7 @@ type Controller struct {
 
 	// obsMu serializes Observe (which may run a whole Replan); mu
 	// guards the readable state and is only ever held briefly, so
-	// State() — and anything polling it, like rbrouter's /stats — never
+	// State() — and anything polling it, like rbrouter's /api/v1/stats — never
 	// blocks behind a swap in progress.
 	obsMu sync.Mutex
 	mu    sync.Mutex

@@ -3,7 +3,7 @@ package stats
 // This file defines the unified observability schema of a loaded
 // pipeline: one typed Snapshot of per-core counters, drops, ring state
 // and element counters, shaped for JSON export (cmd/rbrouter serves it
-// on -stats-addr) and for rate computation via Delta. The types are
+// on its admin API) and for rate computation via Delta. The types are
 // pure data — the routebricks facade fills them from a live plan;
 // nothing here touches the datapath.
 

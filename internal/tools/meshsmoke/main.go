@@ -1,10 +1,13 @@
 // Command meshsmoke is the end-to-end gate for the multi-process mesh:
 // it builds rbrouter and rbmesh, boots a 3-member cluster through the
 // launcher, and drives the §6 failure story over the public HTTP
-// surfaces only — the same interfaces an operator has:
+// surfaces only — the same interfaces an operator has. It tells the
+// story once per §4.2 placement: run to completion on one core
+// (parallel), and pipelined across two cores, where every member must
+// report the pipelined plan.
 //
-//  1. all three members converge alive, and injected traffic is fully
-//     delivered across the mesh;
+//  1. all three members converge alive, and 20000 injected packets are
+//     fully delivered across the mesh;
 //  2. one member is hard-killed; the aggregate snapshot converges to
 //     2/3 running with every survivor re-striped (the dead member's
 //     VLB share redistributed);
@@ -13,7 +16,8 @@
 //  4. the killed member restarts, rejoins, and the cluster converges
 //     back to 3/3 with traffic flowing through all members.
 //
-// Exit status 0 means the story held. Run via `make mesh-smoke`.
+// Exit status 0 means the story held on both rows. Run via `make
+// mesh-smoke`.
 package main
 
 import (
@@ -29,13 +33,23 @@ import (
 
 const api = "http://127.0.0.1:8765"
 
+// rows are the rbmesh flags of each run, passed through to every
+// member; each member must then report the -placement value as its plan.
+var rows = [][]string{
+	{"-cores", "1", "-placement", "parallel"},
+	{"-cores", "2", "-placement", "pipelined"},
+}
+
 // clusterView is the slice of rbmesh's /api/v1/cluster document the
 // smoke assertions need.
 type clusterView struct {
-	Members   int  `json:"members"`
-	Running   int  `json:"running"`
-	Converged bool `json:"converged"`
-	Totals    struct {
+	Members     int  `json:"members"`
+	Running     int  `json:"running"`
+	Converged   bool `json:"converged"`
+	MemberTable []struct {
+		Stats struct{ Ingress struct{ Plan string } } // keys match case-insensitively
+	} `json:"member_table"`
+	Totals struct {
 		Egressed      uint64 `json:"egressed"`
 		TxDrained     uint64 `json:"tx_drained"`
 		WireRxBatches uint64 `json:"wire_rx_batches"`
@@ -110,6 +124,17 @@ func inject(packets int, base uint64, settle time.Duration) (uint64, error) {
 	return got, fmt.Errorf("delivered %d of %d injected (ledger %d, want %d)", got-base, packets, got, want)
 }
 
+// checkPlan fails unless every member in v reports the wanted plan, so
+// a member that silently ran another placement cannot pass.
+func checkPlan(v clusterView, want string) error {
+	for id, m := range v.MemberTable {
+		if got := m.Stats.Ingress.Plan; got != want {
+			return fmt.Errorf("member %d reports plan %q, want %s", id, got, want)
+		}
+	}
+	return nil
+}
+
 func run() error {
 	bin, err := os.MkdirTemp("", "meshsmoke-")
 	if err != nil {
@@ -123,17 +148,30 @@ func run() error {
 			return fmt.Errorf("build %s: %w", cmd, err)
 		}
 	}
+	for _, flags := range rows {
+		plan := flags[len(flags)-1]
+		fmt.Printf("meshsmoke: --- %v\n", flags)
+		if err := story(bin, flags, plan); err != nil {
+			return fmt.Errorf("%s: %w", plan, err)
+		}
+	}
+	fmt.Println("meshsmoke: PASS")
+	return nil
+}
 
+// story boots a 3-member mesh with the row's flags and runs the four
+// phases against it.
+func story(bin string, flags []string, plan string) error {
 	// Fast failure detection so the smoke finishes in seconds; the
 	// protocol constants under test are the same, only the timers shrink.
-	mesh := exec.Command(filepath.Join(bin, "rbmesh"),
+	mesh := exec.Command(filepath.Join(bin, "rbmesh"), append([]string{
 		"-n", "3",
 		"-rbrouter", filepath.Join(bin, "rbrouter"),
 		"-addr", "127.0.0.1:8765",
 		"-logdir", bin,
 		"-heartbeat-ms", "50",
 		"-dead-ms", "600",
-	)
+	}, flags...)...)
 	mesh.Stdout, mesh.Stderr = os.Stdout, os.Stderr
 	if err := mesh.Start(); err != nil {
 		return err
@@ -155,18 +193,21 @@ func run() error {
 		return fmt.Errorf("phase 1 (boot): %w", err)
 	}
 	fmt.Println("meshsmoke: 3/3 members converged")
-	ledger, err := inject(2000, 0, 15*time.Second)
+	ledger, err := inject(20000, 0, 15*time.Second)
 	if err != nil {
 		return fmt.Errorf("phase 1 (traffic): %w", err)
 	}
-	fmt.Printf("meshsmoke: full mesh delivered %d/%d\n", ledger, 2000)
+	fmt.Printf("meshsmoke: full mesh delivered %d/%d\n", ledger, 20000)
 
 	// The traffic above moved through the members' batched wire-I/O
 	// layer: every socket read and write accounts a batch, so all four
-	// counters must be live after 2000 delivered frames.
+	// counters must be live after 20000 delivered frames.
 	v0, err := getCluster()
 	if err != nil {
 		return fmt.Errorf("phase 1 (wire counters): %w", err)
+	}
+	if err := checkPlan(v0, plan); err != nil {
+		return fmt.Errorf("phase 1: %w", err)
 	}
 	t := v0.Totals
 	if t.WireRxBatches == 0 || t.WireRxFrames == 0 || t.WireTxBatches == 0 || t.WireTxFrames == 0 {
@@ -218,9 +259,12 @@ func run() error {
 	if v.Collector.ByNode["2"] <= before {
 		return fmt.Errorf("phase 4: rejoined member received no traffic (by_node %v)", v.Collector.ByNode)
 	}
-	fmt.Printf("meshsmoke: rejoin carried traffic (ledger %d, by_node %v)\n", ledger, v.Collector.ByNode)
-
-	fmt.Println("meshsmoke: PASS")
+	// Every survivor has re-striped twice by now; neither re-stripe may
+	// have put it back on another plan.
+	if err := checkPlan(v, plan); err != nil {
+		return fmt.Errorf("phase 4: %w", err)
+	}
+	fmt.Printf("meshsmoke: rejoin carried traffic (ledger %d, by_node %v), every member %s\n", ledger, v.Collector.ByNode, plan)
 	return nil
 }
 

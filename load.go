@@ -505,6 +505,14 @@ func (p *Pipeline) Generation() uint64 {
 	return p.generation
 }
 
+// Program reports the Click text of the current plan: the last text a
+// Reload installed, or the one Load built.
+func (p *Pipeline) Program() string {
+	p.pmu.RLock()
+	defer p.pmu.RUnlock()
+	return p.text
+}
+
 // Input returns chain i's input ring (nil when i is out of range). Each
 // ring is single-producer: feed it from exactly one goroutine. The
 // pointer refers to the current plan and goes stale after Reload/

@@ -61,7 +61,7 @@
 //     per-core counters, per-ring depth/capacity/backpressure, live-FIB
 //     generation and route count, and per-element counters in one typed,
 //     JSON-ready value; Snapshot.Delta(prev) yields rates. cmd/rbrouter
-//     serves it on -stats-addr under the versioned /api/v1 admin API.
+//     serves it under its versioned /api/v1 admin API.
 //   - Options.FIB binds a live route table (NewFIB) to the Click name
 //     `fib`: an RCU generation-swapped DIR-24-8 engine whose routes can
 //     be added and withdrawn while every core forwards at full rate.
@@ -104,8 +104,9 @@
 //	fmt.Println(c.Meter)                    // reordering statistics
 //
 // See the examples directory for runnable programs (examples/clickfile
-// is the Load walkthrough), cmd/rbrouter for the real-UDP cluster that
-// serves -config file.click programs, and cmd/rbbench for the full
+// is the Load walkthrough), cmd/rbrouter for the real-UDP mesh member
+// that serves -config file.click programs (cmd/rbmesh runs N of them),
+// and cmd/rbbench for the full
 // evaluation harness.
 package routebricks
 

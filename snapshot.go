@@ -10,7 +10,7 @@ import (
 
 // This file is the observability half of the control plane: one typed
 // Snapshot of per-core counters, drops, ring state and element
-// counters. cmd/rbrouter serves it as JSON on -stats-addr;
+// counters. cmd/rbrouter serves it as JSON on its admin API;
 // Snapshot.Delta turns two snapshots into rates.
 
 // Snapshot captures a point-in-time view of the pipeline: plan
