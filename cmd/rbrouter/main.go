@@ -141,17 +141,10 @@ type node struct {
 	ingress *routebricks.Pipeline
 	swapMu  sync.Mutex // serializes swaps with the placement that follows each
 
-	// live is the current membership vector (nil until the first
-	// membership change: every peer up). It is read by prebound when a
-	// Reload re-creates the VLB balancers, so a reload under the drain
-	// barrier re-stripes the spread matrix against the members that are
-	// actually alive.
-	liveMu sync.Mutex
-	live   []bool
-	// dead marks the peers the failure detector declared dead: frames
-	// routed to one are recycled and counted in tx_drained rather than
-	// blackholed on the wire, from the moment setLive flips it.
-	dead []atomic.Bool
+	// members is the membership record in force. restripe publishes a
+	// new one; each chain's owner applies it to its VLB balancer before
+	// its next batch, and egress reads it to drain frames for a dead peer.
+	members atomic.Pointer[membership]
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -162,8 +155,18 @@ type node struct {
 	hdrDrops  atomic.Uint64
 	transited atomic.Uint64 // frames the transit loop handled
 	txDrained atomic.Uint64 // frames for a dead peer or a missing collector (accounted, not lost)
-	restripes atomic.Uint64 // VLB re-stripe generation
 }
+
+// membership is one immutable membership record: gen counts the changes
+// published since start, and live[j] reports member j up (nil at
+// generation 0, when every member is).
+type membership struct {
+	gen  uint64
+	live []bool
+}
+
+// up reports whether member j is alive in m.
+func (m *membership) up(j int) bool { return m.live == nil || m.live[j] }
 
 // egress is one goroutine's transmit side. Frames gather while a batch
 // is routed and leave before the call that routed them returns: one
@@ -195,7 +198,7 @@ func (e *egress) add(ctx *click.Context, j int, p *pkt.Packet) {
 		e.flush(ctx)
 	}
 	switch {
-	case j < nd.n && !nd.dead[j].Load():
+	case j < nd.n && nd.members.Load().up(j):
 		e.mesh.Add(p)
 		e.to = append(e.to, nd.peers[j])
 	case j == nd.n && nd.sink != nil:
@@ -231,7 +234,8 @@ func (e *egress) flush(ctx *click.Context) {
 // shared live table — each chain's LPMLookup snapshots it per batch);
 // each chain gets its own VLB balancer and egress, which are
 // single-threaded by contract, and a chain runs on one goroutine at a
-// time.
+// time. A balancer starts striped over every member at generation 0, so
+// one built after a membership change re-stripes on its first batch.
 func (nd *node) prebound(flowlets bool, chain int) map[string]routebricks.Element {
 	return map[string]routebricks.Element{
 		"vlb": &udpForward{
@@ -241,40 +245,12 @@ func (nd *node) prebound(flowlets bool, chain int) map[string]routebricks.Elemen
 				LinkCapBps:  1e9,
 				Flowlets:    flowlets,
 				Seed:        int64(nd.id)*64 + int64(chain) + 1,
-				Live:        nd.currentLive(),
 			}),
 			tx: nd.newEgress(nd.exts[chain%len(nd.exts)]),
 		},
 		"badhdr":    countDrop(&nd.hdrDrops),
 		"badttl":    countDrop(&nd.hdrDrops),
 		"missroute": countDrop(&nd.routeMiss),
-	}
-}
-
-// currentLive snapshots the membership vector for a balancer being
-// built (nil = everyone up).
-func (nd *node) currentLive() []bool {
-	nd.liveMu.Lock()
-	defer nd.liveMu.Unlock()
-	if nd.live == nil {
-		return nil
-	}
-	return append([]bool(nil), nd.live...)
-}
-
-// setLive installs a new membership vector and flips each peer across
-// the dead boundary at once: frames for a dead peer drain (recycled and
-// counted) until it rejoins. The balancers pick the vector up at the
-// next plan swap — re-striping (restripe) is a Replan under the drain
-// barrier, not a live mutation of a running balancer.
-func (nd *node) setLive(live []bool) {
-	nd.liveMu.Lock()
-	nd.live = append([]bool(nil), live...)
-	nd.liveMu.Unlock()
-	for j := range nd.dead {
-		if j < len(live) {
-			nd.dead[j].Store(!live[j])
-		}
 	}
 }
 
@@ -371,8 +347,8 @@ func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *rout
 	nd := &node{
 		id: id, n: n, exts: exts, int_: intc, fallback: fallback,
 		peers: make([]*net.UDPAddr, n),
-		dead:  make([]atomic.Bool, n),
 	}
+	nd.members.Store(&membership{})
 	// The ingress datapath: the Click program, loaded and placed. The
 	// graph is instantiated once per chain — a parallel plan clones the
 	// whole graph per core, a pipelined plan cuts its trunk across cores
@@ -398,6 +374,7 @@ func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *rout
 type udpForward struct {
 	click.Base
 	bal *vlb.Balancer
+	gen uint64 // membership generation bal is striped for
 	tx  *egress
 }
 
@@ -410,6 +387,7 @@ func (f *udpForward) OutPorts() int { return 0 }
 // PushBatch routes a batch into the cluster and sends it before
 // returning.
 func (f *udpForward) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
+	f.restripe()
 	now := nowVirtual()
 	for _, p := range b.Packets() {
 		if p != nil {
@@ -422,8 +400,20 @@ func (f *udpForward) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 
 // Push is PushBatch for one packet.
 func (f *udpForward) Push(ctx *click.Context, _ int, p *pkt.Packet) {
+	f.restripe()
 	f.tx.add(ctx, f.route(nowVirtual(), p), p)
 	f.tx.flush(ctx)
+}
+
+// restripe applies the node's membership record to the balancer when it
+// changed since the last batch: the chain's owner is the balancer's only
+// caller, so the new live vector lands between batches, with no lock and
+// no plan swap.
+func (f *udpForward) restripe() {
+	if m := f.tx.nd.members.Load(); m.gen != f.gen {
+		f.bal.Restripe(m.live)
+		f.gen = m.gen
+	}
 }
 
 // route stamps the steering MACs and picks the frame's destination
@@ -560,8 +550,8 @@ func (nd *node) place() error {
 }
 
 // swap applies one Reload or Replan and places the result. swapMu keeps
-// concurrent swaps (SIGHUP, re-stripe, the admin API) from placing a
-// plan they did not install.
+// concurrent swaps (SIGHUP, the admin API) from placing a plan they did
+// not install.
 func (nd *node) swap(do func() error) error {
 	nd.swapMu.Lock()
 	defer nd.swapMu.Unlock()
@@ -571,17 +561,15 @@ func (nd *node) swap(do func() error) error {
 	return nd.place()
 }
 
-// restripe installs a new membership vector and replans the program in
-// force onto its current placement under the drain barrier, so the
-// rebuilt VLB balancers spread the direct quota over the live members
-// and neither a reload nor a replan is undone. It returns the new
-// re-stripe generation.
-func (nd *node) restripe(live []bool) (uint64, error) {
-	nd.setLive(live)
-	if err := nd.swap(func() error { return nd.ingress.Replan(routebricks.Options{Placement: nd.ingress.Placement()}) }); err != nil {
-		return 0, err
-	}
-	return nd.restripes.Add(1), nil
+// restripe publishes a new membership vector and returns its generation.
+// From the store on, frames routed to a dead peer drain into tx_drained,
+// and each chain's balancer re-divides the direct quota over the live
+// members before its next batch. The program and plan in force stay as
+// they are. It has one writer, the mesh's serialized OnChange.
+func (nd *node) restripe(live []bool) uint64 {
+	gen := nd.members.Load().gen + 1
+	nd.members.Store(&membership{gen: gen, live: append([]bool(nil), live...)})
+	return gen
 }
 
 // replan re-decides the placement of the program in force against the
@@ -668,7 +656,7 @@ func (nd *node) snapshot() stats.NodeStats {
 		HeaderDrops:    nd.hdrDrops.Load(),
 		TxBatches:      ing.Wire.TxBatches,
 		TxDrained:      nd.txDrained.Load(),
-		Restripes:      nd.restripes.Load(),
+		Restripes:      nd.members.Load().gen,
 	}
 }
 

@@ -132,14 +132,19 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 func port(nd *node) int { return nd.exts[0].LocalAddr().(*net.UDPAddr).Port }
 
+// accounted is what nd has done with the frames it received: forwarded,
+// egressed, dropped for a counted reason, or drained.
+func accounted(nd *node) uint64 {
+	return nd.forwarded.Load() + nd.egressed.Load() + nd.hdrDrops.Load() + nd.routeMiss.Load() + nd.txDrained.Load()
+}
+
 // shutdownBalanced stops nd and checks its ledger: every frame it
 // received was forwarded, egressed, or dropped for a counted reason.
 func shutdownBalanced(t *testing.T, nd *node) {
 	t.Helper()
 	nd.shutdown()
 	rx := nd.wireSnapshot().RxFrames
-	sum := nd.forwarded.Load() + nd.egressed.Load() + nd.hdrDrops.Load() + nd.routeMiss.Load() + nd.txDrained.Load()
-	if rx != sum {
+	if sum := accounted(nd); rx != sum {
 		t.Errorf("node %d: rx %d != forwarded+egressed+header_drops+route_misses+tx_drained %d", nd.id, rx, sum)
 	}
 }
@@ -249,12 +254,12 @@ func TestWireRunToCompletion(t *testing.T) {
 		}
 	})
 
-	// Frames routed to a peer that setLive marks dead are recycled into
+	// Frames routed to a peer that restripe marks dead are recycled into
 	// tx_drained and never reach it; after the peer rejoins, delivery
 	// resumes.
 	t.Run("dead-peer", func(t *testing.T) {
 		nodes, collector := wireCluster(t, 2, 1, click.Parallel)
-		nodes[0].setLive([]bool{true, false})
+		nodes[0].restripe([]bool{true, false})
 		sendTo(t, nodes[0].exts[0].LocalAddr(), append(framesFor(1, k), framesFor(0, k)...)...)
 		collect(t, collector, k)
 		eventually(t, "tx_drained", func() bool { return nodes[0].txDrained.Load() == k })
@@ -262,7 +267,7 @@ func TestWireRunToCompletion(t *testing.T) {
 			t.Fatalf("dead peer received %d frames", rx)
 		}
 
-		nodes[0].setLive([]bool{true, true})
+		nodes[0].restripe([]bool{true, true})
 		sendTo(t, nodes[0].exts[0].LocalAddr(), framesFor(1, k)...)
 		if from := collect(t, collector, k); from[port(nodes[1])] != k {
 			t.Fatalf("after rejoin, delivered by source port %v, want %d from node 1", from, k)
@@ -350,12 +355,28 @@ func TestMemberHUP(t *testing.T) {
 	}
 }
 
-// TestRestripeKeepsReloadAndReplan: a membership change re-installs the
-// program and placement in force, not the ones the member started
-// with, so it undoes neither a SIGHUP reload nor a replan.
+// liveCounts reports how many members each chain's VLB balancer stripes
+// over. The balancers belong to the socket loops, so call it only after
+// nd has shut down.
+func liveCounts(nd *node) []int {
+	var out []int
+	for c := 0; c < nd.ingress.Chains(); c++ {
+		out = append(out, nd.ingress.Element(c, "vlb").(*udpForward).bal.LiveCount())
+	}
+	return out
+}
+
+// TestRestripeKeepsReloadAndReplan: a membership change is applied by
+// each chain's owner, not by a plan swap, so it undoes neither a SIGHUP
+// reload nor a replan, and the balancers a later reload or replan builds
+// still stripe over the survivors only.
 func TestRestripeKeepsReloadAndReplan(t *testing.T) {
+	const k = 64
 	nodes, collector := wireCluster(t, 2, 2, click.Parallel)
 	nd := nodes[0]
+	if gen := nd.restripe([]bool{true, false}); gen != 1 {
+		t.Fatalf("restripe: generation %d, want 1", gen)
+	}
 	if err := nd.hup(writeConfig(t, countedConfig)); err != nil {
 		t.Fatal(err)
 	}
@@ -371,16 +392,80 @@ func TestRestripeKeepsReloadAndReplan(t *testing.T) {
 	if err := nd.swap(func() error { return nd.ingress.Replan(routebricks.Options{Placement: click.Pipelined}) }); err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := nd.restripe([]bool{true, true}); err != nil || gen != 1 {
-		t.Fatalf("restripe: generation %d, err %v", gen, err)
+	// The rebuilt datapath forwards through the started Runner, and
+	// drains what it routes to the dead peer.
+	sendTo(t, nd.exts[0].LocalAddr(), append(framesFor(0, k), framesFor(1, k)...)...)
+	collect(t, collector, k)
+	eventually(t, "frames for the dead peer drained", func() bool { return nd.txDrained.Load() == k })
+	nd.shutdown()
+
+	if g := nd.ingress.Generation(); g != 3 {
+		t.Fatalf("generation %d, want 3: the hup and the two replans, not the re-stripe", g)
 	}
 	if got := nd.ingress.Placement(); got != click.Pipelined {
-		t.Fatalf("placement %s after the re-stripe, want pipelined", got)
+		t.Fatalf("placement %s, want pipelined", got)
 	}
 	if nd.ingress.Element(0, "seen") == nil {
-		t.Fatal("the re-stripe reverted the reloaded program")
+		t.Fatal("the reloaded program is not in force")
 	}
-	// The re-striped datapath forwards through the started Runner.
-	sendTo(t, nd.exts[0].LocalAddr(), append(framesFor(0, 64), framesFor(1, 64)...)...)
-	collect(t, collector, 128)
+	for c, n := range liveCounts(nd) {
+		if n != 1 {
+			t.Fatalf("chain %d's balancer stripes over %d members, want 1: its first batch did not apply the re-stripe", c, n)
+		}
+	}
+}
+
+// TestRestripeUnderLoad flips node 1 dead and alive on node 0 a thousand
+// times while frames stream into node 0. No flip swaps a plan, the
+// ledgers balance, and once every chain has run a batch after the last
+// flip, every balancer stripes over the final vector.
+func TestRestripeUnderLoad(t *testing.T) {
+	const flips, burst, window = 1000, 4, 256
+	nodes, _ := wireCluster(t, 2, 2, click.Parallel)
+	nd := nodes[0]
+	conn, err := net.DialUDP("udp4", nil, nd.exts[0].LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var sent uint64
+	next := func() []byte {
+		sent++
+		return frame(netip.AddrFrom4([4]byte{10, byte(sent % 2), 0, byte(1 + sent%200)}), int(sent), 64)
+	}
+	for i := 0; i < flips; i++ {
+		nd.restripe([]bool{true, i%2 == 0}) // the last flip kills node 1
+		for j := 0; j < burst; j++ {
+			if _, err := conn.Write(next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eventually(t, "room in the send window", func() bool { return sent-accounted(nd) < window })
+	}
+
+	// One more batch on every chain: a frame from a fresh source port
+	// each poll, until the kernel's SO_REUSEPORT hash has fed every
+	// socket loop one.
+	base := nd.ingress.Snapshot().CoreStats
+	eventually(t, "a batch on every chain after the last flip", func() bool {
+		sendTo(t, nd.exts[0].LocalAddr(), next())
+		fed := true
+		for c, cs := range nd.ingress.Snapshot().CoreStats {
+			fed = fed && cs.Packets > base[c].Packets
+		}
+		return fed
+	})
+	eventually(t, "node 0 accounts every frame", func() bool { return accounted(nd) == sent })
+	for _, n := range nodes {
+		shutdownBalanced(t, n)
+	}
+
+	if g := nd.ingress.Generation(); g != 0 {
+		t.Fatalf("generation %d after %d re-stripes, want 0: a re-stripe swapped the plan", g, flips)
+	}
+	for c, n := range liveCounts(nd) {
+		if n != 1 {
+			t.Fatalf("chain %d's balancer stripes over %d members, want 1: the last flip's vector", c, n)
+		}
+	}
 }

@@ -9,14 +9,13 @@ package main
 //
 // The control plane (internal/mesh) heartbeats every peer and walks the
 // suspect→dead state machine. Crossing the dead boundary — a peer dies,
-// or a dead peer rejoins — re-stripes the data plane: the new live
-// vector is installed on the node, the program in force is replanned
-// onto its current placement under the drain barrier (in-flight packets
-// finish or drain into accounted counters; nothing is silently lost),
-// and the rebuilt VLB balancers spread the R/n quota across the members
-// that are actually alive. The re-stripe generation is advertised in
-// subsequent heartbeats, so cluster-wide convergence is observable from
-// any member's /api/v1/mesh.
+// or a dead peer rejoins — re-stripes the data plane: the node publishes
+// the new live vector (nd.restripe), frames routed to a dead peer drain
+// into tx_drained from then on, and each chain's VLB balancer re-divides
+// the R/n quota over the live members before its next batch. No plan is
+// swapped: the program and placement in force keep running. The
+// re-stripe generation is advertised in subsequent heartbeats, so
+// cluster-wide convergence is observable from any member's /api/v1/mesh.
 //
 // SIGHUP reloads -config (nd.hup), and POST /api/v1/replan re-decides
 // the placement against the hermetic probe (nd.replan).
@@ -167,15 +166,11 @@ func run() error {
 	// The membership control plane. OnChange fires only across the dead
 	// boundary (death or rejoin) — a suspect peer keeps its VLB share,
 	// because demoting on every scheduling hiccup would churn the mesh.
-	// The callback is serialized by the mesh node, so re-stripes never
-	// overlap.
+	// The callback is serialized by the mesh node, so nd.restripe has one
+	// writer.
 	var ctrl *mesh.Node
 	onChange := func(ev mesh.Event) {
-		gen, err := nd.restripe(ev.Live)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rbrouter[%d]: re-stripe reload: %v\n", self, err)
-			return
-		}
+		gen := nd.restripe(ev.Live)
 		ctrl.SetGeneration(gen)
 		fmt.Printf("rbrouter[%d]: re-stripe generation %d (%d/%d members live)\n", self, gen, ctrl.Tracker().AliveCount(), n)
 	}

@@ -4,11 +4,11 @@ import "routebricks/internal/sim"
 
 // Failure injection. A failed node stops polling, stops its transmit
 // engines, and black-holes anything arriving on its wires — the behavior
-// of a crashed server. Peers learn of the failure immediately (the
-// cluster plays the role of the mesh's link-state detection, which the
-// paper leaves to standard mechanisms) and their balancers stop choosing
-// the dead node as an intermediate; traffic *destined* to its external
-// port is undeliverable and is accounted as failure loss.
+// of a crashed server. Every node learns of a failure or recovery at
+// once (the cluster plays the mesh's failure detector) and re-stripes
+// its balancer over the nodes still up, as an rbrouter member does.
+// Traffic *destined* to a dead node's external port is undeliverable and
+// is accounted as failure loss.
 
 // FailNode schedules node id to crash at virtual time at.
 func (c *Cluster) FailNode(at sim.Time, id int) {
@@ -18,11 +18,7 @@ func (c *Cluster) FailNode(at sim.Time, id int) {
 			return
 		}
 		n.failed = true
-		for _, peer := range c.nodes {
-			if peer != n {
-				peer.bal.SetDown(id, true)
-			}
-		}
+		c.restripe()
 	})
 }
 
@@ -36,11 +32,7 @@ func (c *Cluster) RecoverNode(at sim.Time, id int) {
 			return
 		}
 		n.failed = false
-		for _, peer := range c.nodes {
-			if peer != n {
-				peer.bal.SetDown(id, false)
-			}
-		}
+		c.restripe()
 		for _, co := range n.cores {
 			c.eng.After(idleRepoll, co.step)
 		}
@@ -48,6 +40,18 @@ func (c *Cluster) RecoverNode(at sim.Time, id int) {
 			c.eng.After(txService, e.service)
 		}
 	})
+}
+
+// restripe hands every node's balancer the live vector the nodes'
+// failed flags make up.
+func (c *Cluster) restripe() {
+	live := make([]bool, len(c.nodes))
+	for i, n := range c.nodes {
+		live[i] = !n.failed
+	}
+	for _, n := range c.nodes {
+		n.bal.Restripe(live)
+	}
 }
 
 // FailureDrops reports packets lost to failed nodes (arrived at a dead

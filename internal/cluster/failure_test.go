@@ -38,6 +38,7 @@ func TestFailureRoutesAround(t *testing.T) {
 
 	injected, delivered, rxd, txd, ttl := c.Totals()
 	lost := c.FailureDrops()
+	t.Logf("injected %d, delivered %d, failure drops %d", injected, delivered, lost)
 	if lost == 0 {
 		t.Fatal("no packets were in flight through the failed node — failure not exercised")
 	}
@@ -86,6 +87,7 @@ func TestFailureRecovery(t *testing.T) {
 	c.Run(w.Duration + sim.Millisecond)
 	c.Drain(30 * sim.Millisecond)
 	injected, delivered, _, _, _ := c.Totals()
+	t.Logf("injected %d, delivered %d, failure drops %d", injected, delivered, c.FailureDrops())
 	if delivered == 0 {
 		t.Fatal("recovered node delivered nothing")
 	}

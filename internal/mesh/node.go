@@ -27,9 +27,9 @@ type NodeConfig struct {
 
 	// OnChange is called — serialized, from a control goroutine — when
 	// the live member set changes. The callback owns re-striping; it
-	// must not block for long (heartbeating pauses while it runs, by
-	// design: a re-stripe under the drain barrier should finish well
-	// inside SuspectAfter).
+	// must not block for long (heartbeating pauses while it runs, so it
+	// must finish well inside SuspectAfter — rbrouter's only publishes
+	// the new live vector).
 	OnChange func(Event)
 
 	// Logf, when set, receives membership transitions for the operator

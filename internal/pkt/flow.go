@@ -12,8 +12,13 @@ type FlowKey struct {
 }
 
 // Flow extracts the 5-tuple of an IPv4/{TCP,UDP} packet. For other
-// protocols the port fields are zero, which still yields a stable key.
+// protocols the port fields are zero, which still yields a stable key; a
+// frame too short to hold a full IPv4 header yields the zero key, so a
+// runt hashes instead of panicking.
 func (p *Packet) Flow() FlowKey {
+	if len(p.Data) < EtherHdrLen+IPv4HdrLen {
+		return FlowKey{}
+	}
 	ih := p.IPv4()
 	k := FlowKey{
 		Src:   ih.SrcUint32(),
@@ -88,9 +93,10 @@ func (k FlowKey) SymmetricHash() uint64 {
 func (p *Packet) RSSHash() uint64 {
 	if p.rssHash == 0 {
 		k := p.Flow()
-		ih := p.IPv4()
-		if ih.MF() || ih.FragOffset() != 0 {
-			k.SrcPort, k.DstPort = 0, 0
+		if k.SrcPort != 0 || k.DstPort != 0 { // ports imply a full IPv4 header
+			if ih := p.IPv4(); ih.MF() || ih.FragOffset() != 0 {
+				k.SrcPort, k.DstPort = 0, 0
+			}
 		}
 		p.rssHash = k.SymmetricHash()
 		if p.rssHash == 0 {

@@ -2,11 +2,11 @@ package stats
 
 // NodeStats is one cluster member's slice of the /api/v1/stats JSON
 // document: the pipeline's unified ingress Snapshot plus the node's
-// socket-level counters, which live outside the pipeline (UDP reads,
-// per-peer transmit rings, drains). cmd/rbrouter embeds it on the serve
-// side (adding process-local extras like controller state) and rbmesh
-// decodes it when aggregating a cluster snapshot, so the two ends agree
-// on the wire shape by construction.
+// socket-level counters, which live outside the pipeline (UDP reads and
+// writes, drains). cmd/rbrouter embeds it on the serve side (adding
+// process-local extras like controller state) and rbmesh decodes it when
+// aggregating a cluster snapshot, so the two ends agree on the wire
+// shape by construction.
 type NodeStats struct {
 	ID      int      `json:"id"`
 	Ingress Snapshot `json:"ingress"`
@@ -20,9 +20,9 @@ type NodeStats struct {
 	RxDrops        uint64 `json:"rx_drops"`
 	TxBatches      uint64 `json:"tx_batches"`
 	TxStalls       uint64 `json:"tx_stalls"`
-	// TxDrained counts packets flushed from transmit rings during
-	// graceful shutdown or a re-stripe around a dead peer — accounted,
-	// not silently lost.
+	// TxDrained counts frames recycled instead of sent: routed to a peer
+	// the membership layer declared dead, or to a collector the node does
+	// not have — accounted, not silently lost.
 	TxDrained uint64 `json:"tx_drained"`
 	// Restripes is the node's VLB re-stripe generation (0 until the
 	// first membership change re-spreads the mesh).

@@ -10,11 +10,13 @@
 //     fully delivered across the mesh;
 //  2. one member is hard-killed; the aggregate snapshot converges to
 //     2/3 running with every survivor re-striped (the dead member's
-//     VLB share redistributed);
+//     VLB share redistributed), and the smoke prints how long that took
+//     and how many frames the survivors drained for the dead member;
 //  3. traffic injected after convergence is again fully delivered —
 //     the dead member's share moved to live peers without loss;
 //  4. the killed member restarts, rejoins, and the cluster converges
-//     back to 3/3 with traffic flowing through all members.
+//     back to 3/3 (timed the same way) with traffic flowing through all
+//     members.
 //
 // Exit status 0 means the story held on both rows. Run via `make
 // mesh-smoke`.
@@ -220,6 +222,7 @@ func story(bin string, flags []string, plan string) error {
 
 	// Phase 2: kill one member; survivors must declare it dead and
 	// re-stripe (converged == every survivor's view matches reality).
+	killed := time.Now()
 	if err := post("/api/v1/kill?id=2"); err != nil {
 		return fmt.Errorf("phase 2 (kill): %w", err)
 	}
@@ -227,7 +230,8 @@ func story(bin string, flags []string, plan string) error {
 	if err != nil {
 		return fmt.Errorf("phase 2 (death convergence): %w", err)
 	}
-	fmt.Printf("meshsmoke: member 2 dead, survivors converged (running %d/%d)\n", v.Running, v.Members)
+	fmt.Printf("meshsmoke: member 2 dead, survivors converged (running %d/%d) — kill → converged %v, survivors' tx_drained %d\n",
+		v.Running, v.Members, time.Since(killed).Round(time.Millisecond), v.Totals.TxDrained)
 
 	// Phase 3: traffic injected after convergence is fully delivered by
 	// the remaining members — the dead member's VLB share was
@@ -245,12 +249,15 @@ func story(bin string, flags []string, plan string) error {
 
 	// Phase 4: restart, rejoin, converge back to full strength, and
 	// carry traffic through all three members again.
+	restarted := time.Now()
 	if err := post("/api/v1/restart?id=2"); err != nil {
 		return fmt.Errorf("phase 4 (restart): %w", err)
 	}
-	if _, err := waitConverged(3, 15*time.Second); err != nil {
+	if v, err = waitConverged(3, 15*time.Second); err != nil {
 		return fmt.Errorf("phase 4 (rejoin convergence): %w", err)
 	}
+	fmt.Printf("meshsmoke: member 2 rejoined — restart → converged %v, tx_drained %d\n",
+		time.Since(restarted).Round(time.Millisecond), v.Totals.TxDrained)
 	ledger, err = inject(1500, ledger, 15*time.Second)
 	if err != nil {
 		return fmt.Errorf("phase 4 (post-rejoin traffic): %w", err)
@@ -260,7 +267,7 @@ func story(bin string, flags []string, plan string) error {
 		return fmt.Errorf("phase 4: rejoined member received no traffic (by_node %v)", v.Collector.ByNode)
 	}
 	// Every survivor has re-striped twice by now; neither re-stripe may
-	// have put it back on another plan.
+	// have changed its plan.
 	if err := checkPlan(v, plan); err != nil {
 		return fmt.Errorf("phase 4: %w", err)
 	}

@@ -54,11 +54,6 @@ type Config struct {
 
 	// Seed makes intermediate selection deterministic.
 	Seed int64
-
-	// Live, when non-nil, is the initial live-member view (len Nodes):
-	// the balancer stripes only over members marked true, as if Restripe
-	// had been called right after construction. Self is always live.
-	Live []bool
 }
 
 // DefaultDelta is the paper's flowlet timeout.
@@ -71,9 +66,10 @@ type Decision struct {
 }
 
 // Balancer makes VLB routing decisions for one input node. Not safe for
-// concurrent use: in the cluster simulation each node's input path is
-// owned by that node's cores, which serialize through the node's event
-// stream.
+// concurrent use: it has one owner at a time — in the cluster simulation
+// the node's event stream, in an rbrouter member the goroutine running
+// the balancer's chain — and membership changes reach it through that
+// owner's calls to Restripe.
 type Balancer struct {
 	cfg Config
 	rng *rand.Rand
@@ -81,7 +77,8 @@ type Balancer struct {
 	direct   []tokenBucket // per-destination direct quota
 	linkUtil []ewmaRate    // per-next-node utilization estimate
 	flows    map[uint64]*flowlet
-	down     []bool // nodes known unreachable (failure injection / re-striping)
+	swept    sim.Time // when Route last expired stale flowlets
+	down     []bool   // members the last Restripe excluded
 
 	liveCount  int    // members currently striped over (Nodes minus down)
 	nRestripes uint64 // Restripe calls that changed the live view
@@ -129,10 +126,6 @@ func New(cfg Config) *Balancer {
 		b.linkUtil = append(b.linkUtil, newEwmaRate(10*sim.Millisecond))
 	}
 	b.liveCount = cfg.Nodes
-	if cfg.Live != nil {
-		b.Restripe(cfg.Live)
-		b.nRestripes = 0 // construction, not a membership change
-	}
 	return b
 }
 
@@ -143,9 +136,8 @@ func New(cfg Config) *Balancer {
 // redistributed over the survivors), and flowlets pinned to a dead via
 // are evicted so their next packet re-pins to a live path instead of
 // silently dying in a black hole. live must have len Nodes; self is
-// always treated as live. Like Route, Restripe is single-threaded with
-// respect to the balancer's owner — the mesh calls it under the drain
-// barrier, with no packets in flight through this balancer.
+// always treated as live. Like Route, Restripe is called by the
+// balancer's owner: between batches, never concurrently with Route.
 func (b *Balancer) Restripe(live []bool) {
 	if len(live) != b.cfg.Nodes {
 		panic(fmt.Sprintf("vlb: restripe with %d members, balancer has %d", len(live), b.cfg.Nodes))
@@ -208,6 +200,9 @@ func (b *Balancer) Route(now sim.Time, p *pkt.Packet, dst int) Decision {
 	// Reordering comes from a flow changing paths, so this check precedes
 	// the direct quota.
 	if b.cfg.Flowlets {
+		if now-b.swept >= b.cfg.Delta {
+			b.expire(now)
+		}
 		key := p.FlowHash()
 		if fl, ok := b.flows[key]; ok && now-fl.last < b.cfg.Delta {
 			if !b.down[fl.via] && b.linkUtil[fl.via].rate(now)*8 < b.cfg.UtilCap*b.cfg.LinkCapBps {
@@ -270,29 +265,20 @@ func (b *Balancer) pickIntermediate() int {
 	return via
 }
 
-// SetDown marks a node (un)reachable for future routing decisions — the
-// hook failure injection uses. Unlike Restripe it does not re-divide the
-// direct quota; the mesh's membership layer should use Restripe, which
-// also accounts the change. Marking self down is ignored.
-func (b *Balancer) SetDown(node int, down bool) {
-	if node >= 0 && node < len(b.down) && node != b.cfg.Self {
-		b.down[node] = down
-	}
-}
-
 // Stats reports decision counts: direct-quota hits, flowlet-sticky
 // reuses, classic spreads, new flowlets, and overloaded-path migrations.
 func (b *Balancer) Stats() (direct, sticky, spread, newFlowlets, overflow uint64) {
 	return b.nDirect, b.nSticky, b.nSpread, b.nNewFlowlet, b.nOverflow
 }
 
-// FlowTableSize reports the number of tracked flowlets (stale entries
-// are evicted lazily by Expire).
+// FlowTableSize reports the number of tracked flowlets: at most the
+// flows Route has seen in the last 2δ, since it sweeps once per δ.
 func (b *Balancer) FlowTableSize() int { return len(b.flows) }
 
-// Expire drops flowlet entries older than δ; the cluster calls it
-// periodically so the table tracks live flows only.
-func (b *Balancer) Expire(now sim.Time) {
+// expire drops flowlet entries older than δ, which Route would ignore
+// anyway, so the table tracks live flows only.
+func (b *Balancer) expire(now sim.Time) {
+	b.swept = now
 	for k, fl := range b.flows {
 		if now-fl.last >= b.cfg.Delta {
 			delete(b.flows, k)

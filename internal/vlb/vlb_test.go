@@ -186,9 +186,34 @@ func TestExpireEvictsStale(t *testing.T) {
 	if b.FlowTableSize() == 0 {
 		t.Fatal("no flowlets tracked")
 	}
-	b.Expire(now + 2*DefaultDelta)
+	b.expire(now + 2*DefaultDelta)
 	if got := b.FlowTableSize(); got != 0 {
 		t.Fatalf("stale flowlets remain: %d", got)
+	}
+}
+
+// TestFlowTableBounded: Route sweeps the flowlet table itself, once per
+// δ, so distinct flows seen long ago do not accumulate — the table never
+// holds more than the flows seen in the last 2δ.
+func TestFlowTableBounded(t *testing.T) {
+	const flows = 10000
+	b := New(cfg4(true))
+	p := flowPacket(1, 64)
+	step := 5 * DefaultDelta / flows
+	var now sim.Time
+	for i := 0; i < flows; i++ {
+		now = sim.Time(i) * step
+		p.FlowID = uint64(i) + 1
+		b.Route(now, p, 1+i%3)
+	}
+	recent := 0
+	for i := 0; i < flows; i++ {
+		if now-sim.Time(i)*step < 2*DefaultDelta {
+			recent++
+		}
+	}
+	if got := b.FlowTableSize(); got > recent {
+		t.Fatalf("flow table holds %d flowlets after %d distinct flows over 5δ, want ≤ %d (the flows of the last 2δ)", got, flows, recent)
 	}
 }
 
@@ -377,9 +402,10 @@ func TestRestripeExcludesDead(t *testing.T) {
 // fraction than before the re-stripe.
 func TestRestripeRedividesDirectQuota(t *testing.T) {
 	directFrac := func(live []bool) float64 {
-		cfg := cfg4(false)
-		cfg.Live = live
-		b := New(cfg)
+		b := New(cfg4(false))
+		if live != nil {
+			b.Restripe(live)
+		}
 		// Offered load to dst 1 alone at ~R/3.2: above the R/4 direct
 		// quota, below R/3.
 		bytes := 1250
