@@ -16,9 +16,9 @@
 //
 //	fib        LPMLookup bound to the member's live FIB (member d owns 10.d.0.0/16)
 //	vlb        terminal Direct-VLB forwarder (MAC rewrite + mesh emit)
-//	badhdr     counting drop for CheckIPHeader failures
-//	badttl     counting drop for expired TTLs
-//	missroute  counting drop for FIB misses
+//	badhdr     counting drop for CheckIPHeader failures (header_drops)
+//	badttl     counting drop for expired TTLs (ttl_drops, also in header_drops)
+//	missroute  counting drop for FIB misses (route_misses)
 //
 // The FIB is a routebricks.RouteAdmin (RCU generation-swapped live
 // table, bound through Options.FIB): routes can be added and withdrawn
@@ -36,7 +36,11 @@
 // SO_REUSEPORT sockets on its external port — the kernel's flow hash is
 // the RSS stage — and one goroutine per socket reads a batch
 // (recvmmsg), runs the Click graph inline (Pipeline.RunBatch) and
-// sends what it routed (sendmmsg) before it reads again.
+// sends what it routed (sendmmsg) before it reads again. Each run of
+// equal-length frames to one destination leaves as one UDP GSO message,
+// so the kernel walks it down the output path once; the wire block of
+// the stats reports tx_frames/tx_sends, the segments per send. Frames
+// the kernel refuses count in tx_errors, not as forwarded.
 // One more loop does the same for transit frames on the mesh socket. An
 // idle loop parks in recvmmsg on the runtime poller: nothing polls,
 // nothing sleeps, and no frame waits in a queue. A pipelined placement
@@ -149,12 +153,14 @@ type node struct {
 	stop atomic.Bool
 	wg   sync.WaitGroup
 
-	forwarded atomic.Uint64
-	egressed  atomic.Uint64
+	forwarded atomic.Uint64 // frames the kernel took for a peer
+	egressed  atomic.Uint64 // frames the kernel took for the collector
 	routeMiss atomic.Uint64
-	hdrDrops  atomic.Uint64
+	hdrDrops  atomic.Uint64 // header rejects other than TTL expiry
+	ttlDrops  atomic.Uint64
 	transited atomic.Uint64 // frames the transit loop handled
 	txDrained atomic.Uint64 // frames for a dead peer or a missing collector (accounted, not lost)
+	txErrors  atomic.Uint64 // frames routed for the wire whose send failed
 }
 
 // membership is one immutable membership record: gen counts the changes
@@ -212,19 +218,22 @@ func (e *egress) add(ctx *click.Context, j int, p *pkt.Packet) {
 }
 
 // flush sends what add gathered. The kernel copies at syscall time, so
-// the frames recycle at once, into the running goroutine's shard; a send
-// error loses them as the wire would.
+// the frames recycle at once, into the running goroutine's shard. What
+// the kernel took counts as forwarded or egressed; a send error loses
+// the rest as the wire would, counted in tx_errors.
 func (e *egress) flush(ctx *click.Context) {
 	nd := e.nd
 	if n := e.mesh.Len(); n > 0 {
-		nd.forwarded.Add(uint64(n))
-		e.meshW.WriteScatter(e.mesh.Packets(), e.to)
+		sent, _ := e.meshW.WriteScatter(e.mesh.Packets(), e.to)
+		nd.forwarded.Add(uint64(sent))
+		nd.txErrors.Add(uint64(n - sent))
 		e.to = e.to[:0]
 		ctx.RecycleBatch(pkt.DefaultPool, e.mesh)
 	}
 	if n := e.line.Len(); n > 0 {
-		nd.egressed.Add(uint64(n))
-		e.lineW.WriteBatch(e.line.Packets(), nd.sink)
+		sent, _ := e.lineW.WriteBatch(e.line.Packets(), nd.sink)
+		nd.egressed.Add(uint64(sent))
+		nd.txErrors.Add(uint64(n - sent))
 		ctx.RecycleBatch(pkt.DefaultPool, e.line)
 	}
 }
@@ -249,7 +258,7 @@ func (nd *node) prebound(flowlets bool, chain int) map[string]routebricks.Elemen
 			tx: nd.newEgress(nd.exts[chain%len(nd.exts)]),
 		},
 		"badhdr":    countDrop(&nd.hdrDrops),
-		"badttl":    countDrop(&nd.hdrDrops),
+		"badttl":    countDrop(&nd.ttlDrops),
 		"missroute": countDrop(&nd.routeMiss),
 	}
 }
@@ -616,7 +625,8 @@ func readProgram(path string) (string, error) {
 // the admin API's wire block. Mode reports "mmsg" if any socket runs
 // the fast path ("fallback" only when all do not); the mean syscall
 // fill — what batching exists to raise — is RxFrames/RxBatches and
-// TxFrames/TxBatches.
+// TxFrames/TxBatches, and TxFrames/TxSends is the UDP GSO segments per
+// send.
 func (nd *node) wireSnapshot() *stats.WireSnapshot {
 	w := &stats.WireSnapshot{Mode: "fallback"}
 	nd.wireMu.Lock()
@@ -634,6 +644,7 @@ func (nd *node) wireSnapshot() *stats.WireSnapshot {
 		s := wr.Stats()
 		w.TxBatches += s.Batches
 		w.TxFrames += s.Frames
+		w.TxSends += s.Sends
 	}
 	return w
 }
@@ -646,6 +657,7 @@ func (nd *node) wireSnapshot() *stats.WireSnapshot {
 func (nd *node) snapshot() stats.NodeStats {
 	ing := nd.ingress.Snapshot()
 	ing.Wire = nd.wireSnapshot()
+	ttl := nd.ttlDrops.Load()
 	return stats.NodeStats{
 		ID:             nd.id,
 		Ingress:        ing,
@@ -653,9 +665,11 @@ func (nd *node) snapshot() stats.NodeStats {
 		Forwarded:      nd.forwarded.Load(),
 		Egressed:       nd.egressed.Load(),
 		RouteMisses:    nd.routeMiss.Load(),
-		HeaderDrops:    nd.hdrDrops.Load(),
+		HeaderDrops:    nd.hdrDrops.Load() + ttl,
+		TTLDrops:       ttl,
 		TxBatches:      ing.Wire.TxBatches,
 		TxDrained:      nd.txDrained.Load(),
+		TxErrors:       nd.txErrors.Load(),
 		Restripes:      nd.members.Load().gen,
 	}
 }

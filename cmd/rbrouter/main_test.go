@@ -133,9 +133,11 @@ func eventually(t *testing.T, what string, cond func() bool) {
 func port(nd *node) int { return nd.exts[0].LocalAddr().(*net.UDPAddr).Port }
 
 // accounted is what nd has done with the frames it received: forwarded,
-// egressed, dropped for a counted reason, or drained.
+// egressed, dropped for a counted reason, drained, or lost to a failed
+// send.
 func accounted(nd *node) uint64 {
-	return nd.forwarded.Load() + nd.egressed.Load() + nd.hdrDrops.Load() + nd.routeMiss.Load() + nd.txDrained.Load()
+	s := nd.snapshot()
+	return s.Forwarded + s.Egressed + s.HeaderDrops + s.RouteMisses + s.TxDrained + s.TxErrors
 }
 
 // shutdownBalanced stops nd and checks its ledger: every frame it
@@ -145,7 +147,7 @@ func shutdownBalanced(t *testing.T, nd *node) {
 	nd.shutdown()
 	rx := nd.wireSnapshot().RxFrames
 	if sum := accounted(nd); rx != sum {
-		t.Errorf("node %d: rx %d != forwarded+egressed+header_drops+route_misses+tx_drained %d", nd.id, rx, sum)
+		t.Errorf("node %d: rx %d != forwarded+egressed+header_drops+route_misses+tx_drained+tx_errors %d", nd.id, rx, sum)
 	}
 }
 
@@ -193,13 +195,13 @@ func TestWireRunToCompletion(t *testing.T) {
 		if from[port(nodes[0])] != k || from[port(nodes[1])] != k {
 			t.Fatalf("delivered by source port %v, want %d from each ext port", from, k)
 		}
-		// Counters tick before the frames are written, so they are final
-		// once the collector has everything.
-		if e0, e1 := nodes[0].egressed.Load(), nodes[1].egressed.Load(); e0 != k || e1 != k {
-			t.Fatalf("egressed = %d, %d, want %d each", e0, e1, k)
-		}
-		if f0, f1 := nodes[0].forwarded.Load(), nodes[1].forwarded.Load(); f0 != k || f1 != 0 {
-			t.Fatalf("forwarded = %d, %d, want %d, 0", f0, f1, k)
+		// Counters tick once the kernel has taken the frames, so the
+		// collector can have them first.
+		eventually(t, "egress counters", func() bool {
+			return nodes[0].egressed.Load() == k && nodes[1].egressed.Load() == k && nodes[0].forwarded.Load() == k
+		})
+		if f1 := nodes[1].forwarded.Load(); f1 != 0 {
+			t.Fatalf("node 1 forwarded %d, want 0", f1)
 		}
 		for _, nd := range nodes {
 			if q := nd.ingress.Queued(); q != 0 {
@@ -225,8 +227,14 @@ func TestWireRunToCompletion(t *testing.T) {
 		copy(stray, mac[:])
 		sendTo(t, nodes[1].int_.LocalAddr(), stray)
 		eventually(t, "slow-path counters", func() bool {
-			return nodes[0].hdrDrops.Load() == 2 && nodes[0].routeMiss.Load() == 1 && nodes[1].hdrDrops.Load() == 1
+			s0, s1 := nodes[0].snapshot(), nodes[1].snapshot()
+			return s0.HeaderDrops == 2 && s0.RouteMisses == 1 && s1.HeaderDrops == 1
 		})
+		// The expired frame is node 0's whole TTL share of its header
+		// drops; the runt and the stray MAC are not TTL drops.
+		if t0, t1 := nodes[0].snapshot().TTLDrops, nodes[1].snapshot().TTLDrops; t0 != 1 || t1 != 0 {
+			t.Fatalf("ttl_drops = %d, %d, want 1, 0", t0, t1)
+		}
 		for _, nd := range nodes {
 			shutdownBalanced(t, nd)
 		}
@@ -287,6 +295,36 @@ func TestReaderCountsRunts(t *testing.T) {
 	eventually(t, "a header drop", func() bool { return nodes[0].snapshot().HeaderDrops != 0 })
 	if got := nodes[0].snapshot().HeaderDrops; got != 1 {
 		t.Fatalf("header drops = %d after one 10-byte datagram, want 1", got)
+	}
+}
+
+// TestEgressCountsSendErrors aims member 0's collector at an IPv6
+// address, which the IPv4 send path refuses: every frame it routes to
+// the collector is counted in tx_errors rather than as egressed, and
+// the ledger balances.
+func TestEgressCountsSendErrors(t *testing.T) {
+	const k = 40
+	fib, err := routebricks.NewFIB(cluster.SeedRoutes(2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := newNode(0, 2, fib, defaultConfig, true, 1, click.Parallel, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.sink = &net.UDPAddr{IP: net.IPv6loopback, Port: 9}
+	for j := range nd.peers {
+		nd.peers[j] = nd.int_.LocalAddr().(*net.UDPAddr)
+	}
+	if err := nd.start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.shutdown)
+	sendTo(t, nd.exts[0].LocalAddr(), framesFor(0, k)...)
+	eventually(t, "tx_errors", func() bool { return nd.snapshot().TxErrors == k })
+	shutdownBalanced(t, nd)
+	if s := nd.snapshot(); s.Egressed != 0 || s.Forwarded != 0 {
+		t.Fatalf("egressed %d, forwarded %d after failed sends, want 0, 0", s.Egressed, s.Forwarded)
 	}
 }
 

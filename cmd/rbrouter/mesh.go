@@ -210,7 +210,7 @@ func run() error {
 	srv.Close()
 	ctrl.Stop()
 	nd.shutdown()
-	fmt.Printf("rbrouter[%d]: shutdown complete — forwarded %d, egressed %d, tx-drained %d\n",
-		self, nd.forwarded.Load(), nd.egressed.Load(), nd.txDrained.Load())
+	fmt.Printf("rbrouter[%d]: shutdown complete — forwarded %d, egressed %d, tx-drained %d, tx-errors %d\n",
+		self, nd.forwarded.Load(), nd.egressed.Load(), nd.txDrained.Load(), nd.txErrors.Load())
 	return nil
 }

@@ -12,10 +12,12 @@ package netio
 //
 // Wire layout (see docs/netio.md for the full picture): each message is
 // one struct mmsghdr = { struct msghdr; u32 msg_len } padded to the
-// platform word, each msghdr carries exactly one iovec pointing at a
-// pool packet's backing array. Receive leaves msg_name nil (the
-// datapath never looks at the source address); send points msg_name at
-// a sockaddr_in per destination.
+// platform word. A receive msghdr carries one iovec pointing at a pool
+// packet's backing array and leaves msg_name nil (the datapath never
+// looks at the source address). A send msghdr points msg_name at a
+// sockaddr_in and carries one iovec per frame of a run: one frame, or
+// up to 64 frames of one length to one destination under a UDP_SEGMENT
+// cmsg, which the kernel segments back into datagrams (UDP GSO).
 
 import (
 	"net"
@@ -176,13 +178,38 @@ func (rx *mmsgRx) release(shard *pkt.PoolShard) {
 	}
 }
 
-// mmsgTx is the send state: Batch message slots, one iovec and one
-// sockaddr_in each.
+// UDP GSO (Linux 4.18+): one message carries a run of datagrams for
+// one destination, and the kernel cuts it into gso_size-byte segments
+// as late on the output path as it can. The option is absent from the
+// frozen syscall package.
+const (
+	udpSegment  = 103   // UDP_SEGMENT, a cmsg type at level SOL_UDP (= IPPROTO_UDP)
+	maxGSOSegs  = 64    // UDP_MAX_SEGMENTS on 4.18–6.x kernels
+	maxGSOBytes = 65507 // one UDP datagram's payload: 65535 − 20 B IPv4 − 8 B UDP
+)
+
+// segCmsg is one UDP_SEGMENT control message: a cmsghdr and its uint16
+// gso_size, padded to CMSG_SPACE(2).
+type segCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
+
+// mmsgTx is the send state: one iovec and one sockaddr_in per frame,
+// and Batch message slots, each with its own UDP_SEGMENT cmsg.
 type mmsgTx struct {
-	rc   syscall.RawConn
-	msgs []mmsghdr
-	iovs []syscall.Iovec
-	rsas []syscall.RawSockaddrInet4
+	rc    syscall.RawConn
+	msgs  []mmsghdr
+	iovs  []syscall.Iovec
+	rsas  []syscall.RawSockaddrInet4
+	cmsgs []segCmsg
+	first []int // the frame msgs[m] starts at
+
+	// gsoCeil is the segment size from which runs are no longer
+	// coalesced. It starts above any datagram and drops to the segment
+	// size of each run the kernel refuses.
+	gsoCeil int
 }
 
 func newMMsgTx(conn *net.UDPConn, cfg Config) (*mmsgTx, error) {
@@ -191,60 +218,136 @@ func newMMsgTx(conn *net.UDPConn, cfg Config) (*mmsgTx, error) {
 		return nil, err
 	}
 	tx := &mmsgTx{
-		rc:   rc,
-		msgs: make([]mmsghdr, cfg.Batch),
-		iovs: make([]syscall.Iovec, cfg.Batch),
-		rsas: make([]syscall.RawSockaddrInet4, cfg.Batch),
+		rc:      rc,
+		msgs:    make([]mmsghdr, cfg.Batch),
+		iovs:    make([]syscall.Iovec, cfg.Batch),
+		rsas:    make([]syscall.RawSockaddrInet4, cfg.Batch),
+		cmsgs:   make([]segCmsg, cfg.Batch),
+		first:   make([]int, cfg.Batch),
+		gsoCeil: maxGSOBytes + 1,
 	}
-	for i := range tx.msgs {
-		tx.msgs[i].hdr.Iov = &tx.iovs[i]
-		tx.msgs[i].hdr.Iovlen = 1
+	for i := range tx.cmsgs {
+		c := &tx.cmsgs[i].hdr
+		c.Level = syscall.IPPROTO_UDP
+		c.Type = udpSegment
+		c.SetLen(syscall.CmsgLen(2))
+	}
+	// A kernel before 4.18 ignores the cmsg and would send a run as one
+	// long datagram. It lacks the socket option of the same name too, so
+	// a socket that cannot read it never coalesces.
+	var serr error
+	if err := rc.Control(func(fd uintptr) {
+		_, serr = syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment)
+	}); err != nil || serr != nil {
+		tx.gsoCeil = 0
 	}
 	return tx, nil
 }
 
-// write sends every non-nil packet in ps (len(ps) ≤ Batch — the caller
-// chunks) to addr, or to addrs[i] when scattering, looping on partial
-// sends until the whole vector is on the wire. Returns datagrams sent.
-func (tx *mmsgTx) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UDPAddr) (int, error) {
-	k := 0
-	if addr != nil {
-		if !toRSA(addr, &tx.rsas[0]) {
-			return 0, ErrNotSupported // non-IPv4 destination
+// plan lays frames k..nf-1 out as messages from slot m on and returns
+// the slot after the last. A run — consecutive frames to one
+// destination with the first frame's length, at most maxGSOSegs of
+// them and maxGSOBytes in all, and possibly one shorter frame last (the
+// kernel's rule for the final segment) — becomes one message whose iov
+// array is the run's own iovecs and whose cmsg names the segment size.
+// A run of one frame is a plain message without a cmsg.
+func (tx *mmsgTx) plan(k, nf, m int) int {
+	for ; k < nf; m++ {
+		rsa := &tx.rsas[k]
+		seg := int(tx.iovs[k].Len)
+		j := k + 1
+		if seg < tx.gsoCeil {
+			for bytes := seg; j < nf && j-k < maxGSOSegs; j++ {
+				ln := int(tx.iovs[j].Len)
+				if ln > seg || bytes+ln > maxGSOBytes || tx.rsas[j] != *rsa {
+					break
+				}
+				bytes += ln
+				if ln < seg {
+					j++ // a shorter frame closes the run
+					break
+				}
+			}
 		}
+		h := &tx.msgs[m].hdr
+		h.Name = (*byte)(unsafe.Pointer(rsa))
+		h.Namelen = syscall.SizeofSockaddrInet4
+		h.Iov = &tx.iovs[k]
+		h.Iovlen = uint64(j - k)
+		if j-k > 1 {
+			tx.cmsgs[m].size = uint16(seg)
+			h.Control = (*byte)(unsafe.Pointer(&tx.cmsgs[m]))
+			h.SetControllen(syscall.CmsgSpace(2))
+		} else {
+			h.Control = nil
+			h.SetControllen(0)
+		}
+		tx.first[m] = k
+		k = j
 	}
+	return m
+}
+
+// gsoRefused reports whether errno is how a kernel or device turns down
+// a UDP_SEGMENT message it would send as plain datagrams: no checksum
+// offload, SO_NO_CHECK, a segment above the path MTU, or no support.
+func gsoRefused(errno syscall.Errno) bool {
+	switch errno {
+	case syscall.EINVAL, syscall.EIO, syscall.ENOPROTOOPT, syscall.EOPNOTSUPP:
+		return true
+	}
+	return false
+}
+
+// write sends every non-empty packet in ps (len(ps) ≤ Batch — the
+// caller chunks) to addr, or to addrs[i] when scattering, each run as
+// one message, looping on partial sends until every message is on the
+// wire. A run the kernel refuses is re-sent as plain messages, and
+// gsoCeil keeps its size from being coalesced again. Returns datagrams
+// sent, messages sent and the sendmmsg calls that moved any.
+func (tx *mmsgTx) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UDPAddr) (sent, sends, calls int, err error) {
+	var dst syscall.RawSockaddrInet4
+	if addr != nil && !toRSA(addr, &dst) {
+		return 0, 0, 0, ErrNotSupported // non-IPv4 destination
+	}
+	nf := 0
 	for i, p := range ps {
 		if p == nil || len(p.Data) == 0 {
 			continue
 		}
-		rsa := &tx.rsas[0]
-		if addrs != nil {
-			rsa = &tx.rsas[k]
-			if !toRSA(addrs[i], rsa) {
-				return 0, ErrNotSupported
-			}
+		if addrs != nil && !toRSA(addrs[i], &dst) {
+			return 0, 0, 0, ErrNotSupported
 		}
-		tx.iovs[k].Base = &p.Data[0]
-		tx.iovs[k].SetLen(len(p.Data))
-		tx.msgs[k].hdr.Name = (*byte)(unsafe.Pointer(rsa))
-		tx.msgs[k].hdr.Namelen = syscall.SizeofSockaddrInet4
-		k++
+		tx.rsas[nf] = dst
+		tx.iovs[nf].Base = &p.Data[0]
+		tx.iovs[nf].SetLen(len(p.Data))
+		nf++
 	}
-	if k == 0 {
-		return 0, nil
+	if nf == 0 {
+		return 0, 0, 0, nil
 	}
+	nm := tx.plan(0, nf, 0)
 	off := 0
 	var operr syscall.Errno
-	err := tx.rc.Write(func(fd uintptr) bool {
-		for off < k {
-			n, errno := sendmmsg(fd, tx.msgs[off:k], syscall.MSG_DONTWAIT)
-			switch errno {
-			case 0:
+	err = tx.rc.Write(func(fd uintptr) bool {
+		for off < nm {
+			n, errno := sendmmsg(fd, tx.msgs[off:nm], syscall.MSG_DONTWAIT)
+			switch {
+			case errno == 0:
+				for i := off; i < off+n; i++ {
+					sent += int(tx.msgs[i].hdr.Iovlen)
+				}
+				sends += n
+				calls++
 				off += n
-			case syscall.EAGAIN:
+			case errno == syscall.EAGAIN:
 				return false // park until writable
-			case syscall.EINTR:
-				continue
+			case errno == syscall.EINTR:
+			case gsoRefused(errno) && tx.msgs[off].hdr.Iovlen > 1:
+				// The kernel sent none of the refused run: re-plan from
+				// its first frame below the lowered ceiling.
+				tx.gsoCeil = int(tx.cmsgs[off].size)
+				nm = tx.plan(tx.first[off], nf, off)
 			default:
 				operr = errno
 				return true
@@ -252,11 +355,8 @@ func (tx *mmsgTx) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UDPAdd
 		}
 		return true
 	})
-	if err != nil {
-		return off, err
+	if err == nil && operr != 0 {
+		err = operr
 	}
-	if operr != 0 {
-		return off, operr
-	}
-	return off, nil
+	return sent, sends, calls, err
 }

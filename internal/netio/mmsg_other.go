@@ -26,6 +26,6 @@ type mmsgTx struct{}
 
 func newMMsgTx(*net.UDPConn, Config) (*mmsgTx, error) { return nil, ErrNotSupported }
 
-func (*mmsgTx) write([]*pkt.Packet, *net.UDPAddr, []*net.UDPAddr) (int, error) {
-	return 0, ErrNotSupported
+func (*mmsgTx) write([]*pkt.Packet, *net.UDPAddr, []*net.UDPAddr) (int, int, int, error) {
+	return 0, 0, 0, ErrNotSupported
 }

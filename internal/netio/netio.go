@@ -23,7 +23,11 @@
 // kernel's iovecs directly at pool-backed pkt.Packet buffers and trims
 // each to the received length — no staging buffer, no per-datagram
 // copy. BatchWriter flushes a whole batch to one destination (or a
-// scatter of destinations) with one sendmmsg.
+// scatter of destinations) with one sendmmsg, and batches inside the
+// kernel too: each run of equal-length frames to one destination goes
+// out as one UDP GSO message, which the kernel walks down the output
+// path as one buffer and segments as late as it can. A kernel that
+// refuses GSO gets those frames as plain datagrams instead.
 //
 // ListenReusePort completes the multi-queue story: N sockets bound to
 // one ingress port with SO_REUSEPORT are kernel-hashed receive queues —
@@ -90,11 +94,14 @@ func (c Config) normalized() Config {
 
 // Stats is a point-in-time read of a reader's or writer's monotonic
 // counters. Frames/Batches is the mean syscall fill — the number the
-// whole layer exists to raise above 1.
+// whole layer exists to raise above 1 — and, for a writer,
+// Frames/Sends is the mean UDP GSO run, the datagrams per message the
+// kernel walked down its output path as one buffer.
 type Stats struct {
 	Batches   uint64 // syscalls that moved at least one datagram
 	Frames    uint64 // datagrams moved
 	Truncated uint64 // received datagrams clipped to MaxPacket (mmsg path only)
+	Sends     uint64 // messages handed to the kernel (writers only)
 }
 
 // BatchReader receives UDP datagrams in batches directly into
@@ -188,6 +195,7 @@ type BatchWriter struct {
 
 	batches atomic.Uint64
 	frames  atomic.Uint64
+	sends   atomic.Uint64
 }
 
 // NewBatchWriter wraps conn; path selection as for NewBatchReader.
@@ -213,22 +221,25 @@ func (w *BatchWriter) Mode() string {
 
 // Stats reads the writer's counters (safe concurrently with writes).
 func (w *BatchWriter) Stats() Stats {
-	return Stats{Batches: w.batches.Load(), Frames: w.frames.Load()}
+	return Stats{Batches: w.batches.Load(), Frames: w.frames.Load(), Sends: w.sends.Load()}
 }
 
 // WriteBatch sends every non-nil packet in ps to addr — the whole slice
-// with one sendmmsg on the fast path (chunked at Config.Batch), one
-// WriteToUDP per packet on the fallback. It returns the number of
-// datagrams handed to the kernel. The packets stay owned by the caller
-// (the kernel copies at syscall time), so recycling them after return
-// is safe.
+// with one sendmmsg on the fast path (chunked at Config.Batch), each run
+// of equal-length frames as one UDP GSO message, and one WriteToUDP per
+// packet on the fallback. It returns the number of datagrams handed to
+// the kernel, however many messages carried them. The packets stay
+// owned by the caller (the kernel copies at syscall time), so recycling
+// them after return is safe.
 func (w *BatchWriter) WriteBatch(ps []*pkt.Packet, addr *net.UDPAddr) (int, error) {
 	return w.write(ps, addr, nil)
 }
 
 // WriteScatter is WriteBatch with a destination per packet: addrs[i]
 // receives ps[i]. sendmmsg carries per-message addresses, so a scatter
-// still costs one syscall per Config.Batch datagrams.
+// still costs one syscall per Config.Batch datagrams; a run coalesces
+// only consecutive frames to one destination, so each destination still
+// receives its frames in order.
 func (w *BatchWriter) WriteScatter(ps []*pkt.Packet, addrs []*net.UDPAddr) (int, error) {
 	if len(addrs) != len(ps) {
 		return 0, fmt.Errorf("netio: %d packets but %d addresses", len(ps), len(addrs))
@@ -248,11 +259,12 @@ func (w *BatchWriter) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UD
 			if addrs != nil {
 				chunk = addrs[off:end]
 			}
-			n, err := w.tx.write(ps[off:end], addr, chunk)
+			n, sends, calls, err := w.tx.write(ps[off:end], addr, chunk)
 			if n > 0 {
 				sent += n
-				w.batches.Add(1)
+				w.batches.Add(uint64(calls))
 				w.frames.Add(uint64(n))
+				w.sends.Add(uint64(sends))
 			}
 			if err != nil {
 				return sent, err
@@ -274,6 +286,7 @@ func (w *BatchWriter) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UD
 		sent++
 		w.batches.Add(1)
 		w.frames.Add(1)
+		w.sends.Add(1)
 	}
 	return sent, nil
 }

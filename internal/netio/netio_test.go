@@ -102,41 +102,6 @@ func TestRoundTripMMsg(t *testing.T) {
 	roundTrip(t, false, "mmsg", 100)
 }
 
-// TestPathEquivalence delivers the same traffic over both paths and
-// checks the receivers observe identical bytes in identical order —
-// the fallback really is the same interface, just slower.
-func TestPathEquivalence(t *testing.T) {
-	if !Available() {
-		t.Skip("mmsg fast path not available on this platform")
-	}
-	const n = 64
-	var results [2][][]byte
-	for i, force := range []bool{false, true} {
-		rxConn, txConn := listenLoop(t), listenLoop(t)
-		cfg := Config{ForceFallback: force}
-		r := NewBatchReader(rxConn, cfg)
-		w := NewBatchWriter(txConn, cfg)
-		ps := make([]*pkt.Packet, n)
-		for j := range ps {
-			ps[j] = pkt.DefaultPool.Get(80)
-			copy(ps[j].Data, fmt.Sprintf("flow-%d-seq-%04d", j%4, j))
-		}
-		if sent, err := w.WriteBatch(ps, addrOf(rxConn)); err != nil || sent != n {
-			t.Fatalf("WriteBatch = %d, %v", sent, err)
-		}
-		for _, p := range ps {
-			pkt.DefaultPool.Put(p)
-		}
-		results[i] = drain(t, rxConn, r, n)
-		r.Release()
-	}
-	for j := range results[0] {
-		if string(results[0][j]) != string(results[1][j]) {
-			t.Fatalf("datagram %d differs between paths: %q vs %q", j, results[0][j][:16], results[1][j][:16])
-		}
-	}
-}
-
 // TestTruncation sends a datagram longer than MaxPacket: both paths
 // must deliver exactly MaxPacket bytes; the mmsg path also counts the
 // clip in Stats.Truncated (the fallback cannot detect it).

@@ -72,8 +72,11 @@ type RSSSnapshot struct {
 // ("mmsg" or "fallback"), how many syscalls moved traffic, and how many
 // datagrams they moved — RxFrames/RxBatches and TxFrames/TxBatches are
 // the mean syscall fill, the number batching exists to raise above 1.
-// RxTruncated counts received datagrams clipped to the configured
-// maximum (detectable on the mmsg path only).
+// TxSends counts the messages those syscalls carried: on the mmsg path
+// a run of equal-length datagrams to one destination is one UDP GSO
+// message, so TxFrames/TxSends is the segments per send, 1 where
+// nothing coalesced. RxTruncated counts received datagrams clipped to
+// the configured maximum (detectable on the mmsg path only).
 type WireSnapshot struct {
 	Mode        string `json:"mode"`
 	RxBatches   uint64 `json:"rx_batches"`
@@ -81,6 +84,7 @@ type WireSnapshot struct {
 	RxTruncated uint64 `json:"rx_truncated,omitempty"`
 	TxBatches   uint64 `json:"tx_batches"`
 	TxFrames    uint64 `json:"tx_frames"`
+	TxSends     uint64 `json:"tx_sends"`
 }
 
 // ElementSnapshot carries one graph element's exported counters
@@ -242,6 +246,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		w.RxTruncated = sub(s.Wire.RxTruncated, prev.Wire.RxTruncated)
 		w.TxBatches = sub(s.Wire.TxBatches, prev.Wire.TxBatches)
 		w.TxFrames = sub(s.Wire.TxFrames, prev.Wire.TxFrames)
+		w.TxSends = sub(s.Wire.TxSends, prev.Wire.TxSends)
 		out.Wire = &w
 	}
 

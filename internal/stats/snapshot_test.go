@@ -60,9 +60,9 @@ func TestSnapshotDelta(t *testing.T) {
 
 func TestSnapshotDeltaWire(t *testing.T) {
 	prev := sampleSnapshot(4, 1000, 10)
-	prev.Wire = &WireSnapshot{Mode: "mmsg", RxBatches: 10, RxFrames: 300, RxTruncated: 1, TxBatches: 8, TxFrames: 250}
+	prev.Wire = &WireSnapshot{Mode: "mmsg", RxBatches: 10, RxFrames: 300, RxTruncated: 1, TxBatches: 8, TxFrames: 250, TxSends: 40}
 	cur := sampleSnapshot(4, 1600, 25)
-	cur.Wire = &WireSnapshot{Mode: "mmsg", RxBatches: 25, RxFrames: 800, RxTruncated: 3, TxBatches: 20, TxFrames: 640}
+	cur.Wire = &WireSnapshot{Mode: "mmsg", RxBatches: 25, RxFrames: 800, RxTruncated: 3, TxBatches: 20, TxFrames: 640, TxSends: 70}
 	d := cur.Delta(prev)
 	if d.Wire == nil {
 		t.Fatal("Wire dropped by Delta")
@@ -73,7 +73,7 @@ func TestSnapshotDeltaWire(t *testing.T) {
 	if d.Wire.RxBatches != 15 || d.Wire.RxFrames != 500 || d.Wire.RxTruncated != 2 {
 		t.Errorf("rx wire deltas wrong: %+v", d.Wire)
 	}
-	if d.Wire.TxBatches != 12 || d.Wire.TxFrames != 390 {
+	if d.Wire.TxBatches != 12 || d.Wire.TxFrames != 390 || d.Wire.TxSends != 30 {
 		t.Errorf("tx wire deltas wrong: %+v", d.Wire)
 	}
 	// One side missing → keep the cumulative view rather than invent a delta.
@@ -87,15 +87,18 @@ func TestSnapshotDeltaWire(t *testing.T) {
 
 func TestSumNodesWire(t *testing.T) {
 	nodes := []NodeStats{
-		{ID: 0, Egressed: 5, Ingress: Snapshot{Wire: &WireSnapshot{RxBatches: 4, RxFrames: 100, TxBatches: 3, TxFrames: 90}}},
-		{ID: 1, Egressed: 7, Ingress: Snapshot{Wire: &WireSnapshot{RxBatches: 6, RxFrames: 150, TxBatches: 5, TxFrames: 120}}},
-		{ID: 2, Egressed: 1}, // no wire block: contributes nothing
+		{ID: 0, Egressed: 5, HeaderDrops: 3, TTLDrops: 1, Ingress: Snapshot{Wire: &WireSnapshot{RxBatches: 4, RxFrames: 100, TxBatches: 3, TxFrames: 90, TxSends: 9}}},
+		{ID: 1, Egressed: 7, TxErrors: 2, Ingress: Snapshot{Wire: &WireSnapshot{RxBatches: 6, RxFrames: 150, TxBatches: 5, TxFrames: 120, TxSends: 12}}},
+		{ID: 2, Egressed: 1, TTLDrops: 4, HeaderDrops: 4, TxErrors: 1}, // no wire block: contributes no wire counts
 	}
 	tot := SumNodes(nodes)
 	if tot.Egressed != 13 {
 		t.Errorf("Egressed = %d, want 13", tot.Egressed)
 	}
-	if tot.WireRxBatches != 10 || tot.WireRxFrames != 250 || tot.WireTxBatches != 8 || tot.WireTxFrames != 210 {
+	if tot.HeaderDrops != 7 || tot.TTLDrops != 5 || tot.TxErrors != 3 {
+		t.Errorf("drop totals wrong: %+v", tot)
+	}
+	if tot.WireRxBatches != 10 || tot.WireRxFrames != 250 || tot.WireTxBatches != 8 || tot.WireTxFrames != 210 || tot.WireTxSends != 21 {
 		t.Errorf("wire totals wrong: %+v", tot)
 	}
 }

@@ -3,8 +3,12 @@ package routebricks
 // BenchmarkWireIO measures the kernel wire-I/O layer in isolation: how
 // many datagrams per second one reader/writer pair moves across a
 // loopback socket pair, per syscall path (mmsg vs the per-packet
-// fallback) and per batch size. The end-to-end wire numbers live in
-// bench/ (wire_fwd64).
+// fallback), per batch size, and per frame-size pattern. With
+// sizes=equal every frame is 128 B, so the mmsg writer sends each
+// window as UDP GSO runs; with sizes=rising each frame in a window is
+// 1 B longer than the last, no run forms, and the mmsg writer sends one
+// message per frame — the mechanism and its bypass, side by side. The
+// end-to-end wire numbers live in bench/ (wire_fwd64).
 //
 // The loop is lockstep windowed: one goroutine sends a window of KP
 // datagrams, then reads the whole window back before sending the next.
@@ -22,7 +26,7 @@ import (
 	"routebricks/internal/pkt"
 )
 
-const wireFrameLen = 128 // demo traffic frame size (trafficgen Fixed(128))
+const wireFrameLen = 128 // demo traffic frame size (trafficgen Fixed(128)); the first frame of a rising window
 
 func benchListenLoop(b *testing.B) *net.UDPConn {
 	b.Helper()
@@ -47,7 +51,7 @@ type wirePair struct {
 	shard  *pkt.PoolShard
 }
 
-func newWirePair(b *testing.B, forceFallback bool, batch int) *wirePair {
+func newWirePair(b *testing.B, forceFallback bool, batch int, rising bool) *wirePair {
 	rxConn, txConn := benchListenLoop(b), benchListenLoop(b)
 	cfg := netio.Config{Batch: batch, ForceFallback: forceFallback}
 	p := &wirePair{
@@ -59,7 +63,11 @@ func newWirePair(b *testing.B, forceFallback bool, batch int) *wirePair {
 		shard:  pkt.DefaultPool.Shard(0),
 	}
 	for i := range p.window {
-		p.window[i] = pkt.DefaultPool.Get(wireFrameLen)
+		size := wireFrameLen
+		if rising {
+			size += i
+		}
+		p.window[i] = pkt.DefaultPool.Get(size)
 	}
 	b.Cleanup(func() {
 		p.r.Release()
@@ -88,9 +96,13 @@ func (p *wirePair) roundTrip(b *testing.B, win int) {
 	}
 }
 
-func benchWireIO(b *testing.B, forceFallback bool, batch int) {
-	p := newWirePair(b, forceFallback, batch)
-	b.SetBytes(wireFrameLen)
+func benchWireIO(b *testing.B, forceFallback bool, batch int, rising bool) {
+	p := newWirePair(b, forceFallback, batch, rising)
+	var window int64
+	for _, pk := range p.window {
+		window += int64(len(pk.Data))
+	}
+	b.SetBytes(window / int64(batch))
 	b.ResetTimer()
 	for sent := 0; sent < b.N; {
 		win := batch
@@ -113,6 +125,9 @@ func benchWireIO(b *testing.B, forceFallback bool, batch int) {
 	if b.N > 0 {
 		rs, ws := p.r.Stats(), p.w.Stats()
 		b.ReportMetric(float64(rs.Batches+ws.Batches)/float64(b.N), "sys/pkt")
+		// Datagrams per message the writer handed the kernel: the UDP
+		// GSO run length, 1 wherever nothing coalesced.
+		b.ReportMetric(float64(ws.Frames)/float64(ws.Sends), "segs/send")
 	}
 }
 
@@ -129,9 +144,11 @@ func BenchmarkWireIO(b *testing.B) {
 	}
 	for _, path := range paths {
 		for _, batch := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("path=%s/batch=%d", path.name, batch), func(b *testing.B) {
-				benchWireIO(b, path.force, batch)
-			})
+			for _, sizes := range []string{"equal", "rising"} {
+				b.Run(fmt.Sprintf("path=%s/batch=%d/sizes=%s", path.name, batch, sizes), func(b *testing.B) {
+					benchWireIO(b, path.force, batch, sizes == "rising")
+				})
+			}
 		}
 	}
 }
