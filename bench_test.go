@@ -254,52 +254,40 @@ func BenchmarkDispatch(b *testing.B) {
 
 // BenchmarkSteer prices the RSS role's per-packet steering work — what
 // PushFlow adds over a bare ring push: the symmetric 5-tuple hash
-// (recomputed every op, the worst case of a freshly received packet),
-// the indirection-table lookup, and the bucket counter tick. Steering
-// runs on the reader goroutine for every packet, so it must stay
-// allocation-free — the benchmark hard-fails if one op allocates.
-// uniform spreads the workset over 1024 flows (counter ticks scatter
-// across the table), skewed concentrates it on 8 (ticks hammer a few
-// hot cache lines); the two shapes bound a real mix, at every table
-// width the placement sweep uses.
+// (recomputed every op, the worst case of a freshly received packet)
+// and rss.Chain's table lookup, at every chain count the placement
+// sweep uses. Steering runs on the reader goroutine for every packet,
+// so it must stay allocation-free — the benchmark hard-fails if one op
+// allocates.
 func BenchmarkSteer(b *testing.B) {
-	for _, dist := range []struct {
-		name  string
-		flows int // power of two, for the index mask
-	}{{"uniform", 1024}, {"skewed", 8}} {
-		for _, chains := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/chains=%d", dist.name, chains), func(b *testing.B) {
-				table, err := rss.New(0, chains)
-				if err != nil {
-					b.Fatal(err)
-				}
-				src := netip.MustParseAddr("10.1.0.1")
-				dst := netip.MustParseAddr("10.0.0.2")
-				pkts := make([]*pkt.Packet, dist.flows)
-				for i := range pkts {
-					pkts[i] = pkt.New(pkt.MinSize, src, dst, uint16(2000+i), 443)
-				}
-				steer := func(p *pkt.Packet) int {
-					p.InvalidateFlowHash()
-					bucket, chain := table.Steer(p.RSSHash())
-					table.Tick(bucket)
-					return chain
-				}
-				if allocs := testing.AllocsPerRun(100, func() { steer(pkts[0]) }); allocs != 0 {
-					b.Fatalf("steering allocates (%.0f allocs/op, want 0)", allocs)
-				}
-				mask := dist.flows - 1
-				var sink int
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sink += steer(pkts[i&mask])
-				}
-				_ = sink
-			})
-		}
+	const flows = 1024 // power of two, for the index mask
+	for _, chains := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("chains=%d", chains), func(b *testing.B) {
+			src := netip.MustParseAddr("10.1.0.1")
+			dst := netip.MustParseAddr("10.0.0.2")
+			pkts := make([]*pkt.Packet, flows)
+			for i := range pkts {
+				pkts[i] = pkt.New(pkt.MinSize, src, dst, uint16(2000+i), 443)
+			}
+			steer := func(p *pkt.Packet) int {
+				p.InvalidateFlowHash()
+				return rss.Chain(p.RSSHash(), chains)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { steer(pkts[0]) }); allocs != 0 {
+				b.Fatalf("steering allocates (%.0f allocs/op, want 0)", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				steerSink += steer(pkts[i&(flows-1)])
+			}
+		})
 	}
 }
+
+// steerSink keeps BenchmarkSteer's chain computation from being
+// optimized away.
+var steerSink int
 
 // BenchmarkHandoff is the cost the placement model prices: one op is
 // one packet moved through an SPSC exec.Ring from this goroutine to an

@@ -4,17 +4,15 @@ package main
 // address. Everything lives under /api/v1 with method checks and a JSON
 // error envelope. The route endpoints write through the member's live
 // FIB — updates commit RCU-style and reach the forwarding cores without
-// stalling them. Stats and controller state are one-element arrays, the
-// shape rbmesh and the benchmark harness decode; a member runs no
-// replan controller, so its controller entry is null.
+// stalling them. Stats are a one-element array, the shape rbmesh and
+// the benchmark harness decode.
 //
-//	GET    /api/v1/stats       this member's snapshot
-//	GET    /api/v1/controller  [{id, controller: null}]
-//	GET    /api/v1/routes      FIB listing + generation
-//	POST   /api/v1/routes      batch add/withdraw, one FIB commit
-//	DELETE /api/v1/routes      withdraw one prefix (?prefix= or JSON body)
-//	POST   /api/v1/replan      re-decide the placement now
-//	GET    /api/v1/mesh        membership table + heartbeat RTTs
+//	GET    /api/v1/stats   this member's snapshot
+//	GET    /api/v1/routes  FIB listing + generation
+//	POST   /api/v1/routes  batch add/withdraw, one FIB commit
+//	DELETE /api/v1/routes  withdraw one prefix (?prefix= or JSON body)
+//	POST   /api/v1/replan  re-decide the placement now
+//	GET    /api/v1/mesh    membership table + heartbeat RTTs
 
 import (
 	"encoding/json"
@@ -100,10 +98,6 @@ func newAdminMux(nd *node, meshCtrl *mesh.Node) *http.ServeMux {
 
 	mux.HandleFunc("/api/v1/stats", methodCheck(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, []stats.NodeStats{nd.snapshot()})
-	}))
-
-	mux.HandleFunc("/api/v1/controller", methodCheck(http.MethodGet, func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, []map[string]any{{"id": nd.id, "controller": nil}})
 	}))
 
 	mux.HandleFunc("/api/v1/routes", func(w http.ResponseWriter, r *http.Request) {

@@ -44,7 +44,7 @@ func decodeBody(t *testing.T, resp *http.Response, v any) {
 	}
 }
 
-func TestAdminAPIStatsAndController(t *testing.T) {
+func TestAdminAPIStats(t *testing.T) {
 	srv, _, _ := apiFixture(t)
 
 	resp, err := http.Get(srv.URL + "/api/v1/stats")
@@ -79,22 +79,6 @@ func TestAdminAPIStatsAndController(t *testing.T) {
 	decodeBody(t, resp, &envelope)
 	if envelope.Error.Code != http.StatusMethodNotAllowed || envelope.Error.Message == "" {
 		t.Fatalf("error envelope: %+v", envelope)
-	}
-
-	resp, err = http.Get(srv.URL + "/api/v1/controller")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /api/v1/controller: %d", resp.StatusCode)
-	}
-	var ctrls []struct {
-		ID         int `json:"id"`
-		Controller any `json:"controller"`
-	}
-	decodeBody(t, resp, &ctrls)
-	if len(ctrls) != 1 || ctrls[0].ID != 0 || ctrls[0].Controller != nil {
-		t.Fatalf("controller doc: %+v", ctrls)
 	}
 }
 

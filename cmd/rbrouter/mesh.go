@@ -196,7 +196,7 @@ func run() error {
 	go srv.Serve(ln)
 
 	ctrl.Start()
-	fmt.Printf("rbrouter[%d]: mesh member up — data %s ctrl %s ext %s api http://%s/api/v1/{stats,controller,mesh,routes,replan}\n",
+	fmt.Printf("rbrouter[%d]: mesh member up — data %s ctrl %s ext %s api http://%s/api/v1/{stats,mesh,routes,replan}\n",
 		self, me.Data, me.Ctrl, me.Ext, ln.Addr())
 
 	// SIGTERM/SIGINT is the graceful exit: stop heartbeating (peers will

@@ -2,13 +2,9 @@ package routebricks
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"routebricks/internal/click"
 	"routebricks/internal/pkt"
-	"routebricks/internal/rss"
 	"routebricks/internal/trafficgen"
 )
 
@@ -218,343 +214,6 @@ func profileTrunkWeights(prog *click.Program, opts Options) []float64 {
 	return in.TrunkWeights(prof)
 }
 
-// ControllerConfig tunes the adaptive Replan controller — the
-// goroutine that watches Snapshot deltas and calls Replan when the
-// observed load diverges from what the current placement assumed.
-// Zero fields take the documented defaults.
-type ControllerConfig struct {
-	// Interval between observations (default 250ms).
-	Interval time.Duration
-	// HighWater trips the controller when an interval's imbalance ratio
-	// (max/mean per-core packets, Snapshot.Imbalance) reaches it
-	// (default 1.5).
-	HighWater float64
-	// LowWater re-arms the controller only once imbalance falls below
-	// it (default 1.1) — the hysteresis band that keeps a steady skewed
-	// load from replanning over and over.
-	LowWater float64
-	// MinPackets skips intervals that moved fewer packets (idle noise
-	// must neither trip nor re-arm the controller; default 256).
-	MinPackets uint64
-	// RejectedStep trips the controller when ring rejections grow by at
-	// least this much in one interval, regardless of imbalance — the
-	// backpressure signal (default 4096; negative disables).
-	RejectedStep int64
-	// Replan overrides the corrective action taken on a trip. The
-	// default is Pipeline.Replan(Placement: Auto), whose calibration
-	// drives synthetic packets through the pipeline's real prebound
-	// terminals — hosts whose terminals touch the outside world (emit
-	// on sockets, count into shared stats) supply a hook that decides
-	// placement against hermetic stand-ins first and then replans with
-	// the explicit winner (as rbrouter's POST /api/v1/replan does).
-	Replan func() error
-	// ReSteer opts the controller into flow re-steering as its first
-	// corrective action: on an imbalance trip it plans a bounded batch
-	// of bucket migrations (rss.PlanMoves over the interval's per-bucket
-	// packet deltas, hottest chains relieved first) and applies it
-	// through Pipeline.ReSteer — far cheaper than a replan (no
-	// recalibration, no graph rebuild, per-flow state untouched) and
-	// ordering-safe, because the rewrite lands under the reload drain
-	// barrier. The controller escalates to the configured replan action
-	// only when re-steering cannot fix the skew: no improving moves
-	// exist for the observed distribution, or imbalance persists
-	// ReSteerPersist further intervals after a re-steer. Default off.
-	ReSteer bool
-	// ReSteerMax caps buckets migrated per controller re-steer
-	// (default 8).
-	ReSteerMax int
-	// ReSteerPersist is how many consecutive still-skewed intervals
-	// after a re-steer escalate to the replan action (default 2).
-	ReSteerPersist int
-}
-
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.HighWater <= 0 {
-		c.HighWater = 1.5
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = 1.1
-	}
-	if c.MinPackets == 0 {
-		c.MinPackets = 256
-	}
-	if c.RejectedStep == 0 {
-		c.RejectedStep = 4096
-	}
-	if c.ReSteerMax <= 0 {
-		c.ReSteerMax = 8
-	}
-	if c.ReSteerPersist <= 0 {
-		c.ReSteerPersist = 2
-	}
-	// An inverted band (LowWater above HighWater — e.g. a user-set
-	// HighWater under the LowWater default) would re-arm at levels that
-	// immediately re-trip, replanning every other interval; clamp so
-	// the hysteresis contract holds for any configuration.
-	if c.LowWater > c.HighWater {
-		c.LowWater = c.HighWater
-	}
-	return c
-}
-
-// ControllerState is the controller's observable state, shaped for the
-// stats JSON (an rbrouter member serves it next to its Snapshot on its
-// admin API).
-type ControllerState struct {
-	// Armed reports whether the next threshold breach will replan; the
-	// controller disarms when it fires and re-arms below LowWater.
-	Armed bool `json:"armed"`
-	// Observations counts non-idle intervals examined.
-	Observations uint64 `json:"observations"`
-	// Replans counts automatic Replan calls that succeeded.
-	Replans uint64 `json:"replans"`
-	// LastImbalance is the most recent interval's max/mean per-core
-	// packet ratio.
-	LastImbalance float64 `json:"last_imbalance"`
-	// LastReason records why the controller last fired.
-	LastReason string `json:"last_reason,omitempty"`
-	// LastError records the most recent Replan failure, if any.
-	LastError string `json:"last_error,omitempty"`
-	// ReSteers counts controller-driven steering-table rewrites, and
-	// MovedBuckets the buckets those rewrites migrated (see
-	// ControllerConfig.ReSteer).
-	ReSteers     uint64 `json:"re_steers,omitempty"`
-	MovedBuckets uint64 `json:"moved_buckets,omitempty"`
-}
-
-// Controller is the adaptive half of the Replan story: it samples the
-// pipeline's Snapshot on an interval, reduces each interval to the
-// imbalance ratio and the ring-rejection growth, and calls
-// Replan(Placement: Auto) when the observed skew crosses the
-// high-water mark — once, thanks to hysteresis: it will not fire again
-// until the load has settled below the low-water mark. Build one with
-// Pipeline.NewController; Start launches the watching goroutine,
-// Observe is the deterministic single-step used by tests and Step-mode
-// hosts.
-type Controller struct {
-	pipe *Pipeline
-	cfg  ControllerConfig
-
-	// obsMu serializes Observe (which may run a whole Replan); mu
-	// guards the readable state and is only ever held briefly, so
-	// State() — and anything polling it, like rbrouter's /api/v1/stats — never
-	// blocks behind a swap in progress.
-	obsMu sync.Mutex
-	mu    sync.Mutex
-	state ControllerState
-	prev  Snapshot
-	ready bool // prev holds a baseline for the current generation
-	// steered marks that the last corrective action was a re-steer;
-	// steerPersist counts consecutive still-skewed intervals since it,
-	// for the escalation to a full replan. Both reset when the load
-	// settles (re-arm) or a replan installs a fresh plan.
-	steered      bool
-	steerPersist int
-
-	started  atomic.Bool
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// NewController builds a replan controller over the pipeline. It takes
-// a baseline snapshot immediately; call Start to watch on an interval,
-// or Observe from your own loop.
-func (p *Pipeline) NewController(cfg ControllerConfig) *Controller {
-	c := &Controller{
-		pipe: p,
-		cfg:  cfg.withDefaults(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	c.state.Armed = true
-	c.prev = p.Snapshot()
-	c.ready = true
-	return c
-}
-
-// Start launches the controller goroutine (at most once). Stop it
-// before stopping the pipeline for good (a replan against a stopped
-// pipeline is legal but pointless).
-func (c *Controller) Start() {
-	if !c.started.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer close(c.done)
-		tick := time.NewTicker(c.cfg.Interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-tick.C:
-				c.Observe()
-			}
-		}
-	}()
-}
-
-// Stop halts the controller goroutine and waits for it (idempotent; a
-// controller that was never started just marks itself stopped).
-func (c *Controller) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	if c.started.Load() {
-		<-c.done
-	}
-}
-
-// State returns a copy of the controller's observable state.
-func (c *Controller) State() ControllerState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
-
-// Observe takes one controller step: snapshot, delta against the
-// previous observation, threshold-and-hysteresis decision, and — when
-// tripped while armed — an automatic Replan(Placement: Auto). It
-// reports whether a replan fired. Safe from any goroutine; the ticking
-// goroutine calls it on its interval.
-func (c *Controller) Observe() bool {
-	c.obsMu.Lock()
-	defer c.obsMu.Unlock()
-	snap := c.pipe.Snapshot()
-
-	c.mu.Lock()
-	prev, hadPrev := c.prev, c.ready
-	c.prev, c.ready = snap, true
-	if !hadPrev || prev.Generation != snap.Generation || prev.Plan != snap.Plan {
-		// First sample of a generation: establish the baseline only.
-		c.mu.Unlock()
-		return false
-	}
-	d := snap.Delta(prev)
-	if d.TotalPackets() < c.cfg.MinPackets {
-		// Idle interval: no evidence either way.
-		c.mu.Unlock()
-		return false
-	}
-	c.state.Observations++
-	c.state.LastImbalance = d.Imbalance
-
-	rejectedTrip := c.cfg.RejectedStep > 0 && d.Rejected >= uint64(c.cfg.RejectedStep)
-	trip := false
-	switch {
-	case !c.state.Armed:
-		// Disarmed: re-arm only once the load has settled well below the
-		// trip point (and backpressure has stopped growing).
-		if d.Imbalance < c.cfg.LowWater && !rejectedTrip {
-			c.state.Armed = true
-			// A settled load closes the re-steer episode: the next trip
-			// starts a fresh ladder from the cheap action.
-			c.steered = false
-			c.steerPersist = 0
-		}
-	case d.Imbalance >= c.cfg.HighWater || rejectedTrip:
-		reason := fmt.Sprintf("imbalance %.2f >= %.2f", d.Imbalance, c.cfg.HighWater)
-		if rejectedTrip {
-			reason = fmt.Sprintf("ring rejections +%d >= %d", d.Rejected, c.cfg.RejectedStep)
-		}
-		c.state.Armed = false
-		c.state.LastReason = reason
-		trip = true
-	}
-	// Re-steering first: a trip with the flow steerer enabled is handled
-	// by migrating the interval's hottest buckets off the hottest chains
-	// — when the observed distribution admits improving moves at all.
-	// An empty plan (one chain, one unsplittable hot bucket, balanced
-	// buckets despite a rejection trip) falls through to the replan.
-	var moves []Move
-	if trip && c.cfg.ReSteer && d.RSS != nil {
-		moves = rss.PlanMoves(d.RSS.Assignments, d.RSS.Counts, d.RSS.Chains, c.cfg.ReSteerMax)
-	}
-	// Re-steer escalation: the table was rewritten but the skew is still
-	// here (a flow distribution no bucket migration can flatten —
-	// PlanMoves already did what it could). The controller sits
-	// disarmed, so after ReSteerPersist such intervals it escalates to
-	// the replan action.
-	if c.cfg.ReSteer && !trip && !c.state.Armed && c.steered {
-		if d.Imbalance >= c.cfg.HighWater {
-			if c.steerPersist++; c.steerPersist >= c.cfg.ReSteerPersist {
-				trip = true
-				c.steerPersist = 0
-				c.steered = false
-				c.state.LastReason = fmt.Sprintf(
-					"re-steer escalation: imbalance %.2f persisted across re-steer", d.Imbalance)
-			}
-		} else {
-			c.steerPersist = 0
-		}
-	}
-	c.mu.Unlock()
-	if len(moves) > 0 {
-		// The trip is handled by a re-steer: the table rewrite runs
-		// outside c.mu for the same reason the replan does (it holds the
-		// pipeline through a drain barrier).
-		err := c.pipe.ReSteer(moves)
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if err != nil {
-			// Same non-latching contract as a failed replan: re-arm so the
-			// next tripping interval retries.
-			c.state.LastError = err.Error()
-			c.state.Armed = true
-			return false
-		}
-		c.state.LastError = ""
-		c.state.ReSteers++
-		c.state.MovedBuckets += uint64(len(moves))
-		c.state.LastReason += fmt.Sprintf(" → re-steered %d buckets", len(moves))
-		c.steered = true
-		c.steerPersist = 0
-		// The drain retired in-flight packets; rebase so the next interval
-		// measures the rewritten assignment, not the skew that caused it.
-		c.prev = c.pipe.Snapshot()
-		return true
-	}
-	if !trip {
-		return false
-	}
-
-	// The replan runs outside c.mu — it calibrates both candidates and
-	// holds the pipeline through a drain barrier, and State() must stay
-	// readable throughout. obsMu keeps concurrent Observes out.
-	err := c.replan()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		// A failed corrective action must not latch the controller off:
-		// the skew it fired on persists (nothing was corrected), so
-		// staying disarmed would wait for a settling that cannot come.
-		// Re-arm to retry on the next tripping interval; the error stays
-		// visible in State until a replan succeeds.
-		c.state.LastError = err.Error()
-		c.state.Armed = true
-		return false
-	}
-	c.state.LastError = ""
-	c.state.Replans++
-	c.steered = false
-	c.steerPersist = 0
-	// The swap reset the pipeline's counters; rebase the next delta.
-	c.prev = c.pipe.Snapshot()
-	return true
-}
-
-// replan performs the controller's corrective action: Replan with the
-// configured Replan hook when one is set, the library's calibrated
-// Replan(Placement: Auto) otherwise.
-func (c *Controller) replan() error {
-	if c.cfg.Replan != nil {
-		return c.cfg.Replan()
-	}
-	return c.pipe.Replan(Options{Placement: Auto})
-}
-
 // maxDrainRounds bounds the reload drain barrier: a healthy graph
 // drains its rings in a handful of synchronous rounds; a graph that
 // stops making progress (a terminal wedged on an external resource)
@@ -627,16 +286,6 @@ func (p *Pipeline) reload(text string, opts Options, useCurrent bool) error {
 	p.calib = calib
 	p.generation++
 	p.ctx = click.Context{}
-	// The steering table outlives the swap (like the FIB), but its
-	// chain indexes must match the new plan's width: restripe only when
-	// the width changed, so re-steers survive same-width swaps. Still
-	// inside the exclusive section, so PushFlow never sees a stale
-	// width.
-	if p.rssTable != nil && p.rssTable.Chains() != newPlan.Chains() {
-		if err := p.rssTable.Restripe(newPlan.Chains()); err != nil {
-			return err
-		}
-	}
 	if wasRunning {
 		if err := p.plan.Start(); err != nil {
 			return err

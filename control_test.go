@@ -209,255 +209,6 @@ func TestReplanAuto(t *testing.T) {
 	}
 }
 
-// controllerPipe loads the branchy program for controller tests:
-// 2-core parallel, deterministic cost-model inputs, Step-driven.
-func controllerPipe(t *testing.T) *Pipeline {
-	t.Helper()
-	table := equivTable(t)
-	pipe, err := Load(branchyConfig, Options{
-		Cores:         2,
-		Placement:     Parallel,
-		HandoffCycles: 100,
-		Topology:      &Topology{},
-		Prebound: func(chain int) map[string]Element {
-			return newEquivTerminals().prebound(table)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pipe
-}
-
-// feedStep pushes n packets to the given chain and steps the pipeline
-// until they drain — one deterministic "observation interval" of
-// traffic for the controller tests.
-func feedStep(t *testing.T, pipe *Pipeline, chain, n int) {
-	t.Helper()
-	packets := equivPackets(n)
-	for fed := 0; fed < n; {
-		if pipe.Push(chain, packets[fed]) {
-			fed++
-		}
-		pipe.Step()
-	}
-	for quiet := 0; quiet < 2; {
-		if pipe.Step() == 0 && pipe.Queued() == 0 {
-			quiet++
-		} else {
-			quiet = 0
-		}
-	}
-}
-
-// TestControllerHysteresis is the deterministic controller contract:
-// a skewed interval fires exactly one automatic Replan, further skewed
-// intervals do not flap it, and the controller re-arms only after a
-// balanced interval below the low-water mark.
-func TestControllerHysteresis(t *testing.T) {
-	pipe := controllerPipe(t)
-	ctrl := pipe.NewController(ControllerConfig{
-		HighWater:    1.5,
-		LowWater:     1.1,
-		MinPackets:   64,
-		RejectedStep: -1, // isolate the imbalance trigger
-	})
-
-	// Idle interval: no evidence, no state change.
-	if ctrl.Observe() {
-		t.Fatal("controller fired on an idle interval")
-	}
-	if st := ctrl.State(); st.Observations != 0 || !st.Armed {
-		t.Fatalf("idle interval disturbed state: %+v", st)
-	}
-
-	// Step change: all traffic lands on chain 0 → imbalance 2.0 on a
-	// 2-core parallel plan → exactly one replan.
-	feedStep(t, pipe, 0, 512)
-	if !ctrl.Observe() {
-		t.Fatal("controller did not fire on a skewed interval")
-	}
-	st := ctrl.State()
-	if st.Replans != 1 || st.Armed || st.LastReason == "" || st.LastImbalance != 2 {
-		t.Fatalf("post-trip state wrong: %+v", st)
-	}
-	if pipe.Generation() != 1 {
-		t.Fatalf("generation %d after the automatic replan, want 1", pipe.Generation())
-	}
-
-	// Steady skew: the controller stays disarmed — no flapping.
-	for i := 0; i < 3; i++ {
-		feedStep(t, pipe, 0, 512)
-		if ctrl.Observe() {
-			t.Fatalf("controller fired again on steady skew (round %d)", i)
-		}
-	}
-	if st := ctrl.State(); st.Replans != 1 || st.Armed {
-		t.Fatalf("steady skew flapped the controller: %+v", st)
-	}
-	if pipe.Generation() != 1 {
-		t.Fatalf("generation moved to %d under steady skew", pipe.Generation())
-	}
-
-	// Balanced interval: re-arm...
-	packets := equivPackets(512)
-	for fed := 0; fed < len(packets); {
-		if pipe.Push(fed%pipe.Chains(), packets[fed]) {
-			fed++
-		}
-		pipe.Step()
-	}
-	for quiet := 0; quiet < 2; {
-		if pipe.Step() == 0 && pipe.Queued() == 0 {
-			quiet++
-		} else {
-			quiet = 0
-		}
-	}
-	if ctrl.Observe() {
-		t.Fatal("controller fired on a balanced interval")
-	}
-	if st := ctrl.State(); !st.Armed {
-		t.Fatalf("balanced interval did not re-arm: %+v", st)
-	}
-
-	// ...so the next step change fires again.
-	feedStep(t, pipe, 0, 512)
-	if !ctrl.Observe() {
-		t.Fatal("re-armed controller did not fire on a new skew")
-	}
-	if st := ctrl.State(); st.Replans != 2 {
-		t.Fatalf("second skew: %+v", st)
-	}
-}
-
-// TestControllerReplanHook proves a configured Replan hook replaces
-// the default corrective action — the escape hatch hosts use when the
-// library's Auto calibration must not run against their live
-// terminals (rbrouter decides against a hermetic probe instead).
-func TestControllerReplanHook(t *testing.T) {
-	pipe := controllerPipe(t)
-	hooked := 0
-	ctrl := pipe.NewController(ControllerConfig{
-		MinPackets:   64,
-		RejectedStep: -1,
-		Replan: func() error {
-			hooked++
-			return pipe.Replan(Options{Placement: Pipelined})
-		},
-	})
-	feedStep(t, pipe, 0, 512)
-	if !ctrl.Observe() {
-		t.Fatal("controller did not fire")
-	}
-	if hooked != 1 {
-		t.Fatalf("hook ran %d times, want 1", hooked)
-	}
-	if pipe.Placement() != Pipelined || pipe.Generation() != 1 {
-		t.Fatalf("hook's replan not applied: %s gen %d", pipe.Placement(), pipe.Generation())
-	}
-	if st := ctrl.State(); st.Replans != 1 {
-		t.Fatalf("state %+v", st)
-	}
-}
-
-// TestControllerReplanError proves a failed corrective action does not
-// latch the controller off: it re-arms so the persistent skew retries,
-// and the error stays visible until a replan succeeds.
-func TestControllerReplanError(t *testing.T) {
-	pipe := controllerPipe(t)
-	fail := true
-	ctrl := pipe.NewController(ControllerConfig{
-		MinPackets:   64,
-		RejectedStep: -1,
-		Replan: func() error {
-			if fail {
-				return fmt.Errorf("transient probe failure")
-			}
-			return pipe.Replan(Options{Placement: Auto})
-		},
-	})
-	feedStep(t, pipe, 0, 512)
-	if ctrl.Observe() {
-		t.Fatal("a failed replan must not count as fired")
-	}
-	st := ctrl.State()
-	if !st.Armed || st.LastError == "" || st.Replans != 0 {
-		t.Fatalf("failed replan latched the controller: %+v", st)
-	}
-	// Same skew, next interval: the retry succeeds and clears the error.
-	fail = false
-	feedStep(t, pipe, 0, 512)
-	if !ctrl.Observe() {
-		t.Fatal("re-armed controller did not retry")
-	}
-	if st := ctrl.State(); st.Replans != 1 || st.LastError != "" {
-		t.Fatalf("retry did not succeed cleanly: %+v", st)
-	}
-}
-
-// TestControllerLive runs the controller as it ships: the watching
-// goroutine over a started pipeline, a persistently skewed feeder, and
-// the expectation that exactly one automatic replan fires. Under -race
-// this is the controller's concurrency gate.
-func TestControllerLive(t *testing.T) {
-	table := equivTable(t)
-	pipe, err := Load(branchyConfig, Options{
-		Cores:         4,
-		Placement:     Parallel,
-		HandoffCycles: 100,
-		Topology:      &Topology{},
-		Prebound: func(chain int) map[string]Element {
-			return newEquivTerminals().prebound(table)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Stop()
-
-	ctrl := pipe.NewController(ControllerConfig{Interval: 2 * time.Millisecond, RejectedStep: -1})
-	ctrl.Start()
-	defer ctrl.Stop()
-
-	stop := make(chan struct{})
-	fedDone := make(chan struct{})
-	go func() {
-		defer close(fedDone)
-		packets := equivPackets(1 << 16)
-		for i := 0; ; i = (i + 1) % len(packets) {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			pipe.Push(0, packets[i]) // all load on chain 0: imbalance 4.0
-		}
-	}()
-
-	deadline := time.Now().Add(20 * time.Second)
-	for ctrl.State().Replans == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("controller never replanned under a 4x skew")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Let several more observation intervals pass under the same skew:
-	// hysteresis must hold the controller at one replan.
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	<-fedDone
-	if st := ctrl.State(); st.Replans != 1 {
-		t.Fatalf("replans = %d under steady skew, want exactly 1 (state %+v)", st.Replans, st)
-	}
-	if pipe.Generation() != 1 {
-		t.Fatalf("generation %d, want 1", pipe.Generation())
-	}
-}
-
 // TestReloadEquivalence is the hot-swap contract: a 4-core running
 // pipeline reloaded mid-stream (twice) to the same program delivers
 // the identical per-port counts as an undisturbed single-core

@@ -95,7 +95,7 @@ type PlanConfig struct {
 
 	// FlowSteered declares that whatever feeds the plan's input rings
 	// steers packets flow-consistently — every packet of a flow lands on
-	// the same chain, e.g. through an rss.Table keyed on the symmetric
+	// the same chain, e.g. through rss.Chain keyed on the symmetric
 	// flow hash. That guarantee is what makes cloning PerFlow elements
 	// across chains safe (each clone then owns a disjoint flow set), so
 	// NewPlan rejects a multi-chain plan containing PerFlow elements

@@ -1,7 +1,7 @@
 // Package cluster assembles RouteBricks clusters: N server nodes (modeled
 // by internal/hw), each running a click graph over multi-queue NICs
 // (per-core exec.Ring descriptor queues, RSS-steered through the same
-// rss.Table the live pipeline uses), interconnected in a full mesh and
+// static table, rss.Chain, the live pipeline uses), interconnected in a full mesh and
 // switched with Direct VLB plus flowlet reordering avoidance
 // (internal/vlb). RB4 — the paper's 4-node prototype (§6) — is the
 // default configuration.

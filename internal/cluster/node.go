@@ -28,11 +28,7 @@ type node struct {
 	// rxAll/txAll list every queue of the node, for occupancy and drop
 	// accounting.
 	rxAll, txAll []*exec.Ring
-	// steer is the external port's receive-side scaling: the same
-	// indirection table and symmetric flow hash that Load's PushFlow
-	// steers through.
-	steer *rss.Table
-	bal   *vlb.Balancer
+	bal          *vlb.Balancer
 	// sched is the same static core-to-task assignment the live Runner
 	// drives (internal/click); here the simulator steps it on virtual
 	// time, so simulated and real execution share one placement type.
@@ -79,10 +75,6 @@ func newNode(c *Cluster, id int) *node {
 		if j != id {
 			n.peerRX[j], n.peerTX[j] = queues(&n.rxAll), queues(&n.txAll)
 		}
-	}
-	var err error
-	if n.steer, err = rss.New(0, cores); err != nil {
-		panic(fmt.Sprintf("cluster: rss table: %v", err))
 	}
 	n.bal = vlb.New(vlb.Config{
 		Nodes:       cfg.Nodes,
@@ -174,8 +166,9 @@ func (n *node) start() {
 // receive drop — and leaves p with the caller.
 func (n *node) receive(from int, p *pkt.Packet) bool {
 	if from < 0 {
-		_, q := n.steer.Steer(p.RSSHash())
-		return n.extRX[q].Push(p)
+		// The external port's receive-side scaling: the same static
+		// RSS table and symmetric flow hash Load's PushFlow steers by.
+		return n.extRX[rss.Chain(p.RSSHash(), len(n.extRX))].Push(p)
 	}
 	rx := n.peerRX[from]
 	return rx[macQueue(p, len(rx))].Push(p)

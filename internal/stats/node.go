@@ -3,8 +3,7 @@ package stats
 // NodeStats is one cluster member's slice of the /api/v1/stats JSON
 // document: the pipeline's unified ingress Snapshot plus the node's
 // socket-level counters, which live outside the pipeline (UDP reads and
-// writes, drains). cmd/rbrouter embeds it on the serve side (adding
-// process-local extras like controller state) and rbmesh decodes it when
+// writes, drains). cmd/rbrouter serves it and rbmesh decodes it when
 // aggregating a cluster snapshot, so the two ends agree on the wire
 // shape by construction.
 type NodeStats struct {

@@ -51,22 +51,6 @@ type RingSnapshot struct {
 	Rejected uint64  `json:"rejected"`
 }
 
-// RSSSnapshot is the flow-steering indirection table's state: the
-// bucket→chain assignment gauge, per-bucket steered-packet counters,
-// and the table's own generation (bumped per rewrite — independent of
-// the plan generation, because the table survives Reload/Replan the
-// way the FIB does). Steers counts table rewrites applied, Moved the
-// buckets those rewrites migrated.
-type RSSSnapshot struct {
-	Buckets     int      `json:"buckets"`
-	Chains      int      `json:"chains"`
-	Generation  uint64   `json:"generation"`
-	Steers      uint64   `json:"steers,omitempty"`
-	Moved       uint64   `json:"moved,omitempty"`
-	Assignments []int    `json:"assignments"`
-	Counts      []uint64 `json:"counts"`
-}
-
 // WireSnapshot is the process's kernel wire-I/O health (internal/netio
 // readers and writers summed): which syscall path the sockets run
 // ("mmsg" or "fallback"), how many syscalls moved traffic, and how many
@@ -116,7 +100,7 @@ type Snapshot struct {
 
 	// Imbalance is the per-core load-skew ratio (see ImbalanceRatio):
 	// cumulative for a plain Snapshot, per-interval after Delta — the
-	// one number the replan controller and operators watch.
+	// one number an operator watches to decide on a Replan.
 	Imbalance float64 `json:"imbalance"`
 
 	// FIBGeneration and FIBRoutes describe the live FIB at snapshot
@@ -132,12 +116,6 @@ type Snapshot struct {
 	// time. Unlike the plan counters it is process-global: it does not
 	// reset at generation boundaries.
 	Pool PoolSnapshot `json:"pool"`
-
-	// RSS is the flow-steering indirection table, when the pipeline
-	// steers by flow hash (PushFlow). Like the Pool its counters are
-	// pipeline-global monotonic: the table persists across plan
-	// generations rather than resetting with them.
-	RSS *RSSSnapshot `json:"rss,omitempty"`
 
 	// Wire is the kernel wire-I/O layer's counters, when the process
 	// runs sockets through internal/netio (cmd/rbrouter attaches it).
@@ -155,8 +133,8 @@ type Snapshot struct {
 // perfectly balanced plan, Cores is the worst case (all traffic on one
 // core), and 0 means no traffic at all (no evidence of skew). The
 // Imbalance field caches this value; Delta recomputes it over the
-// interval's increments, which is the form a controller should watch —
-// cumulative ratios go stale as history accumulates.
+// interval's increments, which is the form to watch — cumulative
+// ratios go stale as history accumulates.
 func (s Snapshot) ImbalanceRatio() float64 {
 	if len(s.CoreStats) == 0 {
 		return 0
@@ -222,21 +200,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out.Pool.Hits = sub(s.Pool.Hits, prev.Pool.Hits)
 	out.Pool.Puts = sub(s.Pool.Puts, prev.Pool.Puts)
 	out.Pool.DoublePuts = sub(s.Pool.DoublePuts, prev.Pool.DoublePuts)
-
-	// RSS bucket counters are table-global monotonic; the assignment and
-	// the table generation are gauges. A table resized between snapshots
-	// (Buckets mismatch) restarted its counter array — keep the current
-	// cumulative values, as with a generation change.
-	if s.RSS != nil && prev.RSS != nil && s.RSS.Buckets == prev.RSS.Buckets {
-		r := *s.RSS
-		r.Steers = sub(s.RSS.Steers, prev.RSS.Steers)
-		r.Moved = sub(s.RSS.Moved, prev.RSS.Moved)
-		r.Counts = make([]uint64, len(s.RSS.Counts))
-		for i := range r.Counts {
-			r.Counts[i] = sub(s.RSS.Counts[i], prev.RSS.Counts[i])
-		}
-		out.RSS = &r
-	}
 
 	// Wire counters are process-global monotonic; Mode is a gauge.
 	if s.Wire != nil && prev.Wire != nil {

@@ -9,7 +9,6 @@ import (
 	"routebricks/internal/elements"
 	"routebricks/internal/exec"
 	"routebricks/internal/pkt"
-	"routebricks/internal/rss"
 	"routebricks/internal/stats"
 )
 
@@ -303,14 +302,6 @@ type Pipeline struct {
 	// because the old graph would not drain them (a wedged terminal);
 	// they are accounted in Snapshot().Drops.
 	drainDrops atomic.Uint64
-
-	// rssTable is the flow-steering indirection table behind PushFlow.
-	// Like the FIB it outlives plan generations — a Reload/Replan
-	// restripes it only when the chain count changes, so controller
-	// re-steers survive swaps that keep the plan's width. Reads race
-	// only with its own RCU swap; the chain indexes it yields are kept
-	// in range by restriping inside the reload's exclusive section.
-	rssTable *rss.Table
 }
 
 // Load parses a Click-language configuration and materializes it across
@@ -334,17 +325,12 @@ func Load(clickText string, opts Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, err := rss.New(0, plan.Chains())
-	if err != nil {
-		return nil, err
-	}
 	return &Pipeline{
 		plan:     plan,
 		text:     clickText,
 		opts:     decided,
 		decision: decision,
 		calib:    calib,
-		rssTable: table,
 	}, nil
 }
 
@@ -416,8 +402,8 @@ func planConfig(prog *click.Program, opts Options, kind PlanKind, segWeights []f
 		Topo:       *opts.Topology,
 		Cost:       opts.costModel(),
 		SegWeights: segWeights,
-		// The pipeline always carries a flow-steering table (PushFlow),
-		// so cloned per-flow elements are safe by construction.
+		// The pipeline always steers by flow hash (PushFlow), so cloned
+		// per-flow elements are safe by construction.
 		FlowSteered: true,
 	}
 }
@@ -547,9 +533,9 @@ func (p *Pipeline) Push(i int, pk *Packet) bool {
 // RunBatch runs b to completion on the calling goroutine: it dispatches
 // the batch into the first-stage group of chain queue % Chains() (queue
 // must be non-negative) and credits that chain's first-stage CoreStat,
-// so Snapshot and the replan controller see the traffic. It returns the
-// packets dispatched and leaves b empty. Set ctx.PoolShard so graph
-// exits recycle into the caller's shard.
+// so Snapshot sees the traffic. It returns the packets dispatched and
+// leaves b empty. Set ctx.PoolShard so graph exits recycle into the
+// caller's shard.
 //
 // It is the entry for callers that own a receive queue, such as a
 // socket loop: a parallel plan then runs wholly on the callers and is

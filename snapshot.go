@@ -47,17 +47,6 @@ func (p *Pipeline) Snapshot() Snapshot {
 		Puts:       puts,
 		DoublePuts: doublePuts,
 	}
-	if t := p.rssTable; t != nil {
-		s.RSS = &stats.RSSSnapshot{
-			Buckets:     t.Buckets(),
-			Chains:      t.Chains(),
-			Generation:  t.Generation(),
-			Steers:      t.Steers(),
-			Moved:       t.Moved(),
-			Assignments: t.Assignments(),
-			Counts:      t.Counts(),
-		}
-	}
 	for _, cs := range plan.Stats() {
 		s.CoreStats = append(s.CoreStats, stats.CoreSnapshot{
 			Core:     cs.Core,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"routebricks/internal/click"
 	"routebricks/internal/elements"
 	"routebricks/internal/pkt"
+	"routebricks/internal/rss"
 )
 
 // flowConfig is the per-flow-state gauntlet: a Reassembler (state keyed
@@ -106,67 +106,6 @@ func flowTraffic(nFlows, nData int) []*pkt.Packet {
 		}
 	}
 	return out
-}
-
-// skewPorts probes the pipeline's steering table for nFlows source
-// ports whose flows (src 10.9.0.1:port → dst 10.0.0.5:443) land in
-// distinct buckets all currently assigned to the given chain — the
-// deterministic way to build a fully skewed flow population.
-func skewPorts(t *testing.T, pipe *Pipeline, chain, nFlows int) []uint16 {
-	t.Helper()
-	tbl := pipe.RSS()
-	src := netip.MustParseAddr("10.9.0.1")
-	dst := netip.MustParseAddr("10.0.0.5")
-	seen := make(map[int]bool)
-	var ports []uint16
-	for port := uint16(3000); port < 60000 && len(ports) < nFlows; port++ {
-		p := pkt.New(128, src, dst, port, 443)
-		b, c := tbl.Steer(p.RSSHash())
-		pkt.DefaultPool.Put(p)
-		if c == chain && !seen[b] {
-			seen[b] = true
-			ports = append(ports, port)
-		}
-	}
-	if len(ports) < nFlows {
-		t.Fatalf("found only %d/%d flows steering to chain %d", len(ports), nFlows, chain)
-	}
-	return ports
-}
-
-// skewPacket builds one packet of a skewPorts flow, shaped to forward
-// cleanly through branchyConfig (routed dst, fresh TTL and checksum).
-func skewPacket(port uint16, seq uint64) *pkt.Packet {
-	p := pkt.New(128, netip.MustParseAddr("10.9.0.1"), netip.MustParseAddr("10.0.0.5"), port, 443)
-	h := p.IPv4()
-	h.SetTTL(64)
-	h.UpdateChecksum()
-	p.SeqNo = seq
-	return p
-}
-
-// feedFlowStep drives perFlow packets of every port through PushFlow in
-// step mode and drains — one deterministic observation interval of
-// flow-steered traffic.
-func feedFlowStep(t *testing.T, pipe *Pipeline, ports []uint16, perFlow int, seq *uint64) {
-	t.Helper()
-	for i := 0; i < perFlow; i++ {
-		for _, port := range ports {
-			p := skewPacket(port, *seq)
-			*seq++
-			for !pipe.PushFlow(p) {
-				pipe.Step()
-			}
-			pipe.Step()
-		}
-	}
-	for quiet := 0; quiet < 2; {
-		if pipe.Step() == 0 && pipe.Queued() == 0 {
-			quiet++
-		} else {
-			quiet = 0
-		}
-	}
 }
 
 // TestFlowConsistency is the flow-steering correctness contract: the
@@ -280,238 +219,101 @@ func TestFlowConsistency(t *testing.T) {
 					t.Errorf("flow %v counts %+v, want %+v", k, merged[k], w)
 				}
 			}
-			// The steering table saw every successful push.
-			snap := pipe.Snapshot()
-			if snap.RSS == nil {
-				t.Fatal("snapshot has no RSS section")
-			}
-			var steered uint64
-			for _, c := range snap.RSS.Counts {
-				steered += c
-			}
-			if steered != uint64(len(packets)) {
-				t.Errorf("bucket counters saw %d packets, want %d", steered, len(packets))
-			}
 		})
 	}
 }
 
-// TestFlowConsistencyReSteer drives the full skew-to-rebalance story
-// deterministically: every flow of the population steers to chain 0 of
-// a 4-core plan, the controller's first Observe fixes it with a bucket
-// re-steer (no replan), and the traffic that continues across the
-// rewrite arrives complete and in per-flow order — the zero-loss,
-// no-reorder contract of the drain barrier — with the rebalance visible
-// in Snapshot.RSS.
-func TestFlowConsistencyReSteer(t *testing.T) {
-	rec := newFlowRecorder()
+// chainTally is what every chainRecorder of a pipeline adds to: the
+// chain count the test expects PushFlow to steer across, the packets
+// delivered, and how many of them arrived on another chain than
+// rss.Chain names.
+type chainTally struct {
+	chains      int
+	got, misses uint64
+}
+
+// chainRecorder is a per-chain terminal: each chain binds its own
+// instance, so a packet's arrival names the chain PushFlow steered it
+// to.
+type chainRecorder struct {
+	click.Base
+	chain int
+	tally *chainTally
+}
+
+func (r *chainRecorder) InPorts() int  { return 1 }
+func (r *chainRecorder) OutPorts() int { return 0 }
+
+func (r *chainRecorder) Push(_ *click.Context, _ int, p *pkt.Packet) {
+	r.tally.got++
+	if rss.Chain(p.RSSHash(), r.tally.chains) != r.chain {
+		r.tally.misses++
+	}
+	pkt.DefaultPool.Put(p)
+}
+
+// TestPushFlowFollowsChainCount pins PushFlow to the static RSS table:
+// every packet reaches chain rss.Chain(hash, chains) of the current
+// plan, and a Reload that changes the chain count re-steers every flow
+// to the new width at the swap, with nothing lost. Three chains is
+// where the table's mask-then-modulo differs from a plain modulo of
+// the hash.
+func TestPushFlowFollowsChainCount(t *testing.T) {
+	const nFlows, perFlow = 32, 4
+	tally := &chainTally{chains: 4}
 	pipe, err := Load(flowConfig, Options{
-		Cores:     4,
+		Cores:     tally.chains,
 		Placement: Parallel,
-		Prebound:  func(int) map[string]Element { return map[string]Element{"rec": rec} },
+		Prebound: func(chain int) map[string]Element {
+			return map[string]Element{"rec": &chainRecorder{chain: chain, tally: tally}}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := pipe.NewController(ControllerConfig{
-		MinPackets:   64,
-		RejectedStep: -1,
-		ReSteer:      true,
-		ReSteerMax:   16,
-	})
-
-	const nFlows, perFlow = 12, 48
-	ports := skewPorts(t, pipe, 0, nFlows)
-	seqs := make(map[uint16]uint64, nFlows)
-
-	feed := func() {
+	flow := func(f int, seq uint64) *pkt.Packet {
+		p := pkt.New(128, netip.AddrFrom4([4]byte{10, 1, byte(f), 1}), netip.AddrFrom4([4]byte{10, 2, 0, 2}), uint16(2000+f), 443)
+		p.SeqNo = seq
+		return p
+	}
+	plainModulo := false
+	for f := 0; f < nFlows; f++ {
+		p := flow(f, 0)
+		h := p.RSSHash()
+		plainModulo = plainModulo || rss.Chain(h, 3) != int(h%3)
+		pkt.DefaultPool.Put(p)
+	}
+	if !plainModulo {
+		t.Fatal("no flow tells the table from a plain modulo at 3 chains")
+	}
+	feed := func(phase string) {
+		t.Helper()
+		tally.got, tally.misses = 0, 0
 		for i := 0; i < perFlow; i++ {
-			for _, port := range ports {
-				p := skewPacket(port, seqs[port])
-				seqs[port]++
+			for f := 0; f < nFlows; f++ {
+				p := flow(f, uint64(i))
 				for !pipe.PushFlow(p) {
 					pipe.Step()
 				}
-				pipe.Step()
 			}
 		}
-		for quiet := 0; quiet < 2; {
-			if pipe.Step() == 0 && pipe.Queued() == 0 {
-				quiet++
-			} else {
-				quiet = 0
-			}
+		for pipe.Step() > 0 || pipe.Queued() > 0 {
+			// step until the rings are dry
+		}
+		if tally.got != nFlows*perFlow || tally.misses != 0 {
+			t.Fatalf("%s: delivered %d of %d packets, %d to the wrong chain", phase, tally.got, nFlows*perFlow, tally.misses)
+		}
+		if drops := pipe.Snapshot().Drops; drops != 0 {
+			t.Fatalf("%s: %d drops, want 0", phase, drops)
 		}
 	}
-
-	// Interval 1: full skew — every flow on chain 0 of 4.
-	feed()
-	before := pipe.Snapshot()
-	if before.Imbalance < 3.9 {
-		t.Fatalf("skew population not skewed: imbalance %.2f", before.Imbalance)
+	feed("4 chains")
+	tally.chains = 3
+	if err := pipe.Reload(flowConfig, Options{Cores: tally.chains}); err != nil {
+		t.Fatal(err)
 	}
-	if !ctrl.Observe() {
-		t.Fatal("controller did not act on full skew")
+	if pipe.Chains() != 3 {
+		t.Fatalf("reload left %d chains, want 3", pipe.Chains())
 	}
-	st := ctrl.State()
-	if st.ReSteers != 1 || st.Replans != 0 {
-		t.Fatalf("want exactly one re-steer and no replan, got %+v", st)
-	}
-	if st.MovedBuckets == 0 {
-		t.Fatalf("re-steer moved no buckets: %+v", st)
-	}
-	if pipe.Generation() != 0 {
-		t.Fatalf("re-steer must not swap the plan (generation %d)", pipe.Generation())
-	}
-
-	// Interval 2: the same flows, now spread by the rewritten table.
-	feed()
-	if ctrl.Observe() {
-		t.Fatal("controller fired on the load the re-steer balanced")
-	}
-	st = ctrl.State()
-	if !st.Armed {
-		t.Fatalf("rebalanced interval did not re-arm: %+v", st)
-	}
-	if st.LastImbalance >= 1.5 {
-		t.Fatalf("imbalance %.2f after re-steer, want below high water", st.LastImbalance)
-	}
-
-	// Zero loss and per-flow order across the rewrite.
-	total := uint64(nFlows * perFlow * 2)
-	if rec.total() != total {
-		t.Fatalf("delivered %d of %d packets across the re-steer", rec.total(), total)
-	}
-	if drops := pipe.Snapshot().Drops; drops != 0 {
-		t.Fatalf("%d drops across the re-steer, want 0", drops)
-	}
-	for k, seq := range rec.sequences() {
-		for i, s := range seq {
-			if s != uint64(i) {
-				t.Fatalf("flow %v out of order at position %d: seq %d", k, i, s)
-			}
-		}
-	}
-
-	// The rebalance is observable: one table rewrite, moved buckets now
-	// assigned off chain 0.
-	snap := pipe.Snapshot()
-	if snap.RSS == nil || snap.RSS.Generation != 1 || snap.RSS.Moved != uint64(st.MovedBuckets) {
-		t.Fatalf("RSS snapshot does not record the re-steer: %+v", snap.RSS)
-	}
-}
-
-// TestControllerReSteerHysteresis is the deterministic re-steer ladder
-// contract on the branchy forwarding graph: a fully skewed flow
-// population re-steers exactly once (no replan, no flapping), the
-// rewritten table survives subsequent balanced intervals, and the
-// controller re-arms only after the load settles.
-func TestControllerReSteerHysteresis(t *testing.T) {
-	pipe := controllerPipe(t)
-	ctrl := pipe.NewController(ControllerConfig{
-		HighWater:    1.5,
-		LowWater:     1.1,
-		MinPackets:   64,
-		RejectedStep: -1,
-		ReSteer:      true,
-	})
-	tbl := pipe.RSS()
-	ports := skewPorts(t, pipe, 0, 8)
-	var seq uint64
-
-	// Skewed interval: everything on chain 0 of 2 → one re-steer.
-	feedFlowStep(t, pipe, ports, 64, &seq)
-	if !ctrl.Observe() {
-		t.Fatal("controller did not act on a skewed interval")
-	}
-	st := ctrl.State()
-	if st.ReSteers != 1 || st.Replans != 0 || st.Armed {
-		t.Fatalf("post-trip state wrong: %+v", st)
-	}
-	if !strings.Contains(st.LastReason, "re-steered") {
-		t.Fatalf("LastReason does not record the re-steer: %q", st.LastReason)
-	}
-	if pipe.Generation() != 0 {
-		t.Fatalf("re-steer replaced the plan (generation %d)", pipe.Generation())
-	}
-	if tbl.Generation() != 1 {
-		t.Fatalf("table generation %d after one re-steer, want 1", tbl.Generation())
-	}
-	// Half the (equal) hot buckets migrate to the cold chain.
-	if moved := tbl.Moved(); moved != 4 {
-		t.Fatalf("moved %d buckets, want 4 of 8", moved)
-	}
-
-	// The same population again: the rewrite balanced it, so the
-	// controller re-arms and the table never flaps.
-	feedFlowStep(t, pipe, ports, 64, &seq)
-	if ctrl.Observe() {
-		t.Fatal("controller fired on the load the re-steer balanced")
-	}
-	st = ctrl.State()
-	if !st.Armed || st.ReSteers != 1 {
-		t.Fatalf("rebalanced interval state wrong: %+v", st)
-	}
-	if st.LastImbalance >= 1.1 {
-		t.Fatalf("imbalance %.2f after re-steer, want below low water", st.LastImbalance)
-	}
-	feedFlowStep(t, pipe, ports, 64, &seq)
-	if ctrl.Observe() {
-		t.Fatal("controller fired again on steady balanced flows")
-	}
-	if g := tbl.Generation(); g != 1 {
-		t.Fatalf("table flapped to generation %d", g)
-	}
-}
-
-// TestControllerReSteerEscalation proves re-steering gives way to the
-// heavier action when it cannot help: after a re-steer, a skew that
-// carries no bucket signal (raw chain-pinned pushes) persists
-// ReSteerPersist intervals, and only then does the controller escalate
-// to a full replan.
-func TestControllerReSteerEscalation(t *testing.T) {
-	pipe := controllerPipe(t)
-	ctrl := pipe.NewController(ControllerConfig{
-		MinPackets:     64,
-		RejectedStep:   -1,
-		ReSteer:        true,
-		ReSteerPersist: 2,
-	})
-	ports := skewPorts(t, pipe, 0, 8)
-	var seq uint64
-
-	// First trip: handled by a re-steer.
-	feedFlowStep(t, pipe, ports, 64, &seq)
-	if !ctrl.Observe() {
-		t.Fatal("controller did not re-steer")
-	}
-	if st := ctrl.State(); st.ReSteers != 1 || st.Replans != 0 {
-		t.Fatalf("first trip: %+v", st)
-	}
-
-	// The skew returns in a shape bucket migration cannot express —
-	// packets pinned to chain 0 by plain Push tick no bucket counters.
-	// One persisting interval is tolerated...
-	feedStep(t, pipe, 0, 512)
-	if ctrl.Observe() {
-		t.Fatal("controller escalated before ReSteerPersist")
-	}
-	if st := ctrl.State(); st.Replans != 0 {
-		t.Fatalf("premature replan: %+v", st)
-	}
-	// ...the second escalates to the replan action.
-	feedStep(t, pipe, 0, 512)
-	if !ctrl.Observe() {
-		t.Fatal("controller did not escalate after persistent skew")
-	}
-	st := ctrl.State()
-	if st.Replans != 1 || st.ReSteers != 1 {
-		t.Fatalf("escalation state wrong: %+v", st)
-	}
-	if !strings.Contains(st.LastReason, "re-steer escalation") {
-		t.Fatalf("LastReason does not record the escalation: %q", st.LastReason)
-	}
-	if pipe.Generation() != 1 {
-		t.Fatalf("generation %d after the escalated replan, want 1", pipe.Generation())
-	}
+	feed("3 chains after reload")
 }
