@@ -17,7 +17,9 @@ test:
 	$(GO) test ./...
 	$(GO) test -C bench .
 
+# The same gofmt gate as CI's gofmt step: any unformatted file fails.
 vet:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -C bench .
 

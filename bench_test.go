@@ -202,7 +202,7 @@ func BenchmarkDispatch(b *testing.B) {
 		in := exec.NewRing(2 * kp)
 		out := exec.NewRing(2 * kp)
 		poll := elements.NewPollDevice(in, kp)
-		poll.ChargeForward = false // measure dispatch, not the cost model
+		poll.ChargeForward = false // measure dispatch, not the modelled forwarding cycles
 		check := &elements.CheckIPHeader{}
 		look := elements.NewLPMLookup(table)
 		ttl := &elements.DecIPTTL{}
@@ -289,13 +289,13 @@ func BenchmarkSteer(b *testing.B) {
 // optimized away.
 var steerSink int
 
-// BenchmarkHandoff is the cost the placement model prices: one op is
-// one packet moved through an SPSC exec.Ring from this goroutine to an
-// echo goroutine and back (kp-sized batches, mirroring pollTask), so
-// ns/op is the round trip and the reported cycles/pkt metric — one
-// crossing, at the paper's 2.8 GHz Nehalem clock — is directly
-// comparable to the figure exec.MeasureHandoff feeds the cost model at
-// Load time.
+// BenchmarkHandoff is the cost Auto calibration charges per handoff:
+// one op is one packet moved through an SPSC exec.Ring from this
+// goroutine to an echo goroutine and back (kp-sized batches, mirroring
+// pollTask), so ns/op is the round trip and the reported cycles/pkt
+// metric — one crossing, at the paper's 2.8 GHz Nehalem clock — is
+// directly comparable to the Options.HandoffCycles figure
+// exec.MeasureHandoff supplies at Load time.
 func BenchmarkHandoff(b *testing.B) {
 	const kp = 32
 	ping := exec.NewRing(kp)

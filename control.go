@@ -29,26 +29,15 @@ const (
 // CalibrationResult records one Placement: Auto candidate measurement:
 // the deterministic calibration workload driven through a real
 // materialized plan via RunStep, scored as the bottleneck core's
-// charged virtual cycles plus the cost model's price for every
-// observed ring crossing (same-socket handoffs at the measured
-// per-packet cost, cross-socket ones at the model's premium). Lower
-// score wins.
+// charged virtual cycles plus Options.HandoffCycles for every observed
+// handoff-ring crossing, amortized per chain. Lower score wins.
 type CalibrationResult struct {
 	Plan             string  `json:"plan"`
 	Packets          int     `json:"packets"`
 	Rounds           int     `json:"rounds"`
 	BottleneckCycles float64 `json:"bottleneck_cycles"`
 	HandoffPackets   uint64  `json:"handoff_packets"`
-	// CrossSocketPackets is how many of the handoff crossings spanned a
-	// socket boundary under the candidate's topology.
-	CrossSocketPackets uint64 `json:"cross_socket_packets,omitempty"`
-	// ModelCost is the cost model's total price for the candidate's
-	// ring crossings, amortized per chain — what the flat
-	// 120-cycles-per-handoff term used to approximate.
-	ModelCost float64 `json:"model_cost"`
-	// Model names the cost model and its terms.
-	Model string  `json:"model,omitempty"`
-	Score float64 `json:"score"`
+	Score            float64 `json:"score"`
 
 	kind click.PlanKind
 }
@@ -91,8 +80,8 @@ func calibrate(prog *click.Program, opts Options, segWeights []float64) (click.P
 		}
 	}
 	decision := fmt.Sprintf(
-		"auto: calibrated %d packets at %d cores — parallel score %.0f vs pipelined %.0f (bottleneck cycles + %s) → %s",
-		calibPackets, opts.Cores, results[0].Score, results[1].Score, opts.costModel().Describe(), best)
+		"auto: calibrated %d packets at %d cores — parallel score %.0f vs pipelined %.0f (bottleneck cycles + %.0f cycles/handoff) → %s",
+		calibPackets, opts.Cores, results[0].Score, results[1].Score, opts.HandoffCycles, best)
 	return best, decision, results, nil
 }
 
@@ -100,7 +89,7 @@ func calibrate(prog *click.Program, opts Options, segWeights []float64) (click.P
 // and steps every core round-robin until the plan drains. The score
 // models steady-state throughput: the busiest core's charged cycles
 // (elements charge their calibrated per-packet costs to the Context)
-// plus the cost model's price for every observed ring crossing,
+// plus HandoffCycles for every observed handoff-ring crossing,
 // amortized per chain.
 func measure(prog *click.Program, opts Options, kind click.PlanKind, segWeights []float64) (CalibrationResult, error) {
 	plan, err := click.NewPlan(planConfig(prog, opts, kind, segWeights))
@@ -128,28 +117,15 @@ func measure(prog *click.Program, opts Options, kind click.PlanKind, segWeights 
 			break
 		}
 	}
-	// Every core polls exactly one upstream ring, so a ring's crossing
-	// count is its consumer core's pulled-packet counter; the model
-	// prices each ring by its endpoints (input locality, same- vs
-	// cross-socket handoff).
-	pulled := make(map[int]uint64, len(plan.Stats()))
-	for _, s := range plan.Stats() {
-		pulled[s.Core] = s.Packets()
-	}
-	topo := plan.Topology()
-	var modelCost float64
-	var crossings, crossSocket uint64
+	// Every core polls exactly one upstream ring, so a handoff ring's
+	// crossing count is its consumer core's pulled-packet counter
+	// (Stats is indexed by core).
+	var crossings uint64
 	for _, pr := range plan.Rings() {
-		n := pulled[pr.To]
-		modelCost += pr.Cost * float64(n)
 		if pr.Role == "handoff" {
-			crossings += n
-			if topo.SocketOf(pr.From) != topo.SocketOf(pr.To) {
-				crossSocket += n
-			}
+			crossings += plan.Stats()[pr.To].Packets()
 		}
 	}
-	modelCost /= float64(plan.Chains())
 	bottleneck := 0.0
 	for _, c := range perCore {
 		if c > bottleneck {
@@ -157,16 +133,13 @@ func measure(prog *click.Program, opts Options, kind click.PlanKind, segWeights 
 		}
 	}
 	return CalibrationResult{
-		Plan:               kind.String(),
-		Packets:            fed,
-		Rounds:             rounds,
-		BottleneckCycles:   bottleneck,
-		HandoffPackets:     crossings,
-		CrossSocketPackets: crossSocket,
-		ModelCost:          modelCost,
-		Model:              plan.Cost().Describe(),
-		Score:              bottleneck + modelCost,
-		kind:               kind,
+		Plan:             kind.String(),
+		Packets:          fed,
+		Rounds:           rounds,
+		BottleneckCycles: bottleneck,
+		HandoffPackets:   crossings,
+		Score:            bottleneck + opts.HandoffCycles*float64(crossings)/float64(plan.Chains()),
+		kind:             kind,
 	}, nil
 }
 

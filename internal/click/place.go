@@ -19,12 +19,16 @@ import (
 //   - Parallel ("one core per queue, one core per packet"): every core
 //     gets its own clone of the full graph and its own input ring; a
 //     packet is touched by exactly one core from poll to transmit.
-//   - Pipelined: the graph's trunk is cut into stages, each stage pinned
-//     to its own core, consecutive stages connected by exec.Ring SPSC
-//     handoff rings. Side branches stay on the core of the trunk element
-//     feeding them. Every stage boundary is a cross-core cache-line
-//     handoff — the cost the paper measured to conclude that parallel
-//     wins.
+//     Chain c runs on schedule core c.
+//   - Pipelined: the graph's trunk is cut into G stages, each on its own
+//     schedule core, consecutive stages connected by exec.Ring SPSC
+//     handoff rings; chain ch runs on cores [ch·G, (ch+1)·G). Side
+//     branches stay on the core of the trunk element feeding them.
+//     Every stage boundary is a cross-core cache-line handoff — the
+//     cost the paper measured to conclude that parallel wins.
+//
+// Schedule cores are goroutines, not pinned OS threads, so the layout
+// names which goroutine runs what, not where the OS places it.
 //
 // A plan can be driven three ways: Start/Stop spins up the hardened
 // Runner (one goroutine per core, real parallelism); RunStep executes
@@ -85,14 +89,6 @@ type PlanConfig struct {
 	// silently.
 	Sink func(chain int) Element
 
-	// Topo describes the socket layout the plan's cores and input
-	// queues live on. The zero value is a flat single-socket host,
-	// which reproduces the pre-topology core layout exactly.
-	Topo Topology
-	// Cost prices placement decisions (core assignment and handoff
-	// boundaries); nil uses NewBusCostModel(Topo, 0).
-	Cost CostModel
-
 	// FlowSteered declares that whatever feeds the plan's input rings
 	// steers packets flow-consistently — every packet of a flow lands on
 	// the same chain, e.g. through rss.Chain keyed on the symmetric
@@ -115,7 +111,6 @@ type PlanConfig struct {
 // observers read.
 type CoreStat struct {
 	Core   int    // schedule core index
-	Socket int    // socket the core sits on (0 for flat topologies)
 	Chain  int    // which pipeline replica this core serves
 	Stages string // trunk segment names executing on this core, "+"-joined
 
@@ -146,8 +141,6 @@ type Plan struct {
 	chains int
 	sched  *Schedule
 	runner *Runner
-	topo   Topology
-	cost   CostModel
 
 	inputs       []*exec.Ring  // one per chain; callers feed these
 	inputCore    []int         // first core of each chain (polls the input ring)
@@ -157,8 +150,7 @@ type Plan struct {
 	chainMu      []sync.Mutex  // serializes RunBatch feeders that share a chain
 	handoffs     []*exec.Ring  // pipelined only: all inter-stage rings
 	handoffChain []int         // chain owning each handoff ring
-	handoffFrom  []int         // producer core of each handoff ring
-	handoffTo    []int         // consumer core of each handoff ring
+	handoffFrom  []int         // producer core of each handoff ring; the next core consumes it
 	stats        []*CoreStat
 	instances    []*Instance // one per chain, in chain order
 
@@ -198,12 +190,6 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	if cfg.HandoffCap <= 0 {
 		cfg.HandoffCap = 1024
 	}
-	if err := cfg.Topo.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = NewBusCostModel(cfg.Topo, 0)
-	}
 
 	// Chain 0's instance reveals the graph geometry (segment count, cut
 	// constraints); every further chain must match it.
@@ -212,26 +198,29 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 		return nil, err
 	}
 
+	// Every chain runs on groups consecutive cores: one for parallel,
+	// one per trunk stage for pipelined.
+	groups := 1
+	if cfg.Kind == Pipelined {
+		groups = min(cfg.Cores, cuttableGroups(first.noCut))
+	}
+	chains := cfg.Cores / groups
+
 	// State-classification gate. A plan with more than one chain clones
 	// the whole graph per chain, splitting every element's state N ways;
 	// chain 0's instance declares which elements make that unsafe.
-	wouldChains := cfg.Cores
-	if cfg.Kind == Pipelined {
-		wouldChains = cfg.Cores / min(cfg.Cores, cuttableGroups(first.noCut))
-	}
-	if wouldChains > 1 {
+	if chains > 1 {
 		if names := first.ElementsOfClass(Shared); len(names) > 0 {
 			return nil, fmt.Errorf("click: %d-chain %s plan would clone shared-state elements %v; shared elements pin the graph to a single chain",
-				wouldChains, cfg.Kind, names)
+				chains, cfg.Kind, names)
 		}
 		if names := first.ElementsOfClass(PerFlow); len(names) > 0 && !cfg.FlowSteered {
 			return nil, fmt.Errorf("click: %d-chain %s plan would split per-flow state across clones of %v; feed the chains through flow-consistent steering (PlanConfig.FlowSteered) or run one chain",
-				wouldChains, cfg.Kind, names)
+				chains, cfg.Kind, names)
 		}
 	}
 
-	p := &Plan{kind: cfg.Kind, cores: cfg.Cores, sched: NewSchedule(cfg.Cores),
-		topo: cfg.Topo, cost: cfg.Cost}
+	p := &Plan{kind: cfg.Kind, cores: cfg.Cores, sched: NewSchedule(cfg.Cores)}
 	instance := func(chain int) (*Instance, error) {
 		if chain == 0 {
 			return first, nil
@@ -255,92 +244,34 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 		}
 		return in, nil
 	}
-	asn := newCoreAssigner(cfg.Cores, cfg.Topo, cfg.Cost)
-	switch cfg.Kind {
-	case Parallel:
-		p.chains = cfg.Cores
-		for c := 0; c < cfg.Cores; c++ {
-			in, err := instance(c)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.buildChain(cfg, c, asn.take(c, 1), in); err != nil {
-				return nil, err
-			}
+	p.chains = chains
+	for ch := 0; ch < p.chains; ch++ {
+		in, err := instance(ch)
+		if err != nil {
+			return nil, err
 		}
-	case Pipelined:
-		groups := min(cfg.Cores, cuttableGroups(first.noCut))
-		p.chains = cfg.Cores / groups
-		for ch := 0; ch < p.chains; ch++ {
-			in, err := instance(ch)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.buildChain(cfg, ch, asn.take(ch, groups), in); err != nil {
-				return nil, err
-			}
+		if err := p.buildChain(cfg, ch, groups, in); err != nil {
+			return nil, err
 		}
 	}
 	p.chainMu = make([]sync.Mutex, p.chains)
 	return p, nil
 }
 
-// coreAssigner hands out schedule cores chain by chain, consulting the
-// cost model: a chain's first core is the free core with the cheapest
-// access to the chain's input queue (so parallel chains pin to the
-// socket owning their input ring), and each further core of a pipelined
-// chain is the free core with the cheapest handoff from its
-// predecessor. Ties break to the lowest core index, which reproduces
-// the flat pre-topology layout exactly (parallel chain c on core c,
-// pipelined chain ch on cores [ch*groups, (ch+1)*groups)).
-type coreAssigner struct {
-	used []bool
-	topo Topology
-	cost CostModel
-}
-
-func newCoreAssigner(cores int, topo Topology, cost CostModel) *coreAssigner {
-	return &coreAssigner{used: make([]bool, cores), topo: topo, cost: cost}
-}
-
-// take allocates n cores for the given chain.
-func (a *coreAssigner) take(chain, n int) []int {
-	pick := func(costOf func(core int) float64) int {
-		best, bestCost := -1, 0.0
-		for c := range a.used {
-			if a.used[c] {
-				continue
-			}
-			if cc := costOf(c); best < 0 || cc < bestCost {
-				best, bestCost = c, cc
-			}
-		}
-		a.used[best] = true
-		return best
-	}
-	qsock := a.topo.QueueSocketOf(chain)
-	out := make([]int, 1, n)
-	out[0] = pick(func(c int) float64 { return a.cost.InputCost(c, qsock) })
-	for len(out) < n {
-		prev := out[len(out)-1]
-		out = append(out, pick(func(c int) float64 { return a.cost.HandoffCost(prev, c) }))
-	}
-	return out
-}
-
-// buildChain materializes one pipeline replica across the given cores:
-// the whole graph on one core for parallel chains, trunk segments
-// grouped contiguously across len(cores) cores (joined by handoff
-// rings at the cut boundaries) for pipelined ones. The instance's graph
-// arrives fully wired; cutting a boundary rewires the upstream trunk
-// element's output 0 from its synchronous binding into a handoff ring.
-func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) error {
+// buildChain materializes one pipeline replica on cores
+// [chain·groups, (chain+1)·groups): the whole graph on one core for
+// parallel chains, trunk segments grouped contiguously across the
+// cores (joined by handoff rings at the cut boundaries) for pipelined
+// ones. The instance's graph arrives fully wired; cutting a boundary
+// rewires the upstream trunk element's output 0 from its synchronous
+// binding into a handoff ring.
+func (p *Plan) buildChain(cfg PlanConfig, chain, groups int, in *Instance) error {
+	first := chain * groups
 	input := exec.NewRing(cfg.InputCap)
 	p.inputs = append(p.inputs, input)
-	p.inputCore = append(p.inputCore, cores[0])
+	p.inputCore = append(p.inputCore, first)
 	p.instances = append(p.instances, in)
 
-	groups := len(cores)
 	var bounds []int
 	if len(cfg.SegWeights) == len(in.segs) {
 		bounds = chooseBoundsWeighted(len(in.segs), groups, in.noCut, cfg.SegWeights)
@@ -358,8 +289,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 			downstream = exec.NewRing(cfg.HandoffCap)
 			p.handoffs = append(p.handoffs, downstream)
 			p.handoffChain = append(p.handoffChain, chain)
-			p.handoffFrom = append(p.handoffFrom, cores[g])
-			p.handoffTo = append(p.handoffTo, cores[g+1])
+			p.handoffFrom = append(p.handoffFrom, first+g)
 			if err := p.wireRing(last, downstream); err != nil {
 				return fmt.Errorf("click: segment %q: %w", in.names[hi-1], err)
 			}
@@ -376,8 +306,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 			}
 		}
 
-		stat := &CoreStat{Core: cores[g], Socket: cfg.Topo.SocketOf(cores[g]),
-			Chain: chain, Stages: strings.Join(in.names[lo:hi], "+")}
+		stat := &CoreStat{Core: first + g, Chain: chain, Stages: strings.Join(in.names[lo:hi], "+")}
 		p.stats = append(p.stats, stat)
 		dispatch := BatchDispatch(in.segs[lo], 0)
 		if g == 0 {
@@ -385,7 +314,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 			p.entry = append(p.entry, dispatch)
 			p.entryOut = append(p.entryOut, downstream)
 		}
-		p.sched.MustBind(cores[g], p.pollTask(upstream, downstream, dispatch, cfg.KP, stat, chain, g == 0))
+		p.sched.MustBind(stat.Core, p.pollTask(upstream, downstream, dispatch, cfg.KP, stat, chain, g == 0))
 		upstream = downstream
 	}
 	return nil
@@ -547,14 +476,12 @@ func (p *Plan) Input(i int) *exec.Ring { return p.inputs[i] }
 // and teardown: Role is "input" (caller-fed, one per chain) or
 // "handoff" (inter-stage, pipelined only); Chain is the replica it
 // belongs to. From/To are the producer and consumer schedule cores —
-// From is -1 for input rings (the producer is the external feeder) —
-// and Cost is the cost model's per-packet price for the crossing.
+// From is -1 for input rings (the producer is the external feeder).
 type PlanRing struct {
 	Role  string
 	Chain int
 	From  int
 	To    int
-	Cost  float64
 	Ring  *exec.Ring
 }
 
@@ -564,22 +491,14 @@ type PlanRing struct {
 func (p *Plan) Rings() []PlanRing {
 	out := make([]PlanRing, 0, len(p.inputs)+len(p.handoffs))
 	for i, r := range p.inputs {
-		out = append(out, PlanRing{Role: "input", Chain: i, From: -1, To: p.inputCore[i],
-			Cost: p.cost.InputCost(p.inputCore[i], p.topo.QueueSocketOf(i)), Ring: r})
+		out = append(out, PlanRing{Role: "input", Chain: i, From: -1, To: p.inputCore[i], Ring: r})
 	}
 	for i, r := range p.handoffs {
 		out = append(out, PlanRing{Role: "handoff", Chain: p.handoffChain[i],
-			From: p.handoffFrom[i], To: p.handoffTo[i],
-			Cost: p.cost.HandoffCost(p.handoffFrom[i], p.handoffTo[i]), Ring: r})
+			From: p.handoffFrom[i], To: p.handoffFrom[i] + 1, Ring: r})
 	}
 	return out
 }
-
-// Topology reports the socket layout the plan was placed against.
-func (p *Plan) Topology() Topology { return p.topo }
-
-// Cost reports the cost model the placement consulted.
-func (p *Plan) Cost() CostModel { return p.cost }
 
 // Instance returns chain i's materialized graph copy.
 func (p *Plan) Instance(i int) *Instance { return p.instances[i] }
@@ -587,7 +506,8 @@ func (p *Plan) Instance(i int) *Instance { return p.instances[i] }
 // Router returns chain i's element graph.
 func (p *Plan) Router(i int) *Router { return p.instances[i].router }
 
-// Stats returns the per-core counter blocks, in core order.
+// Stats returns the per-core counter blocks, indexed by core (idle
+// cores past the last chain have none).
 func (p *Plan) Stats() []*CoreStat { return p.stats }
 
 // Drops reports packets the plan lost — recycled because a handoff ring
@@ -659,28 +579,17 @@ func (p *Plan) RunStep(core int, ctx *Context) int { return p.sched.RunStep(core
 func (p *Plan) Schedule() *Schedule { return p.sched }
 
 // Describe renders the placement map: which stages run on which core
-// (and socket, when the topology has more than one), where the handoff
-// rings sit and what the cost model charges each of them.
+// and where the handoff rings sit.
 func (p *Plan) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s plan: %d cores, %d chains, %d handoff rings\n",
 		p.kind, p.cores, p.chains, len(p.handoffs))
 	for _, s := range p.stats {
-		if p.topo.Flat() {
-			fmt.Fprintf(&b, "  core %d: chain %d, stages %s\n", s.Core, s.Chain, s.Stages)
-		} else {
-			fmt.Fprintf(&b, "  core %d (socket %d): chain %d, stages %s\n", s.Core, s.Socket, s.Chain, s.Stages)
-		}
+		fmt.Fprintf(&b, "  core %d: chain %d, stages %s\n", s.Core, s.Chain, s.Stages)
 	}
 	for i := range p.handoffs {
-		from, to := p.handoffFrom[i], p.handoffTo[i]
-		cross := ""
-		if p.topo.SocketOf(from) != p.topo.SocketOf(to) {
-			cross = ", cross-socket"
-		}
-		fmt.Fprintf(&b, "  handoff %d: chain %d, core %d -> core %d (%.0f cycles/pkt%s)\n",
-			i, p.handoffChain[i], from, to, p.cost.HandoffCost(from, to), cross)
+		fmt.Fprintf(&b, "  handoff %d: chain %d, core %d -> core %d\n",
+			i, p.handoffChain[i], p.handoffFrom[i], p.handoffFrom[i]+1)
 	}
-	fmt.Fprintf(&b, "  cost model: %s\n", p.cost.Describe())
 	return b.String()
 }

@@ -3,6 +3,7 @@ package click
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -189,6 +190,50 @@ func TestPlanShapes(t *testing.T) {
 		}
 		if len(plan.inputs) != tc.wantChains {
 			t.Errorf("%s/%d: inputs = %d, want %d", tc.kind, tc.cores, len(plan.inputs), tc.wantChains)
+		}
+	}
+}
+
+// TestPlanCoreLayout pins which schedule core runs what: parallel
+// chain c on core c, and pipelined chain ch on the G consecutive cores
+// [ch·G, (ch+1)·G), its handoff rings joining neighbours.
+func TestPlanCoreLayout(t *testing.T) {
+	twoStages := NewProgram(func(int) (*Router, error) {
+		r := NewRouter()
+		r.MustAdd("a", &tagElem{})
+		r.MustAdd("b", &tagElem{})
+		r.MustConnect("a", 0, "b", 0)
+		return r, nil
+	})
+	cases := []struct {
+		kind      PlanKind
+		wantChain []int // chain served by cores 0..3
+		wantRings string
+	}{
+		{Parallel, []int{0, 1, 2, 3}, "input 0: -1->0, input 1: -1->1, input 2: -1->2, input 3: -1->3"},
+		{Pipelined, []int{0, 0, 1, 1}, "input 0: -1->0, input 1: -1->2, handoff 0: 0->1, handoff 1: 2->3"},
+	}
+	for _, tc := range cases {
+		plan, err := NewPlan(PlanConfig{Kind: tc.kind, Cores: 4, Program: twoStages})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		stats := plan.Stats()
+		if len(stats) != len(tc.wantChain) {
+			t.Fatalf("%s: %d core stats, want %d", tc.kind, len(stats), len(tc.wantChain))
+		}
+		for core, s := range stats {
+			if s.Core != core || s.Chain != tc.wantChain[core] {
+				t.Errorf("%s: stat %d is core %d chain %d, want core %d chain %d",
+					tc.kind, core, s.Core, s.Chain, core, tc.wantChain[core])
+			}
+		}
+		var rings []string
+		for _, r := range plan.Rings() {
+			rings = append(rings, fmt.Sprintf("%s %d: %d->%d", r.Role, r.Chain, r.From, r.To))
+		}
+		if got := strings.Join(rings, ", "); got != tc.wantRings {
+			t.Errorf("%s: rings %s, want %s", tc.kind, got, tc.wantRings)
 		}
 	}
 }

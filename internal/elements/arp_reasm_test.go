@@ -239,3 +239,103 @@ func TestFragmentESPReassembleChain(t *testing.T) {
 		t.Fatal("chain corrupted payload")
 	}
 }
+
+// fragmentFrame builds one IPv4 fragment of datagram id: data at byte
+// offset off (a multiple of 8), with MF as given, in a frame padded to
+// the Ethernet minimum.
+func fragmentFrame(id uint16, off int, data []byte, mf bool) *pkt.Packet {
+	p := &pkt.Packet{Data: make([]byte, max(pkt.EtherHdrLen+pkt.IPv4HdrLen+len(data), pkt.MinSize))}
+	p.Ether().SetEtherType(pkt.EtherTypeIPv4)
+	ih := p.IPv4()
+	ih.SetVersionIHL()
+	ih.SetTotalLength(uint16(pkt.IPv4HdrLen + len(data)))
+	ih.SetID(id)
+	ih.SetTTL(64)
+	ih.SetProtocol(pkt.ProtoUDP)
+	ih.SetSrc(addr("10.0.0.1"))
+	ih.SetDst(addr("10.0.0.2"))
+	fo := uint16(off / 8)
+	if mf {
+		fo |= pkt.FlagMF
+	}
+	ih.SetFlagsOffset(fo)
+	ih.UpdateChecksum()
+	copy(p.Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:], data)
+	return p
+}
+
+// TestReassemblerZeroLengthFragment: a first fragment that carries no
+// data must not count as carrying block 0, or the following final
+// fragment completes a datagram whose first 8 bytes were never sent.
+func TestReassemblerZeroLengthFragment(t *testing.T) {
+	re := NewReassembler()
+	c := newCapture()
+	wireOut(re, 0, c, 0)
+	ctx := &click.Context{}
+	empty := fragmentFrame(9, 0, nil, true)
+	if !(&CheckIPHeader{}).headerOK(empty) {
+		t.Fatal("zero-length fragment does not pass CheckIPHeader; the test no longer models the wire")
+	}
+	re.Push(ctx, 0, empty)
+	re.Push(ctx, 0, fragmentFrame(9, 8, bytes.Repeat([]byte{0xAB}, 8), false))
+	if len(c.ports[0]) != 0 {
+		t.Fatalf("emitted a %d-byte datagram from a train missing bytes 0-7", c.ports[0][0].Len())
+	}
+	if re.Malformed() != 1 || re.Pending() != 1 {
+		t.Fatalf("malformed = %d, pending = %d; want 1, 1", re.Malformed(), re.Pending())
+	}
+}
+
+// TestReassemblerOversizedTrain: fragments that run past the largest
+// IPv4 payload (65,515 bytes) are dropped instead of overrunning the
+// per-block bitmap.
+func TestReassemblerOversizedTrain(t *testing.T) {
+	re := NewReassembler()
+	c := newCapture()
+	wireOut(re, 0, c, 0)
+	ctx := &click.Context{}
+	chunk := bytes.Repeat([]byte{0x5A}, 1480)
+	for i := 0; i < 45; i++ {
+		re.Push(ctx, 0, fragmentFrame(3, i*1480, chunk, true))
+	}
+	re.Push(ctx, 0, fragmentFrame(3, 65528, chunk, false))
+	if len(c.ports[0]) != 0 || re.Completed() != 0 {
+		t.Fatalf("emitted %d datagrams from an oversized train", len(c.ports[0]))
+	}
+	// Fragment 44 (65,120–66,600) and the final one end past 65,515.
+	if re.Malformed() != 2 {
+		t.Fatalf("malformed = %d, want 2", re.Malformed())
+	}
+}
+
+// TestReassemblerMalformedFragments covers the remaining drops: a
+// TotalLength the frame does not hold (no CheckIPHeader in front), a
+// non-final fragment that is not a multiple of 8 bytes, and final
+// fragments that disagree about where the datagram ends.
+func TestReassemblerMalformedFragments(t *testing.T) {
+	re := NewReassembler()
+	c := newCapture()
+	wireOut(re, 0, c, 0)
+	ctx := &click.Context{}
+	data := bytes.Repeat([]byte{0x11}, 16)
+
+	long := fragmentFrame(1, 0, data, true)
+	long.IPv4().SetTotalLength(1400)
+	re.Push(ctx, 0, long)
+	re.Push(ctx, 0, &pkt.Packet{Data: make([]byte, pkt.EtherHdrLen+8)})
+	re.Push(ctx, 0, fragmentFrame(2, 0, data[:12], true))
+	if re.Malformed() != 3 || re.Pending() != 0 {
+		t.Fatalf("malformed = %d, pending = %d; want 3, 0", re.Malformed(), re.Pending())
+	}
+
+	re.Push(ctx, 0, fragmentFrame(4, 16, data[:4], false)) // ends at 20
+	re.Push(ctx, 0, fragmentFrame(4, 24, data[:8], false)) // a second, later end
+	re.Push(ctx, 0, fragmentFrame(4, 16, data, true))      // runs past the end
+	if re.Malformed() != 5 {
+		t.Fatalf("malformed = %d, want 5", re.Malformed())
+	}
+	re.Push(ctx, 0, fragmentFrame(4, 0, data, true))
+	if len(c.ports[0]) != 1 || c.ports[0][0].Len() != pkt.EtherHdrLen+pkt.IPv4HdrLen+20 {
+		t.Fatalf("want one 20-byte-payload datagram, got %d", len(c.ports[0]))
+	}
+}

@@ -1,6 +1,7 @@
 package elements
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -90,6 +91,88 @@ func FuzzIPv4Path(f *testing.F) {
 			t.Fatalf("TTL %d became %d", ttl, frame.IPv4().TTL())
 		case !frame.IPv4().VerifyChecksum():
 			t.Fatalf("TTL %d: checksum invalid after the decrement", ttl)
+		}
+	})
+}
+
+// reasmPattern is the payload every fuzzed fragment carries: byte i of
+// a datagram is reasmPattern[i], never zero, so a byte no fragment
+// carried (a zero-filled hole) cannot pass for one that did.
+var reasmPattern = func() []byte {
+	b := make([]byte, 0x2000*8+0x800) // largest offset plus longest fragment
+	for i := range b {
+		b[i] = byte(i%251) + 1
+	}
+	return b
+}()
+
+// FuzzReassembler decodes the input into a train of IPv4 fragments of
+// two datagrams, 5 bytes each: a 13-bit offset (in 8-byte units), an
+// 11-bit payload length, and flags (bit 0 MF, bit 1 which datagram;
+// MF is forced at offset 0).
+// Every fragment carries reasmPattern at its offset and goes through
+// CheckIPHeader into a Reassembler. No train may panic, and every
+// datagram that comes out must have a valid checksum, a TotalLength of
+// 20 plus its payload and at most 65,535, and only payload bytes some
+// fragment of that datagram carried.
+func FuzzReassembler(f *testing.F) {
+	train := func(frags ...[3]int) []byte {
+		var b []byte
+		for _, fr := range frags {
+			b = binary.BigEndian.AppendUint16(b, uint16(fr[0]/8))
+			b = binary.BigEndian.AppendUint16(b, uint16(fr[1]))
+			b = append(b, byte(fr[2]))
+		}
+		return b
+	}
+	f.Add(train([3]int{0, 1480, 1}, [3]int{1480, 1480, 1}, [3]int{2960, 100, 0}))
+	f.Add(train([3]int{0, 0, 1}, [3]int{8, 8, 0}))                   // zero-length first fragment
+	f.Add(train([3]int{0, 4, 1}, [3]int{8, 8, 0}))                   // non-final fragment not a multiple of 8
+	f.Add(train([3]int{8, 4, 0}, [3]int{16, 8, 0}, [3]int{0, 8, 1})) // two final fragments
+	var long [][3]int                                                // a train ending past 65,535 bytes
+	for i := 0; i < 45; i++ {
+		long = append(long, [3]int{i * 1480, 1480, 1})
+	}
+	f.Add(train(append(long, [3]int{65528, 1480, 0})...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := &CheckIPHeader{}
+		re := NewReassembler()
+		c := newCapture()
+		check.SetOutput(0, func(ctx *click.Context, p *pkt.Packet) { re.Push(ctx, 0, p) })
+		wireOut(check, 1, c, 1)
+		wireOut(re, 0, c, 0)
+		ctx := &click.Context{}
+		var carried [2][]bool
+		for i := range carried {
+			carried[i] = make([]bool, len(reasmPattern))
+		}
+		for ; len(data) >= 5; data = data[5:] {
+			off := int(binary.BigEndian.Uint16(data)&0x1FFF) * 8
+			n := int(binary.BigEndian.Uint16(data[2:]) & 0x7FF)
+			// Offset 0 without MF is a whole datagram, which passes
+			// through untouched; at offset 0 the train always fragments.
+			mf, id := data[4]&1 != 0 || off == 0, int(data[4]>>1&1)
+			for i := off; i < off+n; i++ {
+				carried[id][i] = true
+			}
+			check.Push(ctx, 0, fragmentFrame(uint16(id), off, reasmPattern[off:off+n], mf))
+		}
+		for _, out := range c.ports[0] {
+			ih := out.IPv4()
+			payload := out.Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:]
+			if !ih.VerifyChecksum() {
+				t.Fatal("emitted datagram fails its header checksum")
+			}
+			if tl := int(ih.TotalLength()); tl != pkt.IPv4HdrLen+len(payload) || tl > 0xFFFF {
+				t.Fatalf("TotalLength %d for a %d-byte payload", tl, len(payload))
+			}
+			id := int(ih.ID())
+			for i, b := range payload {
+				if !carried[id][i] || b != reasmPattern[i] {
+					t.Fatalf("datagram %d byte %d = %#x: no fragment carried it", id, i, b)
+				}
+			}
 		}
 	})
 }

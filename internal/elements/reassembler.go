@@ -11,6 +11,10 @@ import (
 // straight through. Incomplete datagrams are evicted after Timeout
 // nanoseconds of inactivity (checked lazily on traffic) and their
 // fragments are dropped and counted.
+//
+// Fragments that could make the rebuilt datagram lie are dropped and
+// counted in Malformed (see Push), so every emitted byte was carried by
+// some fragment.
 type Reassembler struct {
 	click.Base
 	// TimeoutNs evicts stale partial datagrams (default 30 s, the classic
@@ -27,6 +31,7 @@ type Reassembler struct {
 
 	completed uint64
 	timedOut  uint64
+	malformed uint64
 }
 
 type fragKey struct {
@@ -66,8 +71,20 @@ func (r *Reassembler) TimedOut() uint64 { return r.timedOut }
 // Pending reports partial datagrams currently held.
 func (r *Reassembler) Pending() int { return len(r.partial) }
 
-// Push collects fragments.
+// Malformed reports fragments dropped by Push as malformed.
+func (r *Reassembler) Malformed() uint64 { return r.malformed }
+
+// Push collects fragments. It drops as malformed a frame too short for
+// an IPv4 header and a fragment that carries no data, has a TotalLength
+// its frame does not hold, ends past the largest IPv4 payload (65,515
+// bytes), is not final yet not a multiple of 8 bytes long (RFC 791), or
+// contradicts its datagram's partial state (see conflicts).
 func (r *Reassembler) Push(ctx *click.Context, _ int, p *pkt.Packet) {
+	const hdr = pkt.EtherHdrLen + pkt.IPv4HdrLen
+	if len(p.Data) < hdr {
+		r.drop(ctx, p)
+		return
+	}
 	ih := p.IPv4()
 	if !ih.MF() && ih.FragOffset() == 0 {
 		r.Out(ctx, 0, p) // not fragmented
@@ -76,8 +93,16 @@ func (r *Reassembler) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 	now := ctx.Now()
 	r.evict(now)
 
+	off, end := ih.FragOffset(), pkt.EtherHdrLen+int(ih.TotalLength())
+	fragEnd := off + end - hdr
 	key := fragKey{src: ih.SrcUint32(), dst: ih.DstUint32(), id: ih.ID(), proto: ih.Protocol()}
 	pd := r.partial[key]
+	if end <= hdr || end > len(p.Data) || fragEnd > 0xFFFF-pkt.IPv4HdrLen ||
+		ih.MF() && (end-hdr)%8 != 0 || pd != nil && pd.conflicts(fragEnd, ih.MF()) {
+		r.drop(ctx, p)
+		return
+	}
+	data := p.Data[hdr:end]
 	if pd == nil {
 		pd = &partialDatagram{
 			// 64 KB is the IPv4 maximum; allocate lazily in blocks.
@@ -88,21 +113,19 @@ func (r *Reassembler) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 	}
 	pd.lastSeen = now
 
-	off := ih.FragOffset()
-	data := p.Data[pkt.EtherHdrLen+pkt.IPv4HdrLen : pkt.EtherHdrLen+int(ih.TotalLength())]
-	if need := off + len(data); need > len(pd.payload) {
-		grown := make([]byte, need)
+	if fragEnd > len(pd.payload) {
+		grown := make([]byte, fragEnd)
 		copy(grown, pd.payload)
 		pd.payload = grown
 	}
 	copy(pd.payload[off:], data)
-	for b := off / 8; b <= (off+len(data)-1)/8 && b < len(pd.have); b++ {
+	for b := off / 8; b <= (fragEnd-1)/8; b++ {
 		pd.have[b] = true
 	}
 	// Everything needed from p's header is read before any Put: a Put
 	// packet may be handed out and overwritten at any moment.
 	if !ih.MF() {
-		pd.totalLen = off + len(data)
+		pd.totalLen = fragEnd
 	}
 	if off == 0 {
 		if pd.first != nil && pd.first != p && r.Recycle != nil {
@@ -124,6 +147,24 @@ func (r *Reassembler) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 			pd.first = nil
 		}
 		r.Out(ctx, 0, out)
+	}
+}
+
+// conflicts reports whether a fragment ending at fragEnd contradicts
+// pd: it runs past the end a final fragment fixed, or it is final and
+// ends anywhere else, or before data already held.
+func (pd *partialDatagram) conflicts(fragEnd int, more bool) bool {
+	if pd.totalLen > 0 && fragEnd > pd.totalLen {
+		return true
+	}
+	return !more && (fragEnd < len(pd.payload) || pd.totalLen > 0 && fragEnd != pd.totalLen)
+}
+
+// drop recycles a malformed fragment and counts it.
+func (r *Reassembler) drop(ctx *click.Context, p *pkt.Packet) {
+	r.malformed++
+	if r.Recycle != nil {
+		ctx.Recycle(r.Recycle, p)
 	}
 }
 

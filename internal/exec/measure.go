@@ -7,12 +7,11 @@ import (
 	"routebricks/internal/pkt"
 )
 
-// This file measures what the placement cost model prices: the real
-// per-packet cost of moving packets through an SPSC handoff ring
-// between two goroutines. The Auto calibration used to charge a fixed
-// 120 cycles per crossing; routebricks.Load now runs MeasureHandoff
-// once per process and feeds the measured figure into the cost model,
-// so placement decisions reflect the host the router actually runs on.
+// This file measures the real per-packet cost of moving packets through
+// an SPSC handoff ring between two goroutines. routebricks.Load runs
+// MeasureHandoff once per process and Placement: Auto calibration
+// charges that figure for every handoff crossing, so placement
+// decisions reflect the host the router actually runs on.
 
 // MeasureConfig parameterizes MeasureHandoff. The zero value selects
 // the documented defaults.

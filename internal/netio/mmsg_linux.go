@@ -116,7 +116,9 @@ func (rx *mmsgRx) post(vlen int) {
 
 // read fills b with up to min(Batch, b's free capacity) datagrams in
 // one recvmmsg, blocking on the runtime poller until at least one is
-// available. Returns (received, truncated, error).
+// available. A datagram the kernel clipped to max (MSG_TRUNC) is not
+// delivered: its slot goes back to the shard and it counts only as
+// truncated. Returns (delivered, truncated, error).
 func (rx *mmsgRx) read(b *pkt.Batch) (int, int, error) {
 	vlen := b.Cap() - b.Len()
 	if vlen <= 0 {
@@ -155,17 +157,15 @@ func (rx *mmsgRx) read(b *pkt.Batch) (int, int, error) {
 	for i := 0; i < n; i++ {
 		p := rx.pkts[i]
 		rx.pkts[i] = nil
-		ln := int(rx.msgs[i].n)
-		if ln > rx.max {
-			ln = rx.max
-		}
 		if rx.msgs[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
 			trunc++
+			rx.shard.Put(p)
+			continue
 		}
-		p.Data = p.Data[:ln]
+		p.Data = p.Data[:rx.msgs[i].n]
 		b.Add(p)
 	}
-	return n, trunc, nil
+	return n - trunc, trunc, nil
 }
 
 // release puts every still-posted receive buffer back on the pool.

@@ -66,9 +66,9 @@ type Config struct {
 	// pass their own shard so allocation never contends across cores.
 	Shard *pkt.PoolShard
 
-	// MaxPacket is the receive buffer size per datagram; longer
-	// datagrams are truncated to it (counted in Stats.Truncated on the
-	// mmsg path). Default pkt.MaxSize.
+	// MaxPacket is the receive buffer size per datagram. The mmsg path
+	// drops a longer datagram and counts it in Stats.Truncated; the
+	// fallback cannot tell and delivers it clipped. Default pkt.MaxSize.
 	MaxPacket int
 
 	// ForceFallback disables the mmsg fast path even where it is
@@ -100,7 +100,7 @@ func (c Config) normalized() Config {
 type Stats struct {
 	Batches   uint64 // syscalls that moved at least one datagram
 	Frames    uint64 // datagrams moved
-	Truncated uint64 // received datagrams clipped to MaxPacket (mmsg path only)
+	Truncated uint64 // received datagrams dropped as longer than MaxPacket (mmsg path only)
 	Sends     uint64 // messages handed to the kernel (writers only)
 }
 
@@ -147,17 +147,24 @@ func (r *BatchReader) Stats() Stats {
 
 // ReadBatch appends received datagrams to b — up to min(Config.Batch,
 // b's free capacity) on the mmsg path, exactly one on the fallback path
-// — and returns how many arrived. It blocks until at least one datagram
-// is available, the conn's read deadline expires, or the conn is
-// closed. Ownership of the appended packets (drawn from Config.Shard,
-// trimmed to the received length) transfers to the caller.
+// — and returns how many it appended. It blocks until at least one
+// datagram is available, the conn's read deadline expires, or the conn
+// is closed. Ownership of the appended packets (drawn from
+// Config.Shard, trimmed to the received length) transfers to the
+// caller.
+//
+// On the mmsg path a datagram longer than MaxPacket is not appended:
+// its buffer returns to Config.Shard and it counts only in
+// Stats.Truncated, so a call whose every datagram was too long returns
+// 0 and a nil error. The fallback path cannot detect truncation; it
+// appends such a datagram clipped to MaxPacket.
 func (r *BatchReader) ReadBatch(b *pkt.Batch) (int, error) {
 	if r.rx != nil {
 		n, trunc, err := r.rx.read(b)
+		r.truncated.Add(uint64(trunc))
 		if n > 0 {
 			r.batches.Add(1)
 			r.frames.Add(uint64(n))
-			r.truncated.Add(uint64(trunc))
 		}
 		return n, err
 	}

@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -102,9 +103,10 @@ func TestRoundTripMMsg(t *testing.T) {
 	roundTrip(t, false, "mmsg", 100)
 }
 
-// TestTruncation sends a datagram longer than MaxPacket: both paths
-// must deliver exactly MaxPacket bytes; the mmsg path also counts the
-// clip in Stats.Truncated (the fallback cannot detect it).
+// TestTruncation sends a datagram longer than MaxPacket, then a valid
+// one. The mmsg path drops the long one, counting it in
+// Stats.Truncated, and delivers the valid one intact; the fallback
+// cannot detect the clip and delivers the first MaxPacket bytes.
 func TestTruncation(t *testing.T) {
 	for _, force := range []bool{false, true} {
 		if !force && !Available() {
@@ -123,20 +125,26 @@ func TestTruncation(t *testing.T) {
 			for i := range big {
 				big[i] = byte(i)
 			}
-			if _, err := txConn.WriteToUDP(big, addrOf(rxConn)); err != nil {
-				t.Fatal(err)
-			}
-			got := drain(t, rxConn, r, 1)
-			if len(got[0]) != 128 {
-				t.Fatalf("delivered %d bytes, want the 128-byte clip", len(got[0]))
-			}
-			for i, b := range got[0] {
-				if b != byte(i) {
-					t.Fatalf("byte %d = %d, want %d", i, b, byte(i))
+			valid := []byte("valid datagram after the long one")
+			for _, d := range [][]byte{big, valid} {
+				if _, err := txConn.WriteToUDP(d, addrOf(rxConn)); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if !force && r.Stats().Truncated != 1 {
-				t.Fatalf("mmsg path counted %d truncations, want 1", r.Stats().Truncated)
+			if force {
+				got := drain(t, rxConn, r, 2)
+				if !bytes.Equal(got[0], big[:128]) || !bytes.Equal(got[1], valid) {
+					t.Fatalf("fallback delivered %d+%d bytes, want the 128-byte clip then the valid datagram",
+						len(got[0]), len(got[1]))
+				}
+				return
+			}
+			got := drain(t, rxConn, r, 1)
+			if len(got) != 1 || !bytes.Equal(got[0], valid) {
+				t.Fatalf("mmsg delivered %q, want only the valid datagram", got)
+			}
+			if s := r.Stats(); s.Truncated != 1 || s.Frames != 1 {
+				t.Fatalf("mmsg stats %+v, want 1 truncated and 1 frame", s)
 			}
 		})
 	}

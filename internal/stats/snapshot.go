@@ -7,12 +7,9 @@ package stats
 // pure data — the routebricks facade fills them from a live plan;
 // nothing here touches the datapath.
 
-// CoreSnapshot is one core's counter block at snapshot time. Socket is
-// the CPU socket the placement assigned the core to (0 on flat
-// topologies).
+// CoreSnapshot is one core's counter block at snapshot time.
 type CoreSnapshot struct {
 	Core     int    `json:"core"`
-	Socket   int    `json:"socket"`
 	Chain    int    `json:"chain"`
 	Stages   string `json:"stages"`
 	Packets  uint64 `json:"packets"`
@@ -38,17 +35,15 @@ type PoolSnapshot struct {
 // RingSnapshot is one ring's state: Role is "input" (caller-fed) or
 // "handoff" (inter-stage); Len/Cap are occupancy gauges, Rejected the
 // monotonic backpressure counter. FromCore/ToCore are the producer and
-// consumer cores (-1 for an input ring's external producer) and Cost
-// the placement cost model's per-packet price for the crossing.
+// consumer cores (-1 for an input ring's external producer).
 type RingSnapshot struct {
-	Role     string  `json:"role"`
-	Chain    int     `json:"chain"`
-	FromCore int     `json:"from_core"`
-	ToCore   int     `json:"to_core"`
-	Cost     float64 `json:"cost,omitempty"`
-	Len      int     `json:"len"`
-	Cap      int     `json:"cap"`
-	Rejected uint64  `json:"rejected"`
+	Role     string `json:"role"`
+	Chain    int    `json:"chain"`
+	FromCore int    `json:"from_core"`
+	ToCore   int    `json:"to_core"`
+	Len      int    `json:"len"`
+	Cap      int    `json:"cap"`
+	Rejected uint64 `json:"rejected"`
 }
 
 // WireSnapshot is the process's kernel wire-I/O health (internal/netio
@@ -59,8 +54,8 @@ type RingSnapshot struct {
 // TxSends counts the messages those syscalls carried: on the mmsg path
 // a run of equal-length datagrams to one destination is one UDP GSO
 // message, so TxFrames/TxSends is the segments per send, 1 where
-// nothing coalesced. RxTruncated counts received datagrams clipped to
-// the configured maximum (detectable on the mmsg path only).
+// nothing coalesced. RxTruncated counts received datagrams dropped as
+// longer than the configured maximum (detectable on the mmsg path only).
 type WireSnapshot struct {
 	Mode        string `json:"mode"`
 	RxBatches   uint64 `json:"rx_batches"`

@@ -46,20 +46,6 @@ type PlanKind = click.PlanKind
 // Pipeline.Snapshot.
 type Snapshot = stats.Snapshot
 
-// Topology describes the socket layout placement decisions run
-// against — sockets × cores plus NIC-queue→socket affinity (see
-// internal/click).
-type Topology = click.Topology
-
-// CostModel prices placement decisions; see internal/click. The
-// default is click.BusCostModel over the pipeline's Topology with the
-// measured handoff cost.
-type CostModel = click.CostModel
-
-// DetectTopology inspects the host and returns its socket layout
-// (flat single-socket when undetectable).
-func DetectTopology() Topology { return click.DetectTopology() }
-
 // The §4.2 core allocations, plus the measured mode.
 const (
 	// Parallel clones the whole graph onto every core ("one core per
@@ -123,22 +109,12 @@ type Options struct {
 	// Sink, when non-nil, builds a terminal element per chain and wires
 	// it after the trunk's dangling last output.
 	Sink func(chain int) Element
-	// Topology describes the socket layout placement runs against:
-	// parallel chains pin to the socket owning their input queue, and
-	// handoff rings that cross sockets are charged the cost model's
-	// cross-socket premium. nil detects the host topology once per
-	// process; supply one explicitly for determinism (tests, planning
-	// for a different machine).
-	Topology *Topology
-	// HandoffCycles is the modeled per-packet cost of a same-socket
-	// handoff-ring crossing, in cycles. 0 measures it once per process
-	// via exec.MeasureHandoff (cached); tests pass an explicit value
-	// for determinism. Negative values are rejected.
+	// HandoffCycles is the per-packet cost of a handoff-ring crossing,
+	// in cycles, that Auto calibration charges the pipelined candidate.
+	// 0 measures it once per process via exec.MeasureHandoff (cached);
+	// tests pass an explicit value for determinism. Negative values are
+	// rejected.
 	HandoffCycles float64
-	// CostModel replaces the whole placement cost model (advanced:
-	// custom pricing, test stubs). When set, Topology still steers
-	// queue affinity but HandoffCycles is ignored.
-	CostModel CostModel
 }
 
 // validate rejects malformed options with a descriptive error instead
@@ -162,11 +138,6 @@ func (o Options) validate() error {
 	if o.HandoffCycles < 0 {
 		return fmt.Errorf("routebricks: HandoffCycles must be non-negative (0 means measure at Load), got %g", o.HandoffCycles)
 	}
-	if o.Topology != nil {
-		if err := o.Topology.Validate(); err != nil {
-			return fmt.Errorf("routebricks: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -187,29 +158,13 @@ func (o Options) withDefaults() Options {
 	if o.Registry == nil {
 		o.Registry = elements.StandardRegistry()
 	}
-	if o.Topology == nil {
-		t := hostTopology()
-		o.Topology = &t
-	}
-	if o.HandoffCycles == 0 && o.CostModel == nil {
+	if o.HandoffCycles == 0 {
 		// Measure what a ring crossing actually costs on this host —
 		// once per process; the cached figure keeps repeated Loads (and
 		// the Auto determinism contract) stable.
 		o.HandoffCycles = measuredHandoffCycles()
 	}
 	return o
-}
-
-// hostTopology caches DetectTopology: the socket layout cannot change
-// mid-process, and callers rely on repeated Loads agreeing.
-var hostTopo struct {
-	once sync.Once
-	topo Topology
-}
-
-func hostTopology() Topology {
-	hostTopo.once.Do(func() { hostTopo.topo = click.DetectTopology() })
-	return hostTopo.topo
 }
 
 // measuredHandoffCycles runs the exec.MeasureHandoff ping-pong once
@@ -259,14 +214,8 @@ func merge(cur, next Options) Options {
 	if next.Sink == nil {
 		next.Sink = cur.Sink
 	}
-	if next.Topology == nil {
-		next.Topology = cur.Topology
-	}
 	if next.HandoffCycles == 0 {
 		next.HandoffCycles = cur.HandoffCycles
-	}
-	if next.CostModel == nil {
-		next.CostModel = cur.CostModel
 	}
 	return next
 }
@@ -387,9 +336,8 @@ func buildPlan(text string, opts Options) (*click.Plan, Options, string, []Calib
 	return plan, opts, decision, calib, nil
 }
 
-// planConfig maps resolved Options onto the planner's config, wiring
-// in the topology and cost model every plan (candidate or final) is
-// placed and scored against.
+// planConfig maps resolved Options onto the planner's config for every
+// plan, candidate or final.
 func planConfig(prog *click.Program, opts Options, kind PlanKind, segWeights []float64) click.PlanConfig {
 	return click.PlanConfig{
 		Kind:       kind,
@@ -399,24 +347,11 @@ func planConfig(prog *click.Program, opts Options, kind PlanKind, segWeights []f
 		InputCap:   opts.InputCap,
 		HandoffCap: opts.HandoffCap,
 		Sink:       opts.Sink,
-		Topo:       *opts.Topology,
-		Cost:       opts.costModel(),
 		SegWeights: segWeights,
 		// The pipeline always steers by flow hash (PushFlow), so cloned
 		// per-flow elements are safe by construction.
 		FlowSteered: true,
 	}
-}
-
-// costModel resolves the pricing the planner and calibration consult:
-// the explicit override when set, otherwise the default bus model over
-// the resolved topology and (measured) handoff cost. Called only after
-// withDefaults, so Topology is non-nil.
-func (o Options) costModel() CostModel {
-	if o.CostModel != nil {
-		return o.CostModel
-	}
-	return click.NewBusCostModel(*o.Topology, o.HandoffCycles)
 }
 
 // Start launches the pipeline's cores as real goroutines.

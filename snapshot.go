@@ -50,7 +50,6 @@ func (p *Pipeline) Snapshot() Snapshot {
 	for _, cs := range plan.Stats() {
 		s.CoreStats = append(s.CoreStats, stats.CoreSnapshot{
 			Core:     cs.Core,
-			Socket:   cs.Socket,
 			Chain:    cs.Chain,
 			Stages:   cs.Stages,
 			Packets:  cs.Packets(),
@@ -66,7 +65,6 @@ func (p *Pipeline) Snapshot() Snapshot {
 			Chain:    pr.Chain,
 			FromCore: pr.From,
 			ToCore:   pr.To,
-			Cost:     pr.Cost,
 			Len:      pr.Ring.Len(),
 			Cap:      pr.Ring.Cap(),
 			Rejected: pr.Ring.Rejected(),
