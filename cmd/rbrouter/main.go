@@ -37,10 +37,14 @@
 // the RSS stage — and one goroutine per socket reads a batch
 // (recvmmsg), runs the Click graph inline (Pipeline.RunBatch) and
 // sends what it routed (sendmmsg) before it reads again. Each run of
-// equal-length frames to one destination leaves as one UDP GSO message,
-// so the kernel walks it down the output path once; the wire block of
-// the stats reports tx_frames/tx_sends, the segments per send. Frames
-// the kernel refuses count in tx_errors, not as forwarded.
+// equal-length frames to the collector leaves as one UDP GSO message,
+// so the kernel walks it down the output path once, and the line
+// sockets set UDP GRO, so such a run from a sender arrives as one
+// buffer the loop cuts into frames. Frames for peers cross the mesh
+// packed into bundles, one datagram per peer per flush (docs/mesh.md).
+// The wire block of the stats reports tx_frames/tx_sends, segments per
+// GRO buffer and frames per bundle. Frames the kernel refuses count in
+// tx_errors, not as forwarded.
 // One more loop does the same for transit frames on the mesh socket. An
 // idle loop parks in recvmmsg on the runtime poller: nothing polls,
 // nothing sleeps, and no frame waits in a queue. A pipelined placement
@@ -176,10 +180,12 @@ func (m *membership) up(j int) bool { return m.live == nil || m.live[j] }
 
 // egress is one goroutine's transmit side. Frames gather while a batch
 // is routed and leave before the call that routed them returns: one
-// sendmmsg on the mesh socket scatters to every peer, and one on an ext
-// socket reaches the collector, so delivered frames leave from the
-// node's line port. A frame is never queued, and each destination sees
-// frames in the order they were routed.
+// sendmmsg on the mesh socket carries every peer's frames, packed into
+// bundles (one per peer unless a flush spills past netio.BundleCap),
+// and one on an ext socket reaches the collector, so delivered frames
+// leave from the node's line port one datagram each. A frame is never
+// queued, and each destination sees frames in the order they were
+// routed.
 type egress struct {
 	nd           *node
 	mesh, line   *pkt.Batch
@@ -219,12 +225,18 @@ func (e *egress) add(ctx *click.Context, j int, p *pkt.Packet) {
 
 // flush sends what add gathered. The kernel copies at syscall time, so
 // the frames recycle at once, into the running goroutine's shard. What
-// the kernel took counts as forwarded or egressed; a send error loses
-// the rest as the wire would, counted in tx_errors.
+// the kernel took counts as forwarded or egressed, in frames; a send
+// error loses the rest as the wire would, counted in tx_errors. A
+// -wire-fallback member sends mesh frames one datagram each.
 func (e *egress) flush(ctx *click.Context) {
 	nd := e.nd
 	if n := e.mesh.Len(); n > 0 {
-		sent, _ := e.meshW.WriteScatter(e.mesh.Packets(), e.to)
+		var sent int
+		if nd.fallback {
+			sent, _ = e.meshW.WriteScatter(e.mesh.Packets(), e.to)
+		} else {
+			sent, _ = e.meshW.WriteBundles(e.mesh.Packets(), e.to)
+		}
 		nd.forwarded.Add(uint64(sent))
 		nd.txErrors.Add(uint64(n - sent))
 		e.to = e.to[:0]
@@ -464,18 +476,21 @@ func (nd *node) transit(tx *egress) func(*click.Context, *pkt.Batch) {
 }
 
 // runLoop is one datapath core: it owns one socket from recvmmsg to
-// sendmmsg. Each turn reads a batch straight into pool buffers (netio
-// points the kernel's iovecs at them), drops runts, and hands the rest
-// to run — the ingress graph or transit — which flushes its egress
-// before returning, so nothing is in flight when the next read starts.
-// An idle loop parks in the read on the runtime poller, with no
-// deadline; shutdown wakes it with an immediate-deadline poke. The
-// loop's pool shard rides on the context, so every recycle on the way —
-// runts, counting drops, sent frames — stays shard-local.
+// sendmmsg. Each turn reads a batch of frames into pool buffers (netio
+// cuts them from GRO buffers or bundles, or points the kernel's iovecs
+// at the buffers), drops runts, and hands the rest to run — the
+// ingress graph or transit — which flushes its egress before returning,
+// so nothing is in flight when the next read starts. Frames a read
+// staged beyond the batch come back from the next read without a
+// syscall. An idle loop parks in the read on the runtime poller, with
+// no deadline; shutdown wakes it with an immediate-deadline poke. The
+// loop's pool shard and the wall clock ride on the context, so every
+// recycle on the way — runts, counting drops, sent frames — stays
+// shard-local, and timed elements see real time.
 func (nd *node) runLoop(r *netio.BatchReader, shard *pkt.PoolShard, run func(*click.Context, *pkt.Batch)) {
 	defer nd.wg.Done()
 	defer r.Release()
-	ctx := &click.Context{PoolShard: shard}
+	ctx := &click.Context{PoolShard: shard, NowNS: click.WallNS}
 	batch := pkt.NewBatch(32)
 	for !nd.stop.Load() {
 		batch.Reset()
@@ -502,10 +517,15 @@ func (nd *node) runLoop(r *netio.BatchReader, shard *pkt.PoolShard, run func(*cl
 }
 
 // newReader builds one receive queue: a netio batch reader on its own
-// pool shard, registered for the node's wire counters.
-func (nd *node) newReader(conn *net.UDPConn) (*netio.BatchReader, *pkt.PoolShard) {
+// pool shard, registered for the node's wire counters. Line ports read
+// UDP GRO buffers and the mesh socket reads bundles; a -wire-fallback
+// member reads one datagram per frame on both.
+func (nd *node) newReader(conn *net.UDPConn, framing netio.Framing) (*netio.BatchReader, *pkt.PoolShard) {
 	shard := nextShard()
-	r := netio.NewBatchReader(conn, netio.Config{Shard: shard, ForceFallback: nd.fallback})
+	if nd.fallback {
+		framing = netio.Datagrams
+	}
+	r := netio.NewBatchReader(conn, netio.Config{Shard: shard, ForceFallback: nd.fallback, Framing: framing})
 	nd.wireMu.Lock()
 	nd.readers = append(nd.readers, r)
 	nd.wireMu.Unlock()
@@ -519,11 +539,11 @@ func (nd *node) start() error {
 		return err
 	}
 	for q, c := range nd.exts {
-		r, shard := nd.newReader(c)
+		r, shard := nd.newReader(c, netio.GRO)
 		nd.wg.Add(1)
 		go nd.runLoop(r, shard, func(ctx *click.Context, b *pkt.Batch) { nd.ingress.RunBatch(q, ctx, b) })
 	}
-	r, shard := nd.newReader(nd.int_)
+	r, shard := nd.newReader(nd.int_, netio.Bundles)
 	nd.wg.Add(1)
 	go nd.runLoop(r, shard, nd.transit(nd.newEgress(nd.exts[0])))
 	return nil
@@ -625,8 +645,10 @@ func readProgram(path string) (string, error) {
 // the admin API's wire block. Mode reports "mmsg" if any socket runs
 // the fast path ("fallback" only when all do not); the mean syscall
 // fill — what batching exists to raise — is RxFrames/RxBatches and
-// TxFrames/TxBatches, and TxFrames/TxSends is the UDP GSO segments per
-// send.
+// TxFrames/TxBatches, and TxFrames/TxSends is the frames per send. The
+// line ports' GRO readers and the mesh socket's bundle reader report
+// their datagrams apart, so RxGROFrames/RxGROBuffers is the segments
+// per GRO buffer and TxBundled/TxBundles the frames per bundle.
 func (nd *node) wireSnapshot() *stats.WireSnapshot {
 	w := &stats.WireSnapshot{Mode: "fallback"}
 	nd.wireMu.Lock()
@@ -636,6 +658,14 @@ func (nd *node) wireSnapshot() *stats.WireSnapshot {
 		w.RxBatches += s.Batches
 		w.RxFrames += s.Frames
 		w.RxTruncated += s.Truncated
+		w.RxMalformed += s.Malformed
+		switch r.Framing() {
+		case netio.GRO:
+			w.RxGROBuffers += s.Coalesced
+			w.RxGROFrames += s.Frames
+		case netio.Bundles:
+			w.RxBundles += s.Coalesced
+		}
 		if r.Mode() == "mmsg" {
 			w.Mode = "mmsg"
 		}
@@ -645,6 +675,8 @@ func (nd *node) wireSnapshot() *stats.WireSnapshot {
 		w.TxBatches += s.Batches
 		w.TxFrames += s.Frames
 		w.TxSends += s.Sends
+		w.TxBundles += s.Bundles
+		w.TxBundled += s.Bundled
 	}
 	return w
 }

@@ -91,6 +91,26 @@ func sendTo(t *testing.T, addr net.Addr, frames ...[]byte) {
 	}
 }
 
+// sendBundle writes frames to addr as one mesh bundle, the way a peer's
+// egress sends them.
+func sendBundle(t *testing.T, addr net.Addr, frames ...[]byte) {
+	t.Helper()
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ps := make([]*pkt.Packet, len(frames))
+	to := make([]*net.UDPAddr, len(frames))
+	for i, f := range frames {
+		ps[i], to[i] = &pkt.Packet{Data: f}, addr.(*net.UDPAddr)
+	}
+	w := netio.NewBatchWriter(conn, netio.Config{})
+	if n, err := w.WriteBundles(ps, to); err != nil || n != len(frames) || w.Stats().Bundles != 1 {
+		t.Fatalf("WriteBundles = %d, %v in %d bundles; want %d in 1", n, err, w.Stats().Bundles, len(frames))
+	}
+}
+
 // framesFor builds count routable frames into node d's prefix.
 func framesFor(d, count int) [][]byte {
 	out := make([][]byte, count)
@@ -203,6 +223,13 @@ func TestWireRunToCompletion(t *testing.T) {
 		if f1 := nodes[1].forwarded.Load(); f1 != 0 {
 			t.Fatalf("node 1 forwarded %d, want 0", f1)
 		}
+		// Node 0's k frames for node 1 crossed the mesh in bundles, and
+		// node 1 received every bundle.
+		w0 := nodes[0].wireSnapshot()
+		if w0.TxBundled != k || w0.TxBundles == 0 {
+			t.Fatalf("node 0 bundled %d frames in %d bundles, want %d frames", w0.TxBundled, w0.TxBundles, k)
+		}
+		eventually(t, "node 1's bundles", func() bool { return nodes[1].wireSnapshot().RxBundles == w0.TxBundles })
 		for _, nd := range nodes {
 			if q := nd.ingress.Queued(); q != 0 {
 				t.Fatalf("node %d: %d packets queued in the ingress plan", nd.id, q)
@@ -218,17 +245,20 @@ func TestWireRunToCompletion(t *testing.T) {
 		}
 
 		// The slow paths: a runt, an unroutable frame, an expiring one,
-		// and on the mesh port a frame whose MAC names no member.
+		// and on the mesh port a bundled frame whose MAC names no member
+		// and a plain frame, which is no bundle: malformed, not a frame
+		// the datapath received.
 		sendTo(t, nodes[0].exts[0].LocalAddr(), make([]byte, 10),
 			frame(netip.MustParseAddr("172.16.0.1"), 0, 64),
 			frame(netip.MustParseAddr("10.1.0.1"), 0, 1))
 		stray := frame(netip.MustParseAddr("10.1.0.1"), 0, 64)
 		mac := pkt.NodeMAC(7)
 		copy(stray, mac[:])
-		sendTo(t, nodes[1].int_.LocalAddr(), stray)
+		sendBundle(t, nodes[1].int_.LocalAddr(), stray)
+		sendTo(t, nodes[1].int_.LocalAddr(), frame(netip.MustParseAddr("10.1.0.1"), 0, 64))
 		eventually(t, "slow-path counters", func() bool {
 			s0, s1 := nodes[0].snapshot(), nodes[1].snapshot()
-			return s0.HeaderDrops == 2 && s0.RouteMisses == 1 && s1.HeaderDrops == 1
+			return s0.HeaderDrops == 2 && s0.RouteMisses == 1 && s1.HeaderDrops == 1 && s1.Ingress.Wire.RxMalformed == 1
 		})
 		// The expired frame is node 0's whole TTL share of its header
 		// drops; the runt and the stray MAC are not TTL drops.
@@ -494,6 +524,10 @@ func TestRestripeUnderLoad(t *testing.T) {
 		return fed
 	})
 	eventually(t, "node 0 accounts every frame", func() bool { return accounted(nd) == sent })
+	// forwarded counts frames, bundled or not: node 1 transits each one.
+	eventually(t, "node 1 transits every forwarded frame", func() bool {
+		return nodes[1].transited.Load() == nd.forwarded.Load()
+	})
 	for _, n := range nodes {
 		shutdownBalanced(t, n)
 	}

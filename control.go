@@ -258,7 +258,7 @@ func (p *Pipeline) reload(text string, opts Options, useCurrent bool) error {
 	p.decision = decision
 	p.calib = calib
 	p.generation++
-	p.ctx = click.Context{}
+	p.ctx = click.Context{NowNS: click.WallNS}
 	if wasRunning {
 		if err := p.plan.Start(); err != nil {
 			return err

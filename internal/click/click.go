@@ -44,6 +44,7 @@ package click
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"routebricks/internal/pkt"
 )
@@ -154,6 +155,11 @@ func (c *Context) Now() int64 {
 	}
 	return c.NowNS()
 }
+
+// WallNS reads the wall clock in nanoseconds: the NowNS of every
+// context that runs a graph in real time, so timers (Reassembler
+// eviction, Shaper refill) advance and Tap and Stamp record real times.
+func WallNS() int64 { return time.Now().UnixNano() }
 
 // Element is a packet-processing module. Push delivers a packet to input
 // port port; the element does its work, charges cycles, and pushes the

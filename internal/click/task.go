@@ -136,7 +136,7 @@ func (r *Runner) Start() error {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			ctx := &Context{}
+			ctx := &Context{NowNS: WallNS}
 			idle := 0
 			for !r.stop.Load() {
 				n := r.sched.RunStep(core, ctx)

@@ -264,6 +264,34 @@ func fragmentFrame(id uint16, off int, data []byte, mf bool) *pkt.Packet {
 	return p
 }
 
+// optionFragment is fragmentFrame with IP options: a 24-byte header
+// (IHL 6) whose four NOP option bytes precede data.
+func optionFragment(id uint16, off int, data []byte, mf bool) *pkt.Packet {
+	p := fragmentFrame(id, off, append([]byte{1, 1, 1, 1}, data...), mf)
+	p.IPv4()[0] = 0x46
+	p.IPv4().UpdateChecksum()
+	return p
+}
+
+// TestReassemblerIPOptions: a fragment with IP options is dropped as
+// malformed. The rebuild copies a 20-byte header, so a first fragment's
+// option bytes would otherwise come out as the datagram's first payload
+// bytes, under a header still claiming IHL 6.
+func TestReassemblerIPOptions(t *testing.T) {
+	re := NewReassembler()
+	c := newCapture()
+	wireOut(re, 0, c, 0)
+	ctx := &click.Context{}
+	re.Push(ctx, 0, optionFragment(5, 0, []byte{5, 6, 7, 8}, true))
+	re.Push(ctx, 0, fragmentFrame(5, 8, bytes.Repeat([]byte{9}, 8), false))
+	if len(c.ports[0]) != 0 {
+		t.Fatalf("emitted %x from a train whose first fragment has options", c.ports[0][0].Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:])
+	}
+	if re.Malformed() != 1 || re.Pending() != 1 {
+		t.Fatalf("malformed = %d, pending = %d; want 1, 1", re.Malformed(), re.Pending())
+	}
+}
+
 // TestReassemblerZeroLengthFragment: a first fragment that carries no
 // data must not count as carrying block 0, or the following final
 // fragment completes a datagram whose first 8 bytes were never sent.

@@ -108,10 +108,12 @@ var reasmPattern = func() []byte {
 
 // FuzzReassembler decodes the input into a train of IPv4 fragments of
 // two datagrams, 5 bytes each: a 13-bit offset (in 8-byte units), an
-// 11-bit payload length, and flags (bit 0 MF, bit 1 which datagram;
-// MF is forced at offset 0).
+// 11-bit payload length, and flags (bit 0 MF, bit 1 which datagram,
+// bit 2 IP options; MF is forced at offset 0).
 // Every fragment carries reasmPattern at its offset and goes through
-// CheckIPHeader into a Reassembler. No train may panic, and every
+// CheckIPHeader into a Reassembler, except that a fragment with IP
+// options (IHL 6, four option bytes) goes straight in, as it would with
+// no CheckIPHeader in front, and carries nothing. No train may panic, and every
 // datagram that comes out must have a valid checksum, a TotalLength of
 // 20 plus its payload and at most 65,535, and only payload bytes some
 // fragment of that datagram carried.
@@ -134,6 +136,7 @@ func FuzzReassembler(f *testing.F) {
 		long = append(long, [3]int{i * 1480, 1480, 1})
 	}
 	f.Add(train(append(long, [3]int{65528, 1480, 0})...))
+	f.Add(train([3]int{0, 4, 1 | 4}, [3]int{8, 8, 0})) // options on the first fragment
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := &CheckIPHeader{}
@@ -153,6 +156,10 @@ func FuzzReassembler(f *testing.F) {
 			// Offset 0 without MF is a whole datagram, which passes
 			// through untouched; at offset 0 the train always fragments.
 			mf, id := data[4]&1 != 0 || off == 0, int(data[4]>>1&1)
+			if data[4]&4 != 0 {
+				re.Push(ctx, 0, optionFragment(uint16(id), off, reasmPattern[off:off+n], mf))
+				continue
+			}
 			for i := off; i < off+n; i++ {
 				carried[id][i] = true
 			}

@@ -75,7 +75,9 @@ func (r *Reassembler) Pending() int { return len(r.partial) }
 func (r *Reassembler) Malformed() uint64 { return r.malformed }
 
 // Push collects fragments. It drops as malformed a frame too short for
-// an IPv4 header and a fragment that carries no data, has a TotalLength
+// an IPv4 header and a fragment that has IP options (IHL other than 5:
+// the rebuild copies a 20-byte header, so options would pass for
+// payload), carries no data, has a TotalLength
 // its frame does not hold, ends past the largest IPv4 payload (65,515
 // bytes), is not final yet not a multiple of 8 bytes long (RFC 791), or
 // contradicts its datagram's partial state (see conflicts).
@@ -97,7 +99,7 @@ func (r *Reassembler) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 	fragEnd := off + end - hdr
 	key := fragKey{src: ih.SrcUint32(), dst: ih.DstUint32(), id: ih.ID(), proto: ih.Protocol()}
 	pd := r.partial[key]
-	if end <= hdr || end > len(p.Data) || fragEnd > 0xFFFF-pkt.IPv4HdrLen ||
+	if ih.IHL() != 5 || end <= hdr || end > len(p.Data) || fragEnd > 0xFFFF-pkt.IPv4HdrLen ||
 		ih.MF() && (end-hdr)%8 != 0 || pd != nil && pd.conflicts(fragEnd, ih.MF()) {
 		r.drop(ctx, p)
 		return

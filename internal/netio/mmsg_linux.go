@@ -13,9 +13,11 @@ package netio
 // Wire layout (see docs/netio.md for the full picture): each message is
 // one struct mmsghdr = { struct msghdr; u32 msg_len } padded to the
 // platform word. A receive msghdr carries one iovec pointing at a pool
-// packet's backing array and leaves msg_name nil (the datapath never
-// looks at the source address). A send msghdr points msg_name at a
-// sockaddr_in and carries one iovec per frame of a run: one frame, or
+// packet's backing array, or on a coalesced reader at a staging slot
+// (with a UDP_GRO cmsg buffer on a GRO reader), and leaves msg_name nil
+// (the datapath never looks at the source address). A send msghdr
+// points msg_name at a sockaddr_in and carries one iovec per frame of a
+// run: one frame, or
 // up to 64 frames of one length to one destination under a UDP_SEGMENT
 // cmsg, which the kernel segments back into datagrams (UDP GSO).
 
@@ -128,30 +130,9 @@ func (rx *mmsgRx) read(b *pkt.Batch) (int, int, error) {
 		vlen = len(rx.msgs)
 	}
 	rx.post(vlen)
-	var n int
-	var operr syscall.Errno
-	err := rx.rc.Read(func(fd uintptr) bool {
-		for {
-			m, errno := recvmmsg(fd, rx.msgs[:vlen], syscall.MSG_DONTWAIT)
-			switch errno {
-			case 0:
-				n = m
-				return true
-			case syscall.EAGAIN:
-				return false // park on the poller until readable
-			case syscall.EINTR:
-				continue
-			default:
-				operr = errno
-				return true
-			}
-		}
-	})
+	n, err := recvAll(rx.rc, rx.msgs[:vlen])
 	if err != nil {
 		return 0, 0, err
-	}
-	if operr != 0 {
-		return 0, 0, operr
 	}
 	trunc := 0
 	for i := 0; i < n; i++ {
@@ -166,6 +147,117 @@ func (rx *mmsgRx) read(b *pkt.Batch) (int, int, error) {
 		b.Add(p)
 	}
 	return n - trunc, trunc, nil
+}
+
+// recvAll fills msgs with one recvmmsg, parking on the runtime poller
+// until at least one datagram is available, and returns how many came.
+func recvAll(rc syscall.RawConn, msgs []mmsghdr) (int, error) {
+	var n int
+	var operr syscall.Errno
+	err := rc.Read(func(fd uintptr) bool {
+		for {
+			m, errno := recvmmsg(fd, msgs, syscall.MSG_DONTWAIT)
+			switch errno {
+			case 0:
+				n = m
+				return true
+			case syscall.EAGAIN:
+				return false // park on the poller until readable
+			case syscall.EINTR:
+				continue
+			default:
+				operr = errno
+				return true
+			}
+		}
+	})
+	if err == nil && operr != 0 {
+		err = operr
+	}
+	return n, err
+}
+
+// UDP GRO (Linux 5.0+): with the socket option set, the kernel may
+// deliver a run of equal-length datagrams, such as one UDP GSO send, as
+// one buffer, and names the segment size in a cmsg of the same type.
+const udpGRO = 104 // UDP_GRO, a socket option and cmsg type at level SOL_UDP
+
+// groCmsg is room for one UDP_GRO control message: a cmsghdr and its
+// int gso_size, padded to CMSG_SPACE(4).
+type groCmsg struct {
+	hdr syscall.Cmsghdr
+	seg int32
+	_   [4]byte
+}
+
+// coRx is the coalesced receive state: one message per staging slot of
+// a splitter, its iovec wired to the slot for good, and on a GRO reader
+// a cmsg buffer per message.
+type coRx struct {
+	rc    syscall.RawConn
+	msgs  []mmsghdr
+	iovs  []syscall.Iovec
+	cmsgs []groCmsg // nil unless GRO
+}
+
+// newCoRx builds the receive state for sp's staging slots, setting
+// UDP_GRO on the socket when gro asks for it; an error means the caller
+// keeps the zero-copy path.
+func newCoRx(conn *net.UDPConn, sp *splitter, gro bool) (*coRx, error) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	slots := len(sp.slots)
+	co := &coRx{rc: rc, msgs: make([]mmsghdr, slots), iovs: make([]syscall.Iovec, slots)}
+	for i := range co.msgs {
+		co.iovs[i].Base = &sp.slots[i][0]
+		co.iovs[i].SetLen(len(sp.slots[i]))
+		co.msgs[i].hdr.Iov = &co.iovs[i]
+		co.msgs[i].hdr.Iovlen = 1
+	}
+	if gro {
+		var serr error
+		if err := rc.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
+		}); err != nil {
+			return nil, err
+		}
+		if serr != nil {
+			return nil, serr
+		}
+		co.cmsgs = make([]groCmsg, slots)
+	}
+	return co, nil
+}
+
+// read stages up to one datagram per slot with one recvmmsg, blocking
+// on the runtime poller until at least one is available, and records
+// each one's length and GRO segment size for sp to cut.
+func (co *coRx) read(sp *splitter) error {
+	for i := range co.cmsgs {
+		h := &co.msgs[i].hdr
+		h.Control = (*byte)(unsafe.Pointer(&co.cmsgs[i]))
+		h.SetControllen(int(unsafe.Sizeof(co.cmsgs[i])))
+	}
+	n, err := recvAll(co.rc, co.msgs)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		m := &co.msgs[i]
+		sp.lens[i], sp.segs[i] = int(m.n), 0
+		if m.hdr.Flags&syscall.MSG_TRUNC != 0 {
+			sp.lens[i] = -1
+		}
+		if co.cmsgs != nil && m.hdr.Controllen >= uint64(syscall.CmsgLen(4)) {
+			if c := &co.cmsgs[i]; c.hdr.Level == syscall.IPPROTO_UDP && c.hdr.Type == udpGRO {
+				sp.segs[i] = int(c.seg)
+			}
+		}
+	}
+	sp.staged(n)
+	return nil
 }
 
 // release puts every still-posted receive buffer back on the pool.
@@ -300,11 +392,8 @@ func gsoRefused(errno syscall.Errno) bool {
 }
 
 // write sends every non-empty packet in ps (len(ps) ≤ Batch — the
-// caller chunks) to addr, or to addrs[i] when scattering, each run as
-// one message, looping on partial sends until every message is on the
-// wire. A run the kernel refuses is re-sent as plain messages, and
-// gsoCeil keeps its size from being coalesced again. Returns datagrams
-// sent, messages sent and the sendmmsg calls that moved any.
+// caller chunks) to addr, or to addrs[i] when scattering. Returns what
+// send does.
 func (tx *mmsgTx) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UDPAddr) (sent, sends, calls int, err error) {
 	var dst syscall.RawSockaddrInet4
 	if addr != nil && !toRSA(addr, &dst) {
@@ -318,11 +407,39 @@ func (tx *mmsgTx) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UDPAdd
 		if addrs != nil && !toRSA(addrs[i], &dst) {
 			return 0, 0, 0, ErrNotSupported
 		}
-		tx.rsas[nf] = dst
-		tx.iovs[nf].Base = &p.Data[0]
-		tx.iovs[nf].SetLen(len(p.Data))
+		tx.load(nf, p.Data, &dst)
 		nf++
 	}
+	return tx.send(nf)
+}
+
+// writeBundles sends bs (len(bs) ≤ Batch), each bundle buf[start:end]
+// as one datagram to its destination. Returns what send does, the
+// datagrams sent being bundles.
+func (tx *mmsgTx) writeBundles(buf []byte, bs []bundle) (sent, sends, calls int, err error) {
+	var dst syscall.RawSockaddrInet4
+	for k, b := range bs {
+		if !toRSA(b.dst, &dst) {
+			return 0, 0, 0, ErrNotSupported
+		}
+		tx.load(k, buf[b.start:b.end], &dst)
+	}
+	return tx.send(len(bs))
+}
+
+// load aims frame slot k at data, bound for dst.
+func (tx *mmsgTx) load(k int, data []byte, dst *syscall.RawSockaddrInet4) {
+	tx.rsas[k] = *dst
+	tx.iovs[k].Base = &data[0]
+	tx.iovs[k].SetLen(len(data))
+}
+
+// send puts frame slots 0..nf-1 on the wire, each run as one message,
+// looping on partial sends until every message is on the wire. A run
+// the kernel refuses is re-sent as plain messages, and gsoCeil keeps
+// its size from being coalesced again. Returns datagrams sent, messages
+// sent and the sendmmsg calls that moved any.
+func (tx *mmsgTx) send(nf int) (sent, sends, calls int, err error) {
 	if nf == 0 {
 		return 0, 0, 0, nil
 	}

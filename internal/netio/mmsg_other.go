@@ -22,10 +22,20 @@ func (*mmsgRx) read(*pkt.Batch) (int, int, error) { return 0, 0, ErrNotSupported
 
 func (*mmsgRx) release(*pkt.PoolShard) {}
 
+type coRx struct{}
+
+func newCoRx(*net.UDPConn, *splitter, bool) (*coRx, error) { return nil, ErrNotSupported }
+
+func (*coRx) read(*splitter) error { return ErrNotSupported }
+
 type mmsgTx struct{}
 
 func newMMsgTx(*net.UDPConn, Config) (*mmsgTx, error) { return nil, ErrNotSupported }
 
 func (*mmsgTx) write([]*pkt.Packet, *net.UDPAddr, []*net.UDPAddr) (int, int, int, error) {
+	return 0, 0, 0, ErrNotSupported
+}
+
+func (*mmsgTx) writeBundles([]byte, []bundle) (int, int, int, error) {
 	return 0, 0, 0, ErrNotSupported
 }

@@ -19,10 +19,17 @@
 //     stdlib (net.UDPConn Read/WriteToUDP) with the identical
 //     interface, so callers never branch on platform.
 //
-// Receive is zero-copy into the packet pool: BatchReader points the
-// kernel's iovecs directly at pool-backed pkt.Packet buffers and trims
-// each to the received length — no staging buffer, no per-datagram
-// copy. BatchWriter flushes a whole batch to one destination (or a
+// Receive is zero-copy into the packet pool by default: BatchReader
+// points the kernel's iovecs directly at pool-backed pkt.Packet buffers
+// and trims each to the received length — no staging buffer, no
+// per-datagram copy. A reader can instead receive coalesced datagrams
+// (Config.Framing): UDP GRO buffers, which the kernel builds from runs
+// of equal-length datagrams, or bundles of frames written by
+// WriteBundles. It receives whole datagrams into a few staging slots
+// and cuts each into pool packets, one copy per frame, so one syscall
+// and one kernel receive walk carry many frames.
+//
+// BatchWriter flushes a whole batch to one destination (or a
 // scatter of destinations) with one sendmmsg, and batches inside the
 // kernel too: each run of equal-length frames to one destination goes
 // out as one UDP GSO message, which the kernel walks down the output
@@ -74,6 +81,12 @@ type Config struct {
 	// ForceFallback disables the mmsg fast path even where it is
 	// available — the control tests and benchmarks compare against.
 	ForceFallback bool
+
+	// Framing is how a reader cuts received datagrams into frames
+	// (readers only). The default, Datagrams, is one frame per datagram
+	// with no copy; GRO and Bundles stage whole datagrams and copy each
+	// frame out once.
+	Framing Framing
 }
 
 func (c Config) normalized() Config {
@@ -96,12 +109,18 @@ func (c Config) normalized() Config {
 // counters. Frames/Batches is the mean syscall fill — the number the
 // whole layer exists to raise above 1 — and, for a writer,
 // Frames/Sends is the mean UDP GSO run, the datagrams per message the
-// kernel walked down its output path as one buffer.
+// kernel walked down its output path as one buffer. On a coalesced
+// reader Frames/Coalesced is the frames per GRO buffer or per bundle,
+// and on a writer Bundled/Bundles is the frames per bundle sent.
 type Stats struct {
 	Batches   uint64 // syscalls that moved at least one datagram
-	Frames    uint64 // datagrams moved
-	Truncated uint64 // received datagrams dropped as longer than MaxPacket (mmsg path only)
+	Frames    uint64 // frames moved: datagrams, or frames cut from or packed into them
+	Truncated uint64 // received frames dropped as longer than MaxPacket (mmsg path only)
+	Malformed uint64 // received frames dropped with a bundle that failed its checks
+	Coalesced uint64 // datagrams a coalesced reader received and cut (readers only)
 	Sends     uint64 // messages handed to the kernel (writers only)
+	Bundles   uint64 // bundles sent (writers only)
+	Bundled   uint64 // frames those bundles carried (writers only)
 }
 
 // BatchReader receives UDP datagrams in batches directly into
@@ -110,20 +129,39 @@ type Stats struct {
 type BatchReader struct {
 	conn *net.UDPConn
 	cfg  Config
-	rx   *mmsgRx // nil → fallback path
+	rx   *mmsgRx   // zero-copy mmsg path; nil on the fallback or a coalesced reader
+	co   *coRx     // coalesced mmsg receive into sp's slots
+	sp   *splitter // non-nil on a coalesced reader, mmsg or fallback
 
 	batches   atomic.Uint64
 	frames    atomic.Uint64
 	truncated atomic.Uint64
+	malformed atomic.Uint64
+	coalesced atomic.Uint64
 }
 
 // NewBatchReader wraps conn. The mmsg fast path is used when the
 // platform provides it and cfg does not force the fallback; a conn
 // whose descriptor cannot be reached (already closed) falls back too.
+// A GRO reader whose socket refuses UDP_GRO, or that runs the
+// fallback, reads plain datagrams (Framing reports which).
 func NewBatchReader(conn *net.UDPConn, cfg Config) *BatchReader {
 	cfg = cfg.normalized()
 	r := &BatchReader{conn: conn, cfg: cfg}
-	if mmsgSupported && !cfg.ForceFallback {
+	fast := mmsgSupported && !cfg.ForceFallback
+	if fast && cfg.Framing != Datagrams {
+		sp := newSplitter(cfg, min(coSlots, cfg.Batch))
+		if co, err := newCoRx(conn, sp, cfg.Framing == GRO); err == nil {
+			r.co, r.sp = co, sp
+			return r
+		}
+	}
+	if cfg.Framing == Bundles {
+		r.sp = newSplitter(cfg, 1)
+		return r
+	}
+	r.cfg.Framing = Datagrams
+	if fast {
 		if rx, err := newMMsgRx(conn, cfg); err == nil {
 			r.rx = rx
 		}
@@ -134,15 +172,20 @@ func NewBatchReader(conn *net.UDPConn, cfg Config) *BatchReader {
 // Mode reports which implementation this reader runs: "mmsg" or
 // "fallback".
 func (r *BatchReader) Mode() string {
-	if r.rx != nil {
+	if r.rx != nil || r.co != nil {
 		return "mmsg"
 	}
 	return "fallback"
 }
 
+// Framing reports the framing the reader runs, which is Datagrams where
+// GRO was asked for but could not be set.
+func (r *BatchReader) Framing() Framing { return r.cfg.Framing }
+
 // Stats reads the reader's counters (safe concurrently with ReadBatch).
 func (r *BatchReader) Stats() Stats {
-	return Stats{Batches: r.batches.Load(), Frames: r.frames.Load(), Truncated: r.truncated.Load()}
+	return Stats{Batches: r.batches.Load(), Frames: r.frames.Load(), Truncated: r.truncated.Load(),
+		Malformed: r.malformed.Load(), Coalesced: r.coalesced.Load()}
 }
 
 // ReadBatch appends received datagrams to b — up to min(Config.Batch,
@@ -158,7 +201,18 @@ func (r *BatchReader) Stats() Stats {
 // Stats.Truncated, so a call whose every datagram was too long returns
 // 0 and a nil error. The fallback path cannot detect truncation; it
 // appends such a datagram clipped to MaxPacket.
+//
+// A coalesced reader appends up to b's free capacity in frames. When
+// the datagrams one receive staged hold more frames than that, the rest
+// wait at a cursor, and the next call returns them without a syscall
+// and without blocking. A frame longer than MaxPacket counts in
+// Stats.Truncated; a bundle that fails its checks is dropped from the
+// failing frame on, and the frames it still declared count in
+// Stats.Malformed (a datagram that is no bundle at all counts one).
 func (r *BatchReader) ReadBatch(b *pkt.Batch) (int, error) {
+	if r.sp != nil {
+		return r.readSplit(b)
+	}
 	if r.rx != nil {
 		n, trunc, err := r.rx.read(b)
 		r.truncated.Add(uint64(trunc))
@@ -184,6 +238,43 @@ func (r *BatchReader) ReadBatch(b *pkt.Batch) (int, error) {
 	return 1, nil
 }
 
+// readSplit is ReadBatch on a coalesced reader.
+func (r *BatchReader) readSplit(b *pkt.Batch) (int, error) {
+	if b.Full() {
+		return 0, nil
+	}
+	if !r.sp.pending() {
+		var err error
+		if r.co != nil {
+			err = r.co.read(r.sp)
+		} else {
+			err = r.readSlot()
+		}
+		if err != nil {
+			return 0, err
+		}
+		r.batches.Add(1)
+		r.coalesced.Add(uint64(r.sp.n))
+	}
+	n, trunc, bad := r.sp.cut(b)
+	r.frames.Add(uint64(n))
+	r.truncated.Add(uint64(trunc))
+	r.malformed.Add(uint64(bad))
+	return n, nil
+}
+
+// readSlot stages one datagram through the stdlib: the fallback path of
+// a bundle reader.
+func (r *BatchReader) readSlot() error {
+	n, err := r.conn.Read(r.sp.slots[0])
+	if err != nil {
+		return err
+	}
+	r.sp.lens[0] = n
+	r.sp.staged(1)
+	return nil
+}
+
 // Release returns the reader's cached receive buffers (mmsg slots that
 // were posted to the kernel but never filled) to the pool. Call after
 // the last ReadBatch; the reader must not be used again.
@@ -199,10 +290,13 @@ type BatchWriter struct {
 	conn *net.UDPConn
 	cfg  Config
 	tx   *mmsgTx // nil → fallback path
+	bd   bundler
 
 	batches atomic.Uint64
 	frames  atomic.Uint64
 	sends   atomic.Uint64
+	bundles atomic.Uint64
+	bundled atomic.Uint64
 }
 
 // NewBatchWriter wraps conn; path selection as for NewBatchReader.
@@ -228,7 +322,8 @@ func (w *BatchWriter) Mode() string {
 
 // Stats reads the writer's counters (safe concurrently with writes).
 func (w *BatchWriter) Stats() Stats {
-	return Stats{Batches: w.batches.Load(), Frames: w.frames.Load(), Sends: w.sends.Load()}
+	return Stats{Batches: w.batches.Load(), Frames: w.frames.Load(), Sends: w.sends.Load(),
+		Bundles: w.bundles.Load(), Bundled: w.bundled.Load()}
 }
 
 // WriteBatch sends every non-nil packet in ps to addr — the whole slice
@@ -252,6 +347,49 @@ func (w *BatchWriter) WriteScatter(ps []*pkt.Packet, addrs []*net.UDPAddr) (int,
 		return 0, fmt.Errorf("netio: %d packets but %d addresses", len(ps), len(addrs))
 	}
 	return w.write(ps, nil, addrs)
+}
+
+// WriteBundles is WriteScatter in bundles: it packs each destination's
+// frames, in order, into bundles of at most BundleCap bytes, for a
+// reader with Framing Bundles, and sends them all with one sendmmsg per
+// Config.Batch bundles. It returns the frames the sent bundles carried.
+// Nil and empty packets are skipped, as by WriteBatch.
+func (w *BatchWriter) WriteBundles(ps []*pkt.Packet, addrs []*net.UDPAddr) (int, error) {
+	if len(addrs) != len(ps) {
+		return 0, fmt.Errorf("netio: %d packets but %d addresses", len(ps), len(addrs))
+	}
+	bs := w.bd.pack(ps, addrs, BundleCap)
+	sent := 0
+	for off := 0; off < len(bs); off += w.cfg.Batch {
+		chunk := bs[off:min(off+w.cfg.Batch, len(bs))]
+		var n, sends, calls int
+		var err error
+		if w.tx != nil {
+			n, sends, calls, err = w.tx.writeBundles(w.bd.buf, chunk)
+		} else {
+			for _, b := range chunk {
+				if _, err = w.conn.WriteToUDP(w.bd.buf[b.start:b.end], b.dst); err != nil {
+					break
+				}
+				n++
+			}
+			sends, calls = n, n
+		}
+		frames := 0
+		for _, b := range chunk[:n] {
+			frames += b.frames
+		}
+		sent += frames
+		w.batches.Add(uint64(calls))
+		w.frames.Add(uint64(frames))
+		w.sends.Add(uint64(sends))
+		w.bundles.Add(uint64(n))
+		w.bundled.Add(uint64(frames))
+		if err != nil {
+			return sent, err
+		}
+	}
+	return sent, nil
 }
 
 func (w *BatchWriter) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UDPAddr) (int, error) {

@@ -40,7 +40,9 @@ type NodeStats struct {
 // fields come from each node's Ingress.Wire snapshot (internal/netio
 // counters): they prove the mesh's sockets actually ran batched — mean
 // fill is WireRxFrames/WireRxBatches — and which syscall path carried
-// the traffic; WireTxFrames/WireTxSends is the mean UDP GSO run.
+// the traffic; WireTxFrames/WireTxSends is the mean frames per send,
+// WireRxGROFrames/WireRxGROBuffers the segments per UDP GRO buffer and
+// WireTxBundled/WireTxBundles the frames per mesh bundle.
 type NodeTotals struct {
 	TransitPackets uint64 `json:"transit_packets"`
 	Forwarded      uint64 `json:"forwarded"`
@@ -59,6 +61,13 @@ type NodeTotals struct {
 	WireTxBatches uint64 `json:"wire_tx_batches,omitempty"`
 	WireTxFrames  uint64 `json:"wire_tx_frames,omitempty"`
 	WireTxSends   uint64 `json:"wire_tx_sends,omitempty"`
+
+	WireRxMalformed  uint64 `json:"wire_rx_malformed,omitempty"`
+	WireRxGROBuffers uint64 `json:"wire_rx_gro_buffers,omitempty"`
+	WireRxGROFrames  uint64 `json:"wire_rx_gro_frames,omitempty"`
+	WireRxBundles    uint64 `json:"wire_rx_bundles,omitempty"`
+	WireTxBundles    uint64 `json:"wire_tx_bundles,omitempty"`
+	WireTxBundled    uint64 `json:"wire_tx_bundled,omitempty"`
 }
 
 // SumNodes folds per-node stats into cluster totals.
@@ -82,6 +91,12 @@ func SumNodes(nodes []NodeStats) NodeTotals {
 			t.WireTxBatches += w.TxBatches
 			t.WireTxFrames += w.TxFrames
 			t.WireTxSends += w.TxSends
+			t.WireRxMalformed += w.RxMalformed
+			t.WireRxGROBuffers += w.RxGROBuffers
+			t.WireRxGROFrames += w.RxGROFrames
+			t.WireRxBundles += w.RxBundles
+			t.WireTxBundles += w.TxBundles
+			t.WireTxBundled += w.TxBundled
 		}
 	}
 	return t

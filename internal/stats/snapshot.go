@@ -54,16 +54,31 @@ type RingSnapshot struct {
 // TxSends counts the messages those syscalls carried: on the mmsg path
 // a run of equal-length datagrams to one destination is one UDP GSO
 // message, so TxFrames/TxSends is the segments per send, 1 where
-// nothing coalesced. RxTruncated counts received datagrams dropped as
+// nothing coalesced. RxTruncated counts received frames dropped as
 // longer than the configured maximum (detectable on the mmsg path only).
+//
+// Coalesced receive: RxGROBuffers counts the datagrams the line ports'
+// UDP GRO readers received and RxGROFrames the frames cut from them, so
+// RxGROFrames/RxGROBuffers is the segments per GRO buffer. RxBundles
+// counts the bundles the mesh socket received, TxBundles the bundles
+// sent and TxBundled the frames they carried (TxBundled/TxBundles is
+// the frames per bundle). RxMalformed counts frames dropped with a
+// bundle that failed its checks, a datagram that is no bundle at all
+// counting one. RxFrames and TxFrames count frames throughout.
 type WireSnapshot struct {
-	Mode        string `json:"mode"`
-	RxBatches   uint64 `json:"rx_batches"`
-	RxFrames    uint64 `json:"rx_frames"`
-	RxTruncated uint64 `json:"rx_truncated,omitempty"`
-	TxBatches   uint64 `json:"tx_batches"`
-	TxFrames    uint64 `json:"tx_frames"`
-	TxSends     uint64 `json:"tx_sends"`
+	Mode         string `json:"mode"`
+	RxBatches    uint64 `json:"rx_batches"`
+	RxFrames     uint64 `json:"rx_frames"`
+	RxTruncated  uint64 `json:"rx_truncated,omitempty"`
+	RxMalformed  uint64 `json:"rx_malformed,omitempty"`
+	RxGROBuffers uint64 `json:"rx_gro_buffers,omitempty"`
+	RxGROFrames  uint64 `json:"rx_gro_frames,omitempty"`
+	RxBundles    uint64 `json:"rx_bundles,omitempty"`
+	TxBatches    uint64 `json:"tx_batches"`
+	TxFrames     uint64 `json:"tx_frames"`
+	TxSends      uint64 `json:"tx_sends"`
+	TxBundles    uint64 `json:"tx_bundles,omitempty"`
+	TxBundled    uint64 `json:"tx_bundled,omitempty"`
 }
 
 // ElementSnapshot carries one graph element's exported counters
@@ -205,6 +220,12 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		w.TxBatches = sub(s.Wire.TxBatches, prev.Wire.TxBatches)
 		w.TxFrames = sub(s.Wire.TxFrames, prev.Wire.TxFrames)
 		w.TxSends = sub(s.Wire.TxSends, prev.Wire.TxSends)
+		w.RxMalformed = sub(s.Wire.RxMalformed, prev.Wire.RxMalformed)
+		w.RxGROBuffers = sub(s.Wire.RxGROBuffers, prev.Wire.RxGROBuffers)
+		w.RxGROFrames = sub(s.Wire.RxGROFrames, prev.Wire.RxGROFrames)
+		w.RxBundles = sub(s.Wire.RxBundles, prev.Wire.RxBundles)
+		w.TxBundles = sub(s.Wire.TxBundles, prev.Wire.TxBundles)
+		w.TxBundled = sub(s.Wire.TxBundled, prev.Wire.TxBundled)
 		out.Wire = &w
 	}
 

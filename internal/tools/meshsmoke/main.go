@@ -8,7 +8,8 @@
 //
 //  1. all three members converge alive, and 20000 injected packets are
 //     fully delivered across the mesh, with the wire counters live,
-//     some sends coalesced by UDP GSO and no send failed;
+//     some sends coalesced, mesh bundles carrying more than one frame
+//     each, no bundle malformed and no send failed;
 //  2. one member is hard-killed; the aggregate snapshot converges to
 //     2/3 running with every survivor re-striped (the dead member's
 //     VLB share redistributed), and the smoke prints how long that took
@@ -61,6 +62,13 @@ type clusterView struct {
 		WireTxBatches uint64 `json:"wire_tx_batches"`
 		WireTxFrames  uint64 `json:"wire_tx_frames"`
 		WireTxSends   uint64 `json:"wire_tx_sends"`
+
+		WireRxMalformed  uint64 `json:"wire_rx_malformed"`
+		WireRxGROBuffers uint64 `json:"wire_rx_gro_buffers"`
+		WireRxGROFrames  uint64 `json:"wire_rx_gro_frames"`
+		WireRxBundles    uint64 `json:"wire_rx_bundles"`
+		WireTxBundles    uint64 `json:"wire_tx_bundles"`
+		WireTxBundled    uint64 `json:"wire_tx_bundled"`
 	} `json:"totals"`
 	Collector struct {
 		Received uint64            `json:"received"`
@@ -206,10 +214,11 @@ func story(bin string, flags []string, plan string) error {
 
 	// The traffic above moved through the members' batched wire-I/O
 	// layer: every socket read and write accounts a batch, so all four
-	// counters must be live after 20000 delivered frames. The injector
-	// sends equal 128 B frames, so some egress flush holds a run of them
-	// for one destination, which leaves as one UDP GSO message: fewer
-	// sends than frames. And the kernel took every frame.
+	// counters must be live after 20000 delivered frames. Frames for a
+	// peer leave an egress flush packed into one bundle per peer, and a
+	// flush of the injector's bursts holds several for one peer: more
+	// frames than bundles, and so more frames than sends. Every bundle
+	// passed its checks, and the kernel took every frame.
 	v0, err := getCluster()
 	if err != nil {
 		return fmt.Errorf("phase 1 (wire counters): %w", err)
@@ -225,13 +234,22 @@ func story(bin string, flags []string, plan string) error {
 	if t.WireTxSends == 0 || t.WireTxSends == t.WireTxFrames {
 		return fmt.Errorf("phase 1: no send was coalesced (%d frames in %d sends)", t.WireTxFrames, t.WireTxSends)
 	}
+	if t.WireTxBundles == 0 || t.WireTxBundled <= t.WireTxBundles {
+		return fmt.Errorf("phase 1: mesh bundles carried %d frames in %d bundles, want more than one per bundle", t.WireTxBundled, t.WireTxBundles)
+	}
+	if t.WireRxMalformed != 0 {
+		return fmt.Errorf("phase 1: %d frames dropped with malformed bundles", t.WireRxMalformed)
+	}
 	if t.TxErrors != 0 {
 		return fmt.Errorf("phase 1: %d frames lost to failed sends (tx_errors)", t.TxErrors)
 	}
-	fmt.Printf("meshsmoke: wire I/O live — rx %d frames / %d batches (fill %.1f), tx %d frames / %d batches (fill %.1f) / %d sends (%.2f segments per send)\n",
+	fmt.Printf("meshsmoke: wire I/O live — rx %d frames / %d batches (fill %.1f), tx %d frames / %d batches (fill %.1f) / %d sends (%.2f frames per send)\n",
 		t.WireRxFrames, t.WireRxBatches, float64(t.WireRxFrames)/float64(t.WireRxBatches),
 		t.WireTxFrames, t.WireTxBatches, float64(t.WireTxFrames)/float64(t.WireTxBatches),
 		t.WireTxSends, float64(t.WireTxFrames)/float64(t.WireTxSends))
+	fmt.Printf("meshsmoke: coalesced — mesh %d frames / %d bundles (%.2f frames per bundle, %d received), line %d frames / %d GRO buffers (%.2f segments per buffer)\n",
+		t.WireTxBundled, t.WireTxBundles, float64(t.WireTxBundled)/float64(t.WireTxBundles), t.WireRxBundles,
+		t.WireRxGROFrames, t.WireRxGROBuffers, ratio(t.WireRxGROFrames, t.WireRxGROBuffers))
 
 	// Phase 2: kill one member; survivors must declare it dead and
 	// re-stripe (converged == every survivor's view matches reality).
@@ -286,6 +304,14 @@ func story(bin string, flags []string, plan string) error {
 	}
 	fmt.Printf("meshsmoke: rejoin carried traffic (ledger %d, by_node %v), every member %s\n", ledger, v.Collector.ByNode, plan)
 	return nil
+}
+
+// ratio is a/b, or 0 when b is.
+func ratio(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
 func main() {

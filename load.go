@@ -237,7 +237,7 @@ type Pipeline struct {
 	// plan and install the new one.
 	pmu  sync.RWMutex
 	plan *click.Plan
-	ctx  click.Context // deterministic-stepping context (Step)
+	ctx  click.Context // Step's context, on the wall clock
 
 	text string  // Click text of the current plan
 	opts Options // normalized options of the current plan (Placement resolved)
@@ -276,6 +276,7 @@ func Load(clickText string, opts Options) (*Pipeline, error) {
 	}
 	return &Pipeline{
 		plan:     plan,
+		ctx:      click.Context{NowNS: click.WallNS},
 		text:     clickText,
 		opts:     decided,
 		decision: decision,

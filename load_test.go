@@ -460,3 +460,50 @@ func TestLoadSurface(t *testing.T) {
 		t.Error("negative cores accepted")
 	}
 }
+
+// TestStepClock drives a Reassembler with a 1 ms timeout through Load
+// and Step, then again after a Reload: first fragments of distinct
+// datagrams that never complete must be evicted once the timeout has
+// passed, so Step's context carries a clock on both plans.
+func TestStepClock(t *testing.T) {
+	const prog = "re :: Reassembler; re -> out;"
+	opts := Options{Prebound: func(int) map[string]Element {
+		return map[string]Element{"out": &elements.Sink{}}
+	}}
+	pipe, err := Load(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := uint16(0)
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			id++
+			p := pkt.New(1400, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2)
+			p.IPv4().SetID(id)
+			frags := p.Fragment(576)
+			if !pipe.Push(0, frags[0]) {
+				t.Fatal("input ring full")
+			}
+		}
+		for pipe.Step() > 0 {
+		}
+	}
+	for _, phase := range []string{"Load", "Reload"} {
+		if phase == "Reload" {
+			if err := pipe.Reload(prog, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		re := pipe.Element(0, "re").(*elements.Reassembler)
+		re.TimeoutNs = int64(time.Millisecond)
+		feed(10)
+		if re.Pending() != 10 {
+			t.Fatalf("%s: pending = %d, want 10", phase, re.Pending())
+		}
+		time.Sleep(5 * time.Millisecond)
+		feed(1) // eviction runs on traffic
+		if re.TimedOut() == 0 || re.Pending() != 1 {
+			t.Fatalf("%s: timed out %d, pending %d after the timeout; want > 0 and 1", phase, re.TimedOut(), re.Pending())
+		}
+	}
+}
