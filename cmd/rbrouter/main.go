@@ -226,17 +226,12 @@ func (e *egress) add(ctx *click.Context, j int, p *pkt.Packet) {
 // flush sends what add gathered. The kernel copies at syscall time, so
 // the frames recycle at once, into the running goroutine's shard. What
 // the kernel took counts as forwarded or egressed, in frames; a send
-// error loses the rest as the wire would, counted in tx_errors. A
-// -wire-fallback member sends mesh frames one datagram each.
+// error loses the rest as the wire would, counted in tx_errors. Mesh
+// frames always cross in bundles.
 func (e *egress) flush(ctx *click.Context) {
 	nd := e.nd
 	if n := e.mesh.Len(); n > 0 {
-		var sent int
-		if nd.fallback {
-			sent, _ = e.meshW.WriteScatter(e.mesh.Packets(), e.to)
-		} else {
-			sent, _ = e.meshW.WriteBundles(e.mesh.Packets(), e.to)
-		}
+		sent, _ := e.meshW.WriteBundles(e.mesh.Packets(), e.to)
 		nd.forwarded.Add(uint64(sent))
 		nd.txErrors.Add(uint64(n - sent))
 		e.to = e.to[:0]
@@ -518,13 +513,11 @@ func (nd *node) runLoop(r *netio.BatchReader, shard *pkt.PoolShard, run func(*cl
 
 // newReader builds one receive queue: a netio batch reader on its own
 // pool shard, registered for the node's wire counters. Line ports read
-// UDP GRO buffers and the mesh socket reads bundles; a -wire-fallback
-// member reads one datagram per frame on both.
+// UDP GRO buffers and the mesh socket reads bundles. -wire-fallback
+// only picks the syscall path: its line ports read plain datagrams and
+// its mesh socket still reads bundles, one per call.
 func (nd *node) newReader(conn *net.UDPConn, framing netio.Framing) (*netio.BatchReader, *pkt.PoolShard) {
 	shard := nextShard()
-	if nd.fallback {
-		framing = netio.Datagrams
-	}
 	r := netio.NewBatchReader(conn, netio.Config{Shard: shard, ForceFallback: nd.fallback, Framing: framing})
 	nd.wireMu.Lock()
 	nd.readers = append(nd.readers, r)

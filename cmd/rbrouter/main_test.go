@@ -36,6 +36,14 @@ func newNode(id, n int, fib *routebricks.RouteAdmin, cfgText string, flowlets bo
 // shut down at cleanup.
 func wireCluster(t *testing.T, n, cores int, kind click.PlanKind) ([]*node, *net.UDPConn) {
 	t.Helper()
+	return wireClusterModes(t, make([]bool, n), cores, kind)
+}
+
+// wireClusterModes is wireCluster with one member per entry of
+// fallback, each true entry a -wire-fallback member.
+func wireClusterModes(t *testing.T, fallback []bool, cores int, kind click.PlanKind) ([]*node, *net.UDPConn) {
+	t.Helper()
+	n := len(fallback)
 	fib, err := routebricks.NewFIB(cluster.SeedRoutes(n)...)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +56,7 @@ func wireCluster(t *testing.T, n, cores int, kind click.PlanKind) ([]*node, *net
 	collector.SetReadBuffer(4 << 20)
 	nodes := make([]*node, n)
 	for i := range nodes {
-		if nodes[i], err = newNode(i, n, fib, defaultConfig, true, cores, kind, false); err != nil {
+		if nodes[i], err = newNode(i, n, fib, defaultConfig, true, cores, kind, fallback[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,6 +297,35 @@ func TestWireRunToCompletion(t *testing.T) {
 		}
 		if handoffs == 0 || later != 2*k {
 			t.Fatalf("handoffs %d, packets past the first stage %d, want >0 and %d", handoffs, later, 2*k)
+		}
+	})
+
+	// A -wire-fallback member shares the mesh with a member on the mmsg
+	// path: both send bundles and read them, so every frame crosses in
+	// both directions, nothing is malformed and the ledgers balance.
+	t.Run("mixed-modes", func(t *testing.T) {
+		nodes, collector := wireClusterModes(t, []bool{true, false}, 1, click.Parallel)
+		if m0, m1 := nodes[0].wireSnapshot().Mode, nodes[1].wireSnapshot().Mode; m0 != "fallback" || m1 != "mmsg" {
+			t.Fatalf("wire modes %s, %s, want fallback, mmsg", m0, m1)
+		}
+		sendTo(t, nodes[0].exts[0].LocalAddr(), framesFor(1, k)...)
+		sendTo(t, nodes[1].exts[0].LocalAddr(), framesFor(0, k)...)
+		from := collect(t, collector, 2*k)
+		if from[port(nodes[0])] != k || from[port(nodes[1])] != k {
+			t.Fatalf("delivered by source port %v, want %d from each ext port", from, k)
+		}
+		// The sender's counters tick once the kernel has taken the
+		// bundles, so the collector can have the frames first.
+		eventually(t, "bundle counters", func() bool {
+			return nodes[0].wireSnapshot().TxBundled == k && nodes[1].wireSnapshot().TxBundled == k
+		})
+		for _, nd := range nodes {
+			if m := nd.wireSnapshot().RxMalformed; m != 0 {
+				t.Fatalf("node %d: %d malformed mesh frames, want 0", nd.id, m)
+			}
+		}
+		for _, nd := range nodes {
+			shutdownBalanced(t, nd)
 		}
 	})
 

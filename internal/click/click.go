@@ -156,10 +156,15 @@ func (c *Context) Now() int64 {
 	return c.NowNS()
 }
 
-// WallNS reads the wall clock in nanoseconds: the NowNS of every
-// context that runs a graph in real time, so timers (Reassembler
+// wallEpoch anchors WallNS: the wall time once, then the monotonic clock.
+var wallEpoch = time.Now()
+
+// WallNS reads real time in nanoseconds since the Unix epoch: the NowNS
+// of every context that runs a graph in real time, so timers (Reassembler
 // eviction, Shaper refill) advance and Tap and Stamp record real times.
-func WallNS() int64 { return time.Now().UnixNano() }
+// It is the wall time at process start plus monotonic time since, so a
+// step of the system clock never moves a timer backwards or jumps it.
+func WallNS() int64 { return wallEpoch.UnixNano() + int64(time.Since(wallEpoch)) }
 
 // Element is a packet-processing module. Push delivers a packet to input
 // port port; the element does its work, charges cycles, and pushes the

@@ -263,8 +263,9 @@ type Pipeline struct {
 // deterministic calibration (see Describe for the recorded decision).
 //
 // The returned pipeline is idle: feed packets into Input(chain) /
-// Push and call Start (real goroutines) or Step (deterministic,
-// single-threaded) to move them.
+// Push and call Start (real goroutines) or Step (single-threaded and
+// deterministic in scheduling) to move them. Either way, timed elements
+// (Reassembler, Shaper, Tap, Stamp) read the real clock.
 func Load(clickText string, opts Options) (*Pipeline, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -380,11 +381,12 @@ func (p *Pipeline) Stop() {
 }
 
 // Step executes one quantum of every core synchronously on the calling
-// goroutine — the deterministic execution mode for tests and
-// simulations. It reports packets moved and must not be mixed with
-// Start. Exactly one goroutine may drive Step; Reload/Replan from
-// another goroutine are still safe (the swap serializes against the
-// stepper).
+// goroutine — single-threaded and deterministic in scheduling, for
+// tests and simulations. Timed elements still read the real clock
+// (click.WallNS), so what they do depends on real timing. It reports
+// packets moved and must not be mixed with Start. Exactly one
+// goroutine may drive Step; Reload/Replan from another goroutine are
+// still safe (the swap serializes against the stepper).
 func (p *Pipeline) Step() int {
 	p.pmu.RLock()
 	defer p.pmu.RUnlock()

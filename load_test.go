@@ -461,7 +461,7 @@ func TestLoadSurface(t *testing.T) {
 	}
 }
 
-// TestStepClock drives a Reassembler with a 1 ms timeout through Load
+// TestStepClock drives a Reassembler with a 50 ms timeout through Load
 // and Step, then again after a Reload: first fragments of distinct
 // datagrams that never complete must be evicted once the timeout has
 // passed, so Step's context carries a clock on both plans.
@@ -495,12 +495,12 @@ func TestStepClock(t *testing.T) {
 			}
 		}
 		re := pipe.Element(0, "re").(*elements.Reassembler)
-		re.TimeoutNs = int64(time.Millisecond)
+		re.TimeoutNs = int64(50 * time.Millisecond)
 		feed(10)
 		if re.Pending() != 10 {
 			t.Fatalf("%s: pending = %d, want 10", phase, re.Pending())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond)
 		feed(1) // eviction runs on traffic
 		if re.TimedOut() == 0 || re.Pending() != 1 {
 			t.Fatalf("%s: timed out %d, pending %d after the timeout; want > 0 and 1", phase, re.TimedOut(), re.Pending())
