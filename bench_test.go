@@ -25,6 +25,7 @@ import (
 	"routebricks/internal/exec"
 	"routebricks/internal/experiments"
 	"routebricks/internal/hw"
+	"routebricks/internal/ipsec"
 	"routebricks/internal/lpm"
 	"routebricks/internal/pkt"
 	"routebricks/internal/rss"
@@ -289,13 +290,12 @@ func BenchmarkSteer(b *testing.B) {
 // optimized away.
 var steerSink int
 
-// BenchmarkHandoff is the cost Auto calibration charges per handoff:
-// one op is one packet moved through an SPSC exec.Ring from this
-// goroutine to an echo goroutine and back (kp-sized batches, mirroring
-// pollTask), so ns/op is the round trip and the reported cycles/pkt
-// metric — one crossing, at the paper's 2.8 GHz Nehalem clock — is
-// directly comparable to the Options.HandoffCycles figure
-// exec.MeasureHandoff supplies at Load time.
+// BenchmarkHandoff prices what a pipelined plan pays at every stage
+// boundary: one op is one packet moved through an SPSC exec.Ring from
+// this goroutine to an echo goroutine and back (kp-sized batches,
+// mirroring pollTask), so ns/op is the round trip and the reported
+// cycles/pkt metric is one crossing at the paper's 2.8 GHz Nehalem
+// clock, the unit of the elements' per-packet cycle charges.
 func BenchmarkHandoff(b *testing.B) {
 	const kp = 32
 	ping := exec.NewRing(kp)
@@ -406,6 +406,11 @@ const placementConfig = `
 // compares directly across kinds and core counts. The paper's finding
 // — parallel ≥ pipelined, because inter-core handoffs dominate —
 // should reproduce at every core count.
+//
+// The app=esp rows run the paper's IPsec workload instead
+// (CheckIPHeader → ESPEncap, real AES). ESPEncap's sequence space is
+// Shared state, which no plan may clone, so they compare 1-core
+// Parallel against 2-core Auto, which places one pipelined chain.
 func BenchmarkPlacement(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		for _, kind := range []click.PlanKind{click.Parallel, click.Pipelined} {
@@ -413,6 +418,18 @@ func BenchmarkPlacement(b *testing.B) {
 				runPlacement(b, kind, cores)
 			})
 		}
+	}
+	b.Run("app=esp/parallel/cores=1", func(b *testing.B) { runESPPlacement(b, click.Parallel, 1) })
+	b.Run("app=esp/auto/cores=2", func(b *testing.B) { runESPPlacement(b, click.Auto, 2) })
+}
+
+// lossDrop terminates an error port in a loss-free benchmark loop: it
+// sees no traffic, but a misroute must show up in the lost total
+// rather than vanish.
+func lossDrop(lost *atomic.Uint64) Element {
+	return &elements.Sink{
+		Fn:      func(_ *click.Context, _ *pkt.Packet) { lost.Add(1) },
+		Recycle: pkt.DefaultPool,
 	}
 }
 
@@ -438,20 +455,11 @@ func runPlacement(b *testing.B, kind click.PlanKind, cores int) {
 		Placement: kind,
 		KP:        kp,
 		Prebound: func(chain int) map[string]Element {
-			// Error ports terminate in counting recycling sinks; they see
-			// no traffic in this loss-free loop, but a misroute must show
-			// up in the lost total rather than vanish.
-			drop := func() Element {
-				return &elements.Sink{
-					Fn:      func(_ *click.Context, _ *pkt.Packet) { lost.Add(1) },
-					Recycle: pkt.DefaultPool,
-				}
-			}
 			return map[string]Element{
 				"fib":      elements.NewLPMLookup(table),
-				"badhdr":   drop(),
-				"badroute": drop(),
-				"badttl":   drop(),
+				"badhdr":   lossDrop(&lost),
+				"badroute": lossDrop(&lost),
+				"badttl":   lossDrop(&lost),
 			}
 		},
 		Sink: func(int) Element {
@@ -465,6 +473,79 @@ func runPlacement(b *testing.B, kind click.PlanKind, cores int) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+	driveForwarding(b, pipe, frees, &delivered, &lost)
+}
+
+// espConfig is BenchmarkPlacement's IPsec path: the header check, then
+// ESP encapsulation. esp is prebound, because ESPEncap needs a tunnel
+// key and is not in the registry; its output 0 dangles for the sink.
+const espConfig = `
+	check :: CheckIPHeader;
+	check[0] -> esp;
+	check[1] -> badhdr;
+	esp[1]   -> oversize;
+`
+
+// espSink closes the ESP loop: it cuts each sealed frame back to a
+// minimum-size plaintext IPv4/UDP frame in place (driveForwarding
+// restores TTL and checksum) before returning it to the free ring, so
+// every trip seals the same 64-byte packet.
+type espSink struct{ placementSink }
+
+func (s *espSink) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	toPlaintext(p)
+	s.placementSink.Push(ctx, port, p)
+}
+
+func (s *espSink) PushBatch(ctx *click.Context, port int, b *pkt.Batch) {
+	for _, p := range b.Packets() {
+		if p != nil {
+			toPlaintext(p)
+		}
+	}
+	s.placementSink.PushBatch(ctx, port, b)
+}
+
+func toPlaintext(p *pkt.Packet) {
+	p.Data = p.Data[:pkt.MinSize]
+	ih := p.IPv4()
+	ih.SetTotalLength(pkt.MinSize - pkt.EtherHdrLen)
+	ih.SetProtocol(pkt.ProtoUDP)
+	ih.SetSrc(netip.AddrFrom4([4]byte{10, 1, 0, 1}))
+	ih.SetDst(netip.AddrFrom4([4]byte{10, 0, 0, 2}))
+}
+
+// runESPPlacement is runPlacement for espConfig. Each chain seals with
+// its own tunnel; the plaintext ESPEncap consumes returns to the pool.
+func runESPPlacement(b *testing.B, kind click.PlanKind, cores int) {
+	const workset = 512
+	var delivered, lost atomic.Uint64
+	var frees []*exec.Ring
+	pipe, err := Load(espConfig, Options{
+		Cores:     cores,
+		Placement: kind,
+		KP:        32,
+		Prebound: func(chain int) map[string]Element {
+			tun, err := ipsec.NewTunnel(0x5252, []byte("routebricks-2009"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			esp := elements.NewESPEncap(tun, netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"))
+			esp.Recycle = pkt.DefaultPool
+			return map[string]Element{"esp": esp, "badhdr": lossDrop(&lost), "oversize": lossDrop(&lost)}
+		},
+		Sink: func(int) Element {
+			s := &espSink{placementSink{free: exec.NewRing(workset), delivered: &delivered, lost: &lost}}
+			frees = append(frees, s.free)
+			return s
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if kind == click.Auto && (pipe.Placement() != click.Pipelined || pipe.Chains() != 1) {
+		b.Fatalf("Auto placed ESP as %s with %d chains, want one pipelined chain", pipe.Placement(), pipe.Chains())
 	}
 	driveForwarding(b, pipe, frees, &delivered, &lost)
 }

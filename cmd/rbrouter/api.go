@@ -11,7 +11,6 @@ package main
 //	GET    /api/v1/routes  FIB listing + generation
 //	POST   /api/v1/routes  batch add/withdraw, one FIB commit
 //	DELETE /api/v1/routes  withdraw one prefix (?prefix= or JSON body)
-//	POST   /api/v1/replan  re-decide the placement now
 //	GET    /api/v1/mesh    membership table + heartbeat RTTs
 
 import (
@@ -81,8 +80,8 @@ type routesUpdate struct {
 	Withdraw []string    `json:"withdraw,omitempty"`
 }
 
-// newAdminMux builds the member's HTTP surface. POST /api/v1/replan
-// runs nd.replan; the routes endpoints write through nd's live FIB.
+// newAdminMux builds the member's HTTP surface. The routes endpoints
+// write through nd's live FIB.
 // meshCtrl, when non-nil, adds GET /api/v1/mesh: the member's view of
 // the cluster — per-peer state and heartbeat RTT, incarnations, and the
 // re-stripe generation each member advertises.
@@ -175,14 +174,6 @@ func newAdminMux(nd *node, meshCtrl *mesh.Node) *http.ServeMux {
 			writeError(w, http.StatusMethodNotAllowed, "%s not allowed; use GET, POST or DELETE", r.Method)
 		}
 	})
-
-	mux.HandleFunc("/api/v1/replan", methodCheck(http.MethodPost, func(w http.ResponseWriter, _ *http.Request) {
-		if err := nd.replan(); err != nil {
-			writeError(w, http.StatusInternalServerError, "replan failed: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"replanned": 1, "placements": []string{nd.ingress.Placement().String()}})
-	}))
 
 	return mux
 }

@@ -137,7 +137,7 @@ func TestAdminAPIRoutes(t *testing.T) {
 		{http.MethodPost, "/api/v1/routes", `{"add":[{"prefix":"bogus","next_hop":1}]}`, http.StatusBadRequest},
 		{http.MethodDelete, "/api/v1/routes", "", http.StatusBadRequest},
 		{http.MethodPut, "/api/v1/routes", "{}", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/api/v1/replan", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/api/v1/stats", "", http.StatusMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
@@ -157,27 +157,5 @@ func TestAdminAPIRoutes(t *testing.T) {
 	// Failed requests must not have committed anything.
 	if fib.Generation() != 3 || fib.Len() != 2 {
 		t.Fatalf("FIB disturbed by rejected requests: gen=%d len=%d", fib.Generation(), fib.Len())
-	}
-}
-
-// TestAdminAPIReplan: the endpoint runs the member's own replan — the
-// hermetic probe of the program in force, then one plan swap. A 1-core
-// member can only be placed parallel.
-func TestAdminAPIReplan(t *testing.T) {
-	srv, _, nd := apiFixture(t)
-	resp, err := http.Post(srv.URL+"/api/v1/replan", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST replan: %d", resp.StatusCode)
-	}
-	var out struct {
-		Replanned  int      `json:"replanned"`
-		Placements []string `json:"placements"`
-	}
-	decodeBody(t, resp, &out)
-	if g := nd.ingress.Generation(); g != 1 || out.Replanned != 1 || len(out.Placements) != 1 || out.Placements[0] != "parallel" {
-		t.Fatalf("replan: generation %d, response %+v", g, out)
 	}
 }

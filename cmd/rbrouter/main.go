@@ -58,7 +58,7 @@
 // the library's drain barrier (prebound FIB/VLB resources carry over; a
 // bad config is reported and the old datapath keeps forwarding), and
 // the topology's api address serves the versioned admin API (stats,
-// membership, live FIB route ops, replan) as JSON over HTTP.
+// membership, live FIB route ops) as JSON over HTTP.
 //
 // Usage ($API is the member's "api" address in the topology file):
 //
@@ -72,7 +72,6 @@
 //	curl -X POST -d '{"add":[{"prefix":"192.0.2.0/24","next_hop":1}]}' \
 //	     http://$API/api/v1/routes       # commit a route batch live
 //	curl -X DELETE "http://$API/api/v1/routes?prefix=192.0.2.0/24"
-//	curl -X POST http://$API/api/v1/replan   # re-decide placement now
 //	kill -HUP <pid>               # reload -config into the running datapath
 //	rbrouter -print-graph         # dump the ingress graph as Graphviz dot and exit
 //	rbrouter -print-graph | dot -Tsvg > graph.svg
@@ -146,8 +145,9 @@ type node struct {
 	readers []*netio.BatchReader
 	writers []*netio.BatchWriter
 
-	ingress *routebricks.Pipeline
-	swapMu  sync.Mutex // serializes swaps with the placement that follows each
+	ingress   *routebricks.Pipeline
+	placement click.PlanKind // as requested by -placement; every reload restates it
+	swapMu    sync.Mutex     // serializes swaps with the placement that follows each
 
 	// members is the membership record in force. restripe publishes a
 	// new one; each chain's owner applies it to its VLB balancer before
@@ -280,28 +280,6 @@ func countDrop(n *atomic.Uint64) *elements.Sink {
 	}
 }
 
-// probePlacement decides the core allocation for cfgText by Auto
-// calibration against hermetic stand-in terminals: calibration drives
-// synthetic packets through the candidate plans, so the probe graph
-// must not touch sockets or pollute node counters. Used at startup for
-// -placement auto and again by every replan.
-func probePlacement(cfgText string, fib *routebricks.RouteAdmin, cores int) (*routebricks.Pipeline, error) {
-	return routebricks.Load(cfgText, routebricks.Options{
-		Cores:     cores,
-		Placement: routebricks.Auto,
-		FIB:       fib,
-		Prebound: func(int) map[string]routebricks.Element {
-			sink := func() routebricks.Element { return &elements.Sink{Recycle: pkt.DefaultPool} }
-			return map[string]routebricks.Element{
-				"vlb":       sink(),
-				"badhdr":    sink(),
-				"badttl":    sink(),
-				"missroute": sink(),
-			}
-		},
-	})
-}
-
 // printPrebound stands in for a node's runtime resources when the
 // program is only being rendered (-print-graph): same element types, no
 // sockets or tables behind them.
@@ -362,7 +340,7 @@ func newNodeOnConns(id, n int, exts []*net.UDPConn, intc *net.UDPConn, fib *rout
 	intc.SetReadBuffer(4 << 20)
 	nd := &node{
 		id: id, n: n, exts: exts, int_: intc, fallback: fallback,
-		peers: make([]*net.UDPAddr, n),
+		peers: make([]*net.UDPAddr, n), placement: kind,
 	}
 	nd.members.Store(&membership{})
 	// The ingress datapath: the Click program, loaded and placed. The
@@ -571,9 +549,8 @@ func (nd *node) place() error {
 	return nd.ingress.Start()
 }
 
-// swap applies one Reload or Replan and places the result. swapMu keeps
-// concurrent swaps (SIGHUP, the admin API) from placing a plan they did
-// not install.
+// swap applies one Reload and places the result. swapMu keeps
+// concurrent swaps from placing a plan they did not install.
 func (nd *node) swap(do func() error) error {
 	nd.swapMu.Lock()
 	defer nd.swapMu.Unlock()
@@ -594,34 +571,20 @@ func (nd *node) restripe(live []bool) uint64 {
 	return gen
 }
 
-// replan re-decides the placement of the program in force against the
-// hermetic probe and re-places it with the winner: the action of POST
-// /api/v1/replan. Replan(Auto) itself would calibrate through the node's
-// live terminals and emit synthetic frames into the mesh. The probe runs
-// under swapMu, so it decides for the program the swap re-places.
-func (nd *node) replan() error {
-	return nd.swap(func() error {
-		probe, err := probePlacement(nd.ingress.Program(), nd.ingress.Routes(), len(nd.exts))
-		if err != nil {
-			return err
-		}
-		return nd.ingress.Replan(routebricks.Options{Placement: probe.Placement()})
-	})
-}
-
 // hup is the member's SIGHUP handler: it re-reads the -config file at
 // path, or takes the embedded program when path is empty, and hot-swaps
-// it in on the running placement. Options inherit from the running
-// pipeline (merge semantics), so the prebound FIB, VLB balancers, and
-// drop counters rebind to the new graph's chains through the same
-// closure — only Placement must be restated. On error the running
-// program keeps forwarding.
+// it in under the requested placement, so Auto decides afresh for the
+// new program. Options inherit from the running pipeline (merge
+// semantics), so the prebound FIB, VLB balancers, and drop counters
+// rebind to the new graph's chains through the same closure — only
+// Placement must be restated. On error the running program keeps
+// forwarding.
 func (nd *node) hup(path string) error {
 	text, err := readProgram(path)
 	if err != nil {
 		return err
 	}
-	return nd.swap(func() error { return nd.ingress.Reload(text, routebricks.Options{Placement: nd.ingress.Placement()}) })
+	return nd.swap(func() error { return nd.ingress.Reload(text, routebricks.Options{Placement: nd.placement}) })
 }
 
 // readProgram returns the text of the -config file at path, or the
@@ -700,8 +663,8 @@ func (nd *node) snapshot() stats.NodeStats {
 }
 
 // parsePlacement maps the -placement flag to a plan kind by its name;
-// Auto is resolved later by the probe, once a FIB exists to probe
-// against.
+// Auto stays Auto, for routebricks.Load to resolve on every plan it
+// builds.
 func parsePlacement(s string) (click.PlanKind, error) {
 	for _, k := range []click.PlanKind{click.Parallel, click.Pipelined, click.Auto} {
 		if k.String() == s {

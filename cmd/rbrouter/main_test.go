@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -460,6 +461,56 @@ func TestMemberHUP(t *testing.T) {
 	}
 }
 
+// shapedConfig is countedConfig with a Shaper, whose token bucket is
+// Shared state, on the trunk behind the header check.
+const shapedConfig = `
+	check :: CheckIPHeader;
+	sh    :: Shaper(1000000000, 1000000);
+	seen  :: Counter;
+	rt    :: LPMLookup(fib);
+	ttl   :: DecIPTTL;
+
+	check[0] -> sh;
+	sh       -> seen;
+	seen     -> rt;
+	check[1] -> badhdr;
+	rt[0]    -> ttl;
+	rt[1]    -> missroute;
+	ttl[0]   -> vlb;
+	ttl[1]   -> badttl;
+`
+
+// TestMemberHUPAuto: a member started at -cores 2 -placement auto runs
+// parallel. Its SIGHUP handler restates Auto for the new program, so a
+// reload to a program with a Shaper on its trunk lands on one pipelined
+// chain instead of being refused for cloning the Shaper, and the member
+// forwards every frame with an exact ledger.
+func TestMemberHUPAuto(t *testing.T) {
+	const k = 64
+	nodes, collector := wireCluster(t, 2, 2, click.Auto)
+	nd := nodes[0]
+	if got, chains := nd.ingress.Placement(), nd.ingress.Chains(); got != click.Parallel || chains != 2 {
+		t.Fatalf("started as %s with %d chains, want parallel with 2", got, chains)
+	}
+	if err := nd.hup(writeConfig(t, shapedConfig)); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if got, chains := nd.ingress.Placement(), nd.ingress.Chains(); got != click.Pipelined || chains != 1 {
+		t.Fatalf("reloaded as %s with %d chains, want pipelined with 1", got, chains)
+	}
+	if desc := nd.ingress.Describe(); !strings.Contains(desc, "shared-state elements [sh]") {
+		t.Fatalf("Describe does not name the Shaper:\n%s", desc)
+	}
+	sendTo(t, nd.exts[0].LocalAddr(), append(framesFor(0, k), framesFor(1, k)...)...)
+	collect(t, collector, 2*k)
+	for _, nd := range nodes {
+		shutdownBalanced(t, nd)
+	}
+	if c := nd.ingress.Element(0, "seen").(*elements.Counter).Packets(); c != 2*k {
+		t.Fatalf("the reloaded graph counted %d frames, want %d", c, 2*k)
+	}
+}
+
 // liveCounts reports how many members each chain's VLB balancer stripes
 // over. The balancers belong to the socket loops, so call it only after
 // nd has shut down.
@@ -471,11 +522,11 @@ func liveCounts(nd *node) []int {
 	return out
 }
 
-// TestRestripeKeepsReloadAndReplan: a membership change is applied by
-// each chain's owner, not by a plan swap, so it undoes neither a SIGHUP
-// reload nor a replan, and the balancers a later reload or replan builds
-// still stripe over the survivors only.
-func TestRestripeKeepsReloadAndReplan(t *testing.T) {
+// TestRestripeKeepsReloads: a membership change is applied by each
+// chain's owner, not by a plan swap, so it undoes neither a SIGHUP
+// reload nor a reload that re-places the program in force, and the
+// balancers a later reload builds still stripe over the survivors only.
+func TestRestripeKeepsReloads(t *testing.T) {
 	const k = 64
 	nodes, collector := wireCluster(t, 2, 2, click.Parallel)
 	nd := nodes[0]
@@ -485,16 +536,19 @@ func TestRestripeKeepsReloadAndReplan(t *testing.T) {
 	if err := nd.hup(writeConfig(t, countedConfig)); err != nil {
 		t.Fatal(err)
 	}
-	// The member's own replan probes the reloaded program, not the one it
-	// started with, and re-places it.
-	if err := nd.replan(); err != nil {
+	// Re-placing the program in force under Auto decides for the
+	// reloaded program, not the one the member started with.
+	replace := func(kind click.PlanKind) error {
+		return nd.swap(func() error { return nd.ingress.Reload(nd.ingress.Program(), routebricks.Options{Placement: kind}) })
+	}
+	if err := replace(click.Auto); err != nil {
 		t.Fatal(err)
 	}
 	if g := nd.ingress.Generation(); g != 2 || nd.ingress.Program() != countedConfig || nd.ingress.Element(0, "seen") == nil {
-		t.Fatalf("after the replan: generation %d, the reloaded program in force %v", g, nd.ingress.Program() == countedConfig)
+		t.Fatalf("after the re-placement: generation %d, the reloaded program in force %v", g, nd.ingress.Program() == countedConfig)
 	}
-	// A replan that lands on pipelined, forced here rather than probed.
-	if err := nd.swap(func() error { return nd.ingress.Replan(routebricks.Options{Placement: click.Pipelined}) }); err != nil {
+	// A re-placement that lands on pipelined, forced here.
+	if err := replace(click.Pipelined); err != nil {
 		t.Fatal(err)
 	}
 	// The rebuilt datapath forwards through the started Runner, and
@@ -505,7 +559,7 @@ func TestRestripeKeepsReloadAndReplan(t *testing.T) {
 	nd.shutdown()
 
 	if g := nd.ingress.Generation(); g != 3 {
-		t.Fatalf("generation %d, want 3: the hup and the two replans, not the re-stripe", g)
+		t.Fatalf("generation %d, want 3: the hup and the two re-placements, not the re-stripe", g)
 	}
 	if got := nd.ingress.Placement(); got != click.Pipelined {
 		t.Fatalf("placement %s, want pipelined", got)

@@ -17,8 +17,8 @@ package main
 // re-stripe generation is advertised in subsequent heartbeats, so
 // cluster-wide convergence is observable from any member's /api/v1/mesh.
 //
-// SIGHUP reloads -config (nd.hup), and POST /api/v1/replan re-decides
-// the placement against the hermetic probe (nd.replan).
+// SIGHUP reloads -config (nd.hup) under the requested -placement, so
+// -placement auto re-decides its rule for the new program.
 
 import (
 	"errors"
@@ -48,7 +48,7 @@ func run() error {
 	flag.IntVar(&self, "mesh-id", -1, "this process's member id in the -mesh topology")
 	flag.BoolVar(&flowlets, "flowlets", true, "enable flowlet reordering avoidance")
 	flag.IntVar(&cores, "cores", 1, "datapath cores, each owning one SO_REUSEPORT ingress socket")
-	flag.StringVar(&placement, "placement", "parallel", "core allocation: parallel, pipelined, or auto (calibrate and pick)")
+	flag.StringVar(&placement, "placement", "parallel", "core allocation: parallel, pipelined, or auto (parallel unless an element's state pins the graph to one pipelined chain)")
 	flag.StringVar(&configPath, "config", "", "Click-language ingress program, re-read on SIGHUP (default: embedded IP router config)")
 	flag.BoolVar(&fallback, "wire-fallback", false, "force the portable per-packet syscall path instead of recvmmsg/sendmmsg batching")
 	flag.BoolVar(&printGraph, "print-graph", false, "print the ingress element graph as Graphviz dot and exit")
@@ -102,14 +102,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if kind == routebricks.Auto {
-		probe, err := probePlacement(cfgText, fib, cores)
-		if err != nil {
-			return fmt.Errorf("auto placement calibration: %w", err)
-		}
-		kind = probe.Placement()
-		fmt.Printf("rbrouter[%d]: placement\n%s", self, probe.Describe())
-	}
 
 	bind := func(what, addr string) (*net.UDPConn, error) {
 		ua, err := net.ResolveUDPAddr("udp4", addr)
@@ -136,6 +128,9 @@ func run() error {
 	nd, err := newNodeOnConns(self, n, exts, data, fib, cfgText, flowlets, cores, kind, fallback)
 	if err != nil {
 		return err
+	}
+	if kind == routebricks.Auto {
+		fmt.Printf("rbrouter[%d]: placement\n%s", self, nd.ingress.Describe())
 	}
 	for j, m := range topo.Members {
 		if j == self {
@@ -196,7 +191,7 @@ func run() error {
 	go srv.Serve(ln)
 
 	ctrl.Start()
-	fmt.Printf("rbrouter[%d]: mesh member up — data %s ctrl %s ext %s api http://%s/api/v1/{stats,mesh,routes,replan}\n",
+	fmt.Printf("rbrouter[%d]: mesh member up — data %s ctrl %s ext %s api http://%s/api/v1/{stats,mesh,routes}\n",
 		self, me.Data, me.Ctrl, me.Ext, ln.Addr())
 
 	// SIGTERM/SIGINT is the graceful exit: stop heartbeating (peers will

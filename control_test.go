@@ -1,7 +1,6 @@
 package routebricks
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -73,129 +72,85 @@ func autoPrebound(t *testing.T) (func(chain int) map[string]Element, func(chain 
 	return prebound, func(int) Element { return sink() }
 }
 
-// TestAutoPlacement proves the §4.2 finding is a measured decision:
-// Placement: Auto on the BenchmarkPlacement workload picks Parallel at
-// every core count, records the decision, and exposes the candidate
-// measurements. The handoff price is pinned at 120 cycles, so the
-// picked placement and every candidate score are deterministic on any
-// host and golden here: a scoring change that moves a number must
-// update this table.
+// shaperConfig puts a Shaper, Shared state that cloning would split,
+// on a forwarding trunk.
+const shaperConfig = `
+	check :: CheckIPHeader;
+	sh    :: Shaper(1000000000, 100000);
+	ttl   :: DecIPTTL;
+	cnt   :: Counter;
+	d     :: Discard;
+	check -> sh -> ttl -> cnt -> d;
+`
+
+// TestAutoPlacement pins Placement: Auto's rule: the BenchmarkPlacement
+// workload, whose elements all clone safely, runs Parallel at every
+// core count, and a graph holding a Shared element runs as one
+// Pipelined chain instead of failing the cloning gate. Describe and
+// Snapshot.Decision name the element that decided it.
 func TestAutoPlacement(t *testing.T) {
 	prebound, sinkFn := autoPrebound(t)
 	cases := []struct {
-		cores int
-		// (parallel, pipelined) scores, and the pipelined candidate's
-		// ring crossings; all zero at 1 core, which has no candidates.
-		par, pip float64
-		handoffs uint64
+		name   string
+		config string
+		cores  int
+		want   PlanKind
+		chains int
+		// decided is what Describe and Snapshot.Decision must contain.
+		decided string
 	}{
-		{1, 0, 0, 0},
-		{2, 320000, 762880, 1024},
-		{4, 160000, 763600, 1030},
-		{8, 80000, 381800, 1030},
+		{"cores=1", placementConfig, 1, Parallel, 1, "auto: 1 core → parallel"},
+		{"cores=2", placementConfig, 2, Parallel, 2, "no element pins state"},
+		{"cores=4", placementConfig, 4, Parallel, 4, "no element pins state"},
+		{"cores=8", placementConfig, 8, Parallel, 8, "no element pins state"},
+		{"shaper-trunk/cores=2", shaperConfig, 2, Pipelined, 1, "shared-state elements [sh]"},
+		{"shaper-only/cores=4", "sh :: Shaper(1000000000, 100000); d :: Discard; sh -> d;", 4, Pipelined, 1, "shared-state elements [sh]"},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("cores=%d", tc.cores), func(t *testing.T) {
-			load := func() *Pipeline {
-				pipe, err := Load(placementConfig, Options{
-					Cores:         tc.cores,
-					Placement:     Auto,
-					HandoffCycles: 120,
-					Prebound:      prebound,
-					Sink:          sinkFn,
-				})
-				if err != nil {
-					t.Fatal(err)
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Cores: tc.cores, Placement: Auto}
+			if tc.config == placementConfig {
+				opts.Prebound, opts.Sink = prebound, sinkFn
+			}
+			pipe, err := Load(tc.config, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pipe.Placement() != tc.want || pipe.Chains() != tc.chains || pipe.Cores() != tc.cores {
+				t.Fatalf("Auto placed %s with %d chains on %d cores, want %s with %d on %d",
+					pipe.Placement(), pipe.Chains(), pipe.Cores(), tc.want, tc.chains, tc.cores)
+			}
+			if desc := pipe.Describe(); !strings.Contains(desc, tc.decided) {
+				t.Errorf("Describe does not record %q:\n%s", tc.decided, desc)
+			}
+			if d := pipe.Snapshot().Decision; !strings.Contains(d, tc.decided) {
+				t.Errorf("Snapshot.Decision %q does not record %q", d, tc.decided)
+			}
+			// The rule does not loosen an explicit placement: one that
+			// would clone the Shared element is refused as before.
+			if tc.want == Pipelined {
+				if _, err := Load(tc.config, Options{Cores: tc.cores, Placement: Parallel}); err == nil ||
+					!strings.Contains(err.Error(), "would clone shared-state elements [sh]") {
+					t.Fatalf("explicit parallel: err %v, want the cloning gate's refusal", err)
 				}
-				return pipe
 			}
-			pipe := load()
-			if pipe.Placement() != Parallel {
-				t.Fatalf("Auto picked %s, want parallel", pipe.Placement())
-			}
-			calib := pipe.Calibration()
-			if tc.cores == 1 {
-				// The allocations are identical: parallel by fiat.
-				if len(calib) != 0 {
-					t.Fatalf("1 core: %d calibration results, want none", len(calib))
+			// The placed plan forwards.
+			pkts := equivPackets(64)
+			for _, p := range pkts {
+				if !pipe.Push(0, p) {
+					t.Fatal("input ring full")
 				}
-				return
 			}
-			if desc := pipe.Describe(); !strings.Contains(desc, "auto: calibrated") {
-				t.Errorf("Describe does not record the auto decision:\n%s", desc)
+			for i := 0; i < 1000 && pipe.Queued() > 0; i++ {
+				pipe.Step()
 			}
-			if len(calib) != 2 {
-				t.Fatalf("%d calibration results, want 2", len(calib))
+			if q := pipe.Queued(); q != 0 {
+				t.Fatalf("%d packets still queued", q)
 			}
-			par, pip := calib[0], calib[1]
-			if par.Kind() != Parallel || pip.Kind() != Pipelined {
-				t.Fatalf("candidate order %s/%s", par.Plan, pip.Plan)
-			}
-			if par.HandoffPackets != 0 {
-				t.Errorf("parallel candidate crossed %d packets", par.HandoffPackets)
-			}
-			if par.Score != tc.par || pip.Score != tc.pip {
-				t.Errorf("scores (parallel, pipelined) = (%.0f, %.0f), want (%.0f, %.0f)",
-					par.Score, pip.Score, tc.par, tc.pip)
-			}
-			if pip.HandoffPackets != tc.handoffs {
-				t.Errorf("pipelined handoff crossings = %d, want %d", pip.HandoffPackets, tc.handoffs)
-			}
-			// The decision is deterministic: calibrating again yields the
-			// same scores.
-			if a := load().Calibration(); a[0].Score != par.Score || a[1].Score != pip.Score {
-				t.Errorf("calibration not deterministic: %v vs %v", a, calib)
+			if got := pipe.Snapshot().TotalPackets(); got < uint64(len(pkts)) {
+				t.Fatalf("plan moved %d packets, want at least %d", got, len(pkts))
 			}
 		})
-	}
-}
-
-// TestReplanAuto drives the adaptive path: a pipeline loaded Pipelined
-// re-decides via Replan(Placement: Auto) and lands on Parallel, with
-// the generation counter recording the swap.
-func TestReplanAuto(t *testing.T) {
-	prebound, sinkFn := autoPrebound(t)
-	pipe, err := Load(placementConfig, Options{
-		Cores:     4,
-		Placement: Pipelined,
-		Prebound:  prebound,
-		Sink:      sinkFn,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.Placement() != Pipelined {
-		t.Fatalf("loaded %s", pipe.Placement())
-	}
-	if err := pipe.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Stop()
-	if err := pipe.Replan(Options{Placement: Auto}); err != nil {
-		t.Fatal(err)
-	}
-	if pipe.Placement() != Parallel {
-		t.Fatalf("Replan(Auto) picked %s, want parallel", pipe.Placement())
-	}
-	if pipe.Generation() != 1 {
-		t.Fatalf("generation %d after one Replan", pipe.Generation())
-	}
-	if snap := pipe.Snapshot(); snap.Plan != "parallel" || snap.Generation != 1 || snap.Decision == "" {
-		t.Fatalf("snapshot does not carry the replan: %+v", snap)
-	}
-	// The replanned pipeline still runs: push a packet through.
-	pkts := equivPackets(4)
-	for _, p := range pkts {
-		for !pipe.Push(0, p) {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for pipe.Snapshot().TotalPackets() < 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("replanned pipeline moved no packets")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,8 +2,8 @@
 // IP-router datapath is declared in the Click configuration language
 // (§1: the router "is fully programmable using the familiar Click/Linux
 // environment") and handed to routebricks.Load — with Placement: Auto,
-// so the §4.2 core allocation is picked by measured calibration rather
-// than a flag. The route table is a live FIB bound through Options.FIB:
+// so the §4.2 core allocation follows from the graph's state classes
+// rather than a flag. The route table is a live FIB bound through Options.FIB:
 // the Click name `fib` resolves to it on every chain, and routes can be
 // added or withdrawn while the cores forward. After the run, the
 // example exercises the rest of the live control plane: the unified
@@ -57,7 +57,7 @@ func main() {
 	const cores = 2
 	opts := routebricks.Options{
 		Cores:     cores,
-		Placement: routebricks.Auto, // calibrate both §4.2 allocations, pick the winner
+		Placement: routebricks.Auto, // parallel unless an element's state pins one chain
 		FIB:       fib,              // binds the Click name `fib` on every chain
 		Prebound: func(chain int) map[string]routebricks.Element {
 			return map[string]routebricks.Element{
@@ -71,7 +71,7 @@ func main() {
 	}
 	fmt.Println("parsed graph:")
 	fmt.Print(pipe.Router(0).Graph())
-	fmt.Printf("\nplacement (decided by calibration):\n%s\n", pipe.Describe())
+	fmt.Printf("\nplacement (decided by the Auto rule):\n%s\n", pipe.Describe())
 
 	if err := pipe.Start(); err != nil {
 		log.Fatal(err)

@@ -47,9 +47,9 @@ const (
 	// Pipelined cuts the pipeline into per-core stages joined by SPSC
 	// handoff rings.
 	Pipelined
-	// Auto is not a materializable allocation: it asks the caller to
-	// measure both and pick. routebricks.Load resolves it by calibration
-	// before building a plan; NewPlan rejects it.
+	// Auto asks NewPlan to pick by rule from the graph's state classes:
+	// Parallel, unless an element holds state that cloning would split,
+	// in which case Pipelined with one chain (see resolveAuto).
 	Auto PlanKind = -1
 )
 
@@ -97,13 +97,6 @@ type PlanConfig struct {
 	// NewPlan rejects a multi-chain plan containing PerFlow elements
 	// without it.
 	FlowSteered bool
-
-	// SegWeights, when its length matches the trunk segment count,
-	// weights the pipelined trunk cut by measured per-segment cycles
-	// (click.Profiler) instead of balancing raw segment counts, so each
-	// stage's core carries a comparable cycle load. Mismatched lengths
-	// (a profile from a different graph) are ignored.
-	SegWeights []float64
 }
 
 // CoreStat is the per-core counter block of a running plan. The fields
@@ -136,11 +129,12 @@ func (s *CoreStat) Handoffs() uint64 { return s.handoffs.Load() }
 // Plan is a materialized core allocation: graphs instantiated per
 // chain, rings allocated, tasks bound to schedule cores.
 type Plan struct {
-	kind   PlanKind
-	cores  int
-	chains int
-	sched  *Schedule
-	runner *Runner
+	kind     PlanKind
+	cores    int
+	chains   int
+	decision string // how Auto resolved; empty for an explicit kind
+	sched    *Schedule
+	runner   *Runner
 
 	inputs       []*exec.Ring  // one per chain; callers feed these
 	inputCore    []int         // first core of each chain (polls the input ring)
@@ -166,7 +160,7 @@ type Plan struct {
 // groups of consecutive cores per chain — cuts land only on boundaries
 // the graph topology allows — and replicates the chain cores/G times;
 // cores beyond chains×G are left idle (they appear in the schedule with
-// no tasks).
+// no tasks). Auto resolves to one of the two by resolveAuto's rule.
 func NewPlan(cfg PlanConfig) (*Plan, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("click: plan needs at least 1 core, got %d", cfg.Cores)
@@ -175,10 +169,7 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("click: plan needs a Program")
 	}
-	if cfg.Kind == Auto {
-		return nil, fmt.Errorf("click: Auto placement must be resolved before planning (routebricks.Load calibrates and picks Parallel or Pipelined)")
-	}
-	if cfg.Kind != Parallel && cfg.Kind != Pipelined {
+	if cfg.Kind != Parallel && cfg.Kind != Pipelined && cfg.Kind != Auto {
 		return nil, fmt.Errorf("click: unknown plan kind %d", int(cfg.Kind))
 	}
 	if cfg.KP <= 0 {
@@ -198,13 +189,21 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 		return nil, err
 	}
 
+	kind, decision := cfg.Kind, ""
+	if kind == Auto {
+		kind, decision = resolveAuto(cfg, first)
+	}
+
 	// Every chain runs on groups consecutive cores: one for parallel,
 	// one per trunk stage for pipelined.
 	groups := 1
-	if cfg.Kind == Pipelined {
+	if kind == Pipelined {
 		groups = min(cfg.Cores, cuttableGroups(first.noCut))
 	}
 	chains := cfg.Cores / groups
+	if cfg.Kind == Auto && kind == Pipelined {
+		chains = 1 // the pinned state stays in one chain; spare cores idle
+	}
 
 	// State-classification gate. A plan with more than one chain clones
 	// the whole graph per chain, splitting every element's state N ways;
@@ -212,15 +211,15 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	if chains > 1 {
 		if names := first.ElementsOfClass(Shared); len(names) > 0 {
 			return nil, fmt.Errorf("click: %d-chain %s plan would clone shared-state elements %v; shared elements pin the graph to a single chain",
-				chains, cfg.Kind, names)
+				chains, kind, names)
 		}
 		if names := first.ElementsOfClass(PerFlow); len(names) > 0 && !cfg.FlowSteered {
 			return nil, fmt.Errorf("click: %d-chain %s plan would split per-flow state across clones of %v; feed the chains through flow-consistent steering (PlanConfig.FlowSteered) or run one chain",
-				chains, cfg.Kind, names)
+				chains, kind, names)
 		}
 	}
 
-	p := &Plan{kind: cfg.Kind, cores: cfg.Cores, sched: NewSchedule(cfg.Cores)}
+	p := &Plan{kind: kind, cores: cfg.Cores, decision: decision, sched: NewSchedule(cfg.Cores)}
 	instance := func(chain int) (*Instance, error) {
 		if chain == 0 {
 			return first, nil
@@ -258,6 +257,27 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	return p, nil
 }
 
+// resolveAuto is Placement: Auto, decided from chain 0's instance by
+// the rule §4.2 reads off its measurements: run the whole graph per
+// core (Parallel) unless some element holds state that cloning would
+// split — a Shared element, or a PerFlow one without flow-consistent
+// steering, exactly what the cloning gate refuses. Such a graph runs
+// as one Pipelined chain, which owns that state alone. One core has
+// nothing to split, so it is Parallel. The decision names the
+// elements that made it.
+func resolveAuto(cfg PlanConfig, in *Instance) (PlanKind, string) {
+	if cfg.Cores == 1 {
+		return Parallel, "auto: 1 core → parallel"
+	}
+	if names := in.ElementsOfClass(Shared); len(names) > 0 {
+		return Pipelined, fmt.Sprintf("auto: shared-state elements %v pin the graph to one chain → pipelined, 1 chain", names)
+	}
+	if names := in.ElementsOfClass(PerFlow); len(names) > 0 && !cfg.FlowSteered {
+		return Pipelined, fmt.Sprintf("auto: per-flow elements %v without flow steering pin the graph to one chain → pipelined, 1 chain", names)
+	}
+	return Parallel, fmt.Sprintf("auto: no element pins state to one chain → parallel, %d chains", cfg.Cores)
+}
+
 // buildChain materializes one pipeline replica on cores
 // [chain·groups, (chain+1)·groups): the whole graph on one core for
 // parallel chains, trunk segments grouped contiguously across the
@@ -272,12 +292,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain, groups int, in *Instance) error
 	p.inputCore = append(p.inputCore, first)
 	p.instances = append(p.instances, in)
 
-	var bounds []int
-	if len(cfg.SegWeights) == len(in.segs) {
-		bounds = chooseBoundsWeighted(len(in.segs), groups, in.noCut, cfg.SegWeights)
-	} else {
-		bounds = chooseBounds(len(in.segs), groups, in.noCut)
-	}
+	bounds := chooseBounds(len(in.segs), groups, in.noCut)
 	upstream := input
 	for g := 0; g < groups; g++ {
 		lo, hi := bounds[g], bounds[g+1]
@@ -458,8 +473,12 @@ func (p *Plan) wireRing(from Element, ring *exec.Ring) error {
 	return nil
 }
 
-// Kind reports the allocation this plan materializes.
+// Kind reports the allocation this plan materializes (never Auto).
 func (p *Plan) Kind() PlanKind { return p.kind }
+
+// Decision reports how Auto resolved to Kind, naming the elements that
+// decided it; empty when the plan was built with an explicit kind.
+func (p *Plan) Decision() string { return p.decision }
 
 // Cores reports the schedule width (including any idle cores).
 func (p *Plan) Cores() int { return p.cores }
@@ -486,8 +505,7 @@ type PlanRing struct {
 }
 
 // Rings lists every ring the plan owns, inputs first, in chain order —
-// the walk a stats snapshot, a calibration scorer, or a drain barrier
-// makes.
+// the walk a stats snapshot or a drain barrier makes.
 func (p *Plan) Rings() []PlanRing {
 	out := make([]PlanRing, 0, len(p.inputs)+len(p.handoffs))
 	for i, r := range p.inputs {

@@ -312,37 +312,43 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-// TestChooseBoundsWeighted checks the cycle-balancing DP: cuts move
-// toward equalizing summed weight, not segment count, while respecting
-// forbidden boundaries; uniform weights reduce to the unweighted split.
-func TestChooseBoundsWeighted(t *testing.T) {
+// flowElem is a tagElem that keeps per-flow state.
+type flowElem struct{ tagElem }
+
+func (*flowElem) StateClass() StateClass { return PerFlow }
+
+// TestAutoPerFlow covers Auto's per-flow branch, which routebricks.Load
+// never reaches because it always steers by flow: a PerFlow element
+// without FlowSteered pins the graph to one pipelined chain, and with
+// it the graph runs Parallel.
+func TestAutoPerFlow(t *testing.T) {
+	prog := NewProgram(func(int) (*Router, error) {
+		r := NewRouter()
+		r.MustAdd("f", &flowElem{})
+		r.MustAdd("t", &tagElem{})
+		r.MustConnect("f", 0, "t", 0)
+		return r, nil
+	})
 	cases := []struct {
-		n, g  int
-		noCut []bool
-		w     []float64
-		want  []int
+		steered bool
+		kind    PlanKind
+		chains  int
+		decided string
 	}{
-		// Uniform weights: same even split chooseBounds picks.
-		{4, 2, []bool{false, false, false}, []float64{1, 1, 1, 1}, []int{0, 2, 4}},
-		// One heavy head segment: it gets a group of its own.
-		{4, 2, []bool{false, false, false}, []float64{10, 1, 1, 1}, []int{0, 1, 4}},
-		// Heavy tail: everything before it groups together.
-		{4, 2, []bool{false, false, false}, []float64{1, 1, 1, 10}, []int{0, 3, 4}},
-		// The balanced cut (after seg 0) is forbidden: take the legal one.
-		{4, 2, []bool{true, false, false}, []float64{10, 1, 1, 1}, []int{0, 2, 4}},
-		// Three groups around a heavy middle.
-		{5, 3, []bool{false, false, false, false}, []float64{1, 1, 8, 1, 1}, []int{0, 2, 3, 5}},
+		{false, Pipelined, 1, "per-flow elements [f] without flow steering"},
+		{true, Parallel, 4, "no element pins state"},
 	}
 	for _, tc := range cases {
-		got := chooseBoundsWeighted(tc.n, tc.g, tc.noCut, tc.w)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("chooseBoundsWeighted(%d,%d,%v,%v) = %v, want %v", tc.n, tc.g, tc.noCut, tc.w, got, tc.want)
-			continue
+		p, err := NewPlan(PlanConfig{Kind: Auto, Cores: 4, Program: prog, FlowSteered: tc.steered})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(got)-1; i++ {
-			if got[i] <= got[i-1] || tc.noCut[got[i]-1] {
-				t.Errorf("chooseBoundsWeighted(%d,%d,%v,%v) = %v: illegal boundary %d", tc.n, tc.g, tc.noCut, tc.w, got, got[i])
-			}
+		if p.Kind() != tc.kind || p.Chains() != tc.chains || !strings.Contains(p.Decision(), tc.decided) {
+			t.Errorf("FlowSteered %v: %s with %d chains, decision %q; want %s with %d, %q",
+				tc.steered, p.Kind(), p.Chains(), p.Decision(), tc.kind, tc.chains, tc.decided)
 		}
+	}
+	if _, err := NewPlan(PlanConfig{Kind: Parallel, Cores: 4, Program: prog}); err == nil {
+		t.Error("explicit parallel cloned per-flow state without flow steering")
 	}
 }

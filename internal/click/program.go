@@ -1,9 +1,6 @@
 package click
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file is the graph-first pipeline abstraction. A Program describes
 // a whole Click element graph — parsed from Click text or built in code —
@@ -76,10 +73,6 @@ type Instance struct {
 	segs   []Element // trunk elements in graph order
 	names  []string  // display name per segment
 	noCut  []bool    // noCut[i]: boundary between seg i and i+1 must stay on one core
-	// branchOf maps each non-trunk element to the index of the first
-	// trunk segment that reaches it — the core its work executes on, and
-	// therefore the segment its cycles belong to when weighting cuts.
-	branchOf map[string]int
 }
 
 // Router returns the instance's element graph.
@@ -244,30 +237,7 @@ func analyzeRouter(r *Router, entryName string) (*Instance, error) {
 	for x, lo := range reachLo {
 		forbid(lo, reachHi[x])
 	}
-	in.branchOf = reachLo
 	return in, nil
-}
-
-// TrunkWeights folds a measured per-element cycle profile into
-// per-trunk-segment weights: each segment's exclusive cycles plus the
-// cycles of every side-branch element it feeds (side branches execute
-// synchronously on the feeding segment's core, so their cost lands on
-// that core). Elements the profile never saw weigh 0; a uniform floor
-// of 1 cycle per segment keeps untouched segments from collapsing a
-// group to zero width.
-func (in *Instance) TrunkWeights(prof *Profiler) []float64 {
-	byName := make(map[string]float64)
-	for _, s := range prof.Stats() {
-		byName[s.Name] = s.Cycles
-	}
-	w := make([]float64, len(in.names))
-	for i, name := range in.names {
-		w[i] = 1 + byName[name]
-	}
-	for x, i := range in.branchOf {
-		w[i] += byName[x]
-	}
-	return w
 }
 
 // cuttableGroups reports the maximum number of contiguous groups the
@@ -319,55 +289,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// chooseBoundsWeighted splits n trunk segments into g contiguous groups
-// minimizing the heaviest group's total weight — the pipelined
-// bottleneck — cutting only at allowed boundaries. Unlike chooseBounds,
-// which balances segment counts, this balances measured cycles, so a
-// trunk whose cost concentrates in one element (an LPM lookup, an ESP
-// transform) gets narrower groups around it. Dynamic program over
-// prefix sums, O(g·n²); trunks are short. The caller guarantees
-// g <= cuttableGroups(noCut) and len(w) == n.
-func chooseBoundsWeighted(n, g int, noCut []bool, w []float64) []int {
-	prefix := make([]float64, n+1)
-	for i := 0; i < n; i++ {
-		prefix[i+1] = prefix[i] + w[i]
-	}
-	// f[k][i]: minimal bottleneck for the first i segments in k groups,
-	// with i an allowed boundary (or the trunk end).
-	f := make([][]float64, g+1)
-	parent := make([][]int, g+1)
-	for k := range f {
-		f[k] = make([]float64, n+1)
-		parent[k] = make([]int, n+1)
-		for i := range f[k] {
-			f[k][i] = math.MaxFloat64
-			parent[k][i] = -1
-		}
-	}
-	f[0][0] = 0
-	for k := 1; k <= g; k++ {
-		for i := k; i <= n; i++ {
-			if i < n && noCut[i-1] {
-				continue // a cut after segment i-1 is forbidden
-			}
-			for j := k - 1; j < i; j++ {
-				if f[k-1][j] == math.MaxFloat64 {
-					continue
-				}
-				v := max(f[k-1][j], prefix[i]-prefix[j])
-				if v < f[k][i] {
-					f[k][i] = v
-					parent[k][i] = j
-				}
-			}
-		}
-	}
-	bounds := make([]int, g+1)
-	bounds[g] = n
-	for k := g; k > 0; k-- {
-		bounds[k-1] = parent[k][bounds[k]]
-	}
-	return bounds
 }

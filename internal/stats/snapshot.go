@@ -95,8 +95,7 @@ type ElementSnapshot struct {
 // pipeline: plan identity (kind + generation, so observers can tell a
 // reload happened), per-core counters, per-ring depth/capacity/
 // backpressure, and per-element counters. Counters are monotonic within
-// one generation; a Reload or Replan installs a fresh plan and resets
-// them.
+// one generation; a Reload installs a fresh plan and resets them.
 type Snapshot struct {
 	Plan       string `json:"plan"`
 	Generation uint64 `json:"generation"`
@@ -109,14 +108,15 @@ type Snapshot struct {
 	Rejected uint64 `json:"rejected"`
 
 	// Imbalance is the per-core load-skew ratio (see ImbalanceRatio):
-	// cumulative for a plain Snapshot, per-interval after Delta — the
-	// one number an operator watches to decide on a Replan.
+	// cumulative for a plain Snapshot, per-interval after Delta. Flows
+	// map to chains by a fixed hash, so skew reports the offered flow
+	// mix; the datapath does not re-steer or re-place to answer it.
 	Imbalance float64 `json:"imbalance"`
 
 	// FIBGeneration and FIBRoutes describe the live FIB at snapshot
 	// time — the number of committed route updates and the installed
 	// route count. Both are gauges on the FIB, not plan counters: they
-	// survive Reload/Replan (the FIB is shared across plan generations)
+	// survive Reload (the FIB is shared across plan generations)
 	// and Delta keeps their current values. Zero when the pipeline has
 	// no live FIB bound.
 	FIBGeneration uint64 `json:"fib_generation,omitempty"`

@@ -196,24 +196,3 @@ func (s *Source) Batch(n int) []*pkt.Packet {
 	}
 	return out
 }
-
-// calibrationSeed pins the Placement: Auto calibration stream so every
-// calibration of the same graph sees byte-identical traffic.
-const calibrationSeed = 0xCA11B
-
-// Calibration synthesizes the deterministic workload routebricks uses
-// to score Placement: Auto candidates: n minimum-size packets drawn
-// from a fixed-seed flow mix. pkt.New stamps each with TTL 64 and a
-// valid header checksum, and destinations are drawn from the 10.d.0.0
-// pool this repo's FIBs conventionally cover, so against such a table
-// the stream traverses a standard forwarding trunk (CheckIPHeader →
-// lookup → TTL) end to end with a realistic mix of hits and misses.
-// Two calls return identical streams — the property that makes an Auto
-// decision reproducible run to run.
-func Calibration(n int) []*pkt.Packet {
-	pool := make([]netip.Addr, 16)
-	for d := range pool {
-		pool[d] = netip.AddrFrom4([4]byte{10, byte(d), 0, 1})
-	}
-	return New(Config{Seed: calibrationSeed, Sizes: Fixed(64), DstAddrs: pool}).Batch(n)
-}

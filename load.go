@@ -18,8 +18,8 @@ import (
 // programmable using the familiar Click/Linux environment", §1) joined
 // to its parallelism claim (§4.2's core allocations) behind one call.
 // The returned Pipeline is a live control plane, not a build-once
-// artifact: the placement can be chosen by measurement (Placement:
-// Auto), re-decided at runtime (Replan), the whole program swapped
+// artifact: the placement can be left to a rule over the graph's state
+// classes (Placement: Auto), the whole program or its placement swapped
 // without restart (Reload), and everything observed through one typed
 // Snapshot (see control.go and snapshot.go).
 
@@ -46,7 +46,7 @@ type PlanKind = click.PlanKind
 // Pipeline.Snapshot.
 type Snapshot = stats.Snapshot
 
-// The §4.2 core allocations, plus the measured mode.
+// The §4.2 core allocations, plus the rule that picks one.
 const (
 	// Parallel clones the whole graph onto every core ("one core per
 	// queue, one core per packet") — the paper's winning allocation.
@@ -54,26 +54,25 @@ const (
 	// Pipelined cuts the graph's trunk into per-core stages joined by
 	// SPSC handoff rings.
 	Pipelined = click.Pipelined
-	// Auto picks between Parallel and Pipelined by running a short
-	// deterministic calibration against both candidate plans at Load
-	// (and Replan) time; the decision is recorded in Describe() and the
-	// Snapshot.
+	// Auto picks by rule when the plan is built (Load and every
+	// Reload): Parallel, unless the graph holds an element whose state
+	// cloning would split (a Shared one, such as Shaper or ESPEncap),
+	// in which case one Pipelined chain. The decision, naming those
+	// elements, is recorded in Describe() and Snapshot.Decision.
 	Auto = click.Auto
 )
 
-// Options parameterizes Load (and Reload/Replan, which apply the same
+// Options parameterizes Load (and Reload, which applies the same
 // validation and defaults). Numeric fields left 0 take the documented
-// default at Load and inherit the pipeline's current value at
-// Reload/Replan; negative values are rejected up front with a
-// descriptive error rather than silently rounded downstream.
+// default at Load and inherit the pipeline's current value at Reload;
+// negative values are rejected up front with a descriptive error
+// rather than silently rounded downstream.
 type Options struct {
 	// Cores is the number of datapath cores (default 1).
 	Cores int
 	// Placement picks the core allocation (default Parallel). Auto
-	// measures both candidates and picks; note that Auto briefly drives
-	// synthetic calibration traffic through candidate plans, so Prebound
-	// and Sink are invoked for candidate chains too and prebound
-	// terminals see (and may count) calibration packets.
+	// applies its rule to the graph being planned and builds only the
+	// plan it picks.
 	Placement PlanKind
 	// KP is the poll batch size (default 32, the paper's tuned kp).
 	KP int
@@ -91,7 +90,7 @@ type Options struct {
 	// rings, VLB balancers. It is called once per chain so per-core
 	// resources come out independent by construction; instances that
 	// are shared across chains must be safe for concurrent use. Reload
-	// and Replan call it again for the new plan's chains, which is how
+	// calls it again for the new plan's chains, which is how
 	// prebound resources persist across a swap: the same closure hands
 	// the same shared instances to the replacement graph.
 	Prebound func(chain int) map[string]Element
@@ -101,7 +100,7 @@ type Options struct {
 	// route updates through the same handle (or Pipeline.Routes()) reach
 	// the datapath without a reload. A `fib` entry returned by Prebound
 	// takes precedence. Like Prebound, the handle is inherited across
-	// Reload/Replan.
+	// Reload.
 	FIB *RouteAdmin
 	// Entry names the graph's entry element when auto-detection (the
 	// unique element with no incoming connections) is ambiguous.
@@ -109,12 +108,6 @@ type Options struct {
 	// Sink, when non-nil, builds a terminal element per chain and wires
 	// it after the trunk's dangling last output.
 	Sink func(chain int) Element
-	// HandoffCycles is the per-packet cost of a handoff-ring crossing,
-	// in cycles, that Auto calibration charges the pipelined candidate.
-	// 0 measures it once per process via exec.MeasureHandoff (cached);
-	// tests pass an explicit value for determinism. Negative values are
-	// rejected.
-	HandoffCycles float64
 }
 
 // validate rejects malformed options with a descriptive error instead
@@ -134,9 +127,6 @@ func (o Options) validate() error {
 	}
 	if o.Placement != Parallel && o.Placement != Pipelined && o.Placement != Auto {
 		return fmt.Errorf("routebricks: unknown Placement %d", int(o.Placement))
-	}
-	if o.HandoffCycles < 0 {
-		return fmt.Errorf("routebricks: HandoffCycles must be non-negative (0 means measure at Load), got %g", o.HandoffCycles)
 	}
 	return nil
 }
@@ -158,30 +148,10 @@ func (o Options) withDefaults() Options {
 	if o.Registry == nil {
 		o.Registry = elements.StandardRegistry()
 	}
-	if o.HandoffCycles == 0 {
-		// Measure what a ring crossing actually costs on this host —
-		// once per process; the cached figure keeps repeated Loads (and
-		// the Auto determinism contract) stable.
-		o.HandoffCycles = measuredHandoffCycles()
-	}
 	return o
 }
 
-// measuredHandoffCycles runs the exec.MeasureHandoff ping-pong once
-// per process and caches the result.
-var handoffMeasurement struct {
-	once   sync.Once
-	cycles float64
-}
-
-func measuredHandoffCycles() float64 {
-	handoffMeasurement.once.Do(func() {
-		handoffMeasurement.cycles = exec.MeasureHandoff(exec.MeasureConfig{})
-	})
-	return handoffMeasurement.cycles
-}
-
-// merge layers next over cur for Reload/Replan: zero numeric fields,
+// merge layers next over cur for Reload: zero numeric fields,
 // nil funcs, and an empty Entry inherit the pipeline's current values.
 // Placement is taken as given — its zero value is Parallel, so callers
 // that want to keep a non-default placement pass p.Placement() (or Auto
@@ -214,38 +184,33 @@ func merge(cur, next Options) Options {
 	if next.Sink == nil {
 		next.Sink = cur.Sink
 	}
-	if next.HandoffCycles == 0 {
-		next.HandoffCycles = cur.HandoffCycles
-	}
 	return next
 }
 
 // Pipeline is a loaded, placed, runnable Click program, and the live
 // control plane over it: Start/Stop/Step drive the current plan,
-// Reload/Replan swap it under a drain barrier, Snapshot observes it.
+// Reload swaps it under a drain barrier, Snapshot observes it.
 //
 // Concurrency: the data-plane accessors (Push, RunBatch, Step,
 // Snapshot, ...) may be called from any goroutine and remain safe across
-// concurrent Reload/Replan calls — a swap briefly blocks them at the
+// concurrent Reload calls — a swap briefly blocks them at the
 // drain barrier. Pointers obtained through Input, Router, Element, or
 // Plan refer to the plan that was current at call time and go stale
 // when a swap installs a new one; re-fetch after a reload, or stick to
 // Push/Snapshot, which always address the live plan.
 type Pipeline struct {
 	// pmu guards the identity of the current plan: data-plane accessors
-	// hold it shared, Reload/Replan exclusively while they drain the old
+	// hold it shared, Reload exclusively while it drains the old
 	// plan and install the new one.
 	pmu  sync.RWMutex
 	plan *click.Plan
 	ctx  click.Context // Step's context, on the wall clock
 
 	text string  // Click text of the current plan
-	opts Options // normalized options of the current plan (Placement resolved)
+	opts Options // normalized options of the current plan (Placement as requested)
 
-	running    bool                // Start..Stop
-	generation uint64              // bumped once per successful swap
-	decision   string              // how the current placement was chosen
-	calib      []CalibrationResult // Auto candidate measurements, when calibrated
+	running    bool   // Start..Stop
+	generation uint64 // bumped once per successful swap
 
 	// drainDrops counts packets a bounded reload drain had to recycle
 	// because the old graph would not drain them (a wedged terminal);
@@ -259,8 +224,8 @@ type Pipeline struct {
 // independent copy of the whole graph; a Pipelined plan cuts the
 // graph's trunk across cores wherever the topology allows (side
 // branches stay with the trunk element that feeds them). Placement:
-// Auto builds both candidate plans and picks the winner of a short
-// deterministic calibration (see Describe for the recorded decision).
+// Auto is resolved by its rule on the one plan built (see Describe for
+// the recorded decision); an explicit placement does no extra work.
 //
 // The returned pipeline is idle: feed packets into Input(chain) /
 // Push and call Start (real goroutines) or Step (single-threaded and
@@ -271,25 +236,22 @@ func Load(clickText string, opts Options) (*Pipeline, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	plan, decided, decision, calib, err := buildPlan(clickText, opts)
+	plan, err := buildPlan(clickText, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Pipeline{
-		plan:     plan,
-		ctx:      click.Context{NowNS: click.WallNS},
-		text:     clickText,
-		opts:     decided,
-		decision: decision,
-		calib:    calib,
+		plan: plan,
+		ctx:  click.Context{NowNS: click.WallNS},
+		text: clickText,
+		opts: opts,
 	}, nil
 }
 
 // buildPlan parses text and materializes a plan under opts (which must
-// already be validated and defaulted), resolving Placement: Auto by
-// calibration. It returns the plan, the options with the decided
-// placement, the decision record, and the candidate measurements.
-func buildPlan(text string, opts Options) (*click.Plan, Options, string, []CalibrationResult, error) {
+// already be validated and defaulted); click.NewPlan resolves
+// Placement: Auto.
+func buildPlan(text string, opts Options) (*click.Plan, error) {
 	prebound := opts.Prebound
 	if opts.FIB != nil {
 		// Bind the shared live FIB to the `fib` name for every chain —
@@ -312,48 +274,18 @@ func buildPlan(text string, opts Options) (*click.Plan, Options, string, []Calib
 	}
 	prog := click.ParseProgram(text, opts.Registry, prebound)
 	prog.Entry = opts.Entry
-	var (
-		decision   string
-		calib      []CalibrationResult
-		segWeights []float64
-	)
-	if opts.Placement == Auto {
-		// Auto already drives calibration traffic through the graph, so
-		// the same deterministic stream also measures per-trunk-segment
-		// cycles; candidate pipelined plans (and the final one, if
-		// pipelined wins) cut the trunk by those measured weights instead
-		// of by segment counts.
-		segWeights = profileTrunkWeights(prog, opts)
-		kind, d, results, err := calibrate(prog, opts, segWeights)
-		if err != nil {
-			return nil, opts, "", nil, err
-		}
-		opts.Placement = kind
-		decision, calib = d, results
-	}
-	plan, err := click.NewPlan(planConfig(prog, opts, opts.Placement, segWeights))
-	if err != nil {
-		return nil, opts, "", nil, err
-	}
-	return plan, opts, decision, calib, nil
-}
-
-// planConfig maps resolved Options onto the planner's config for every
-// plan, candidate or final.
-func planConfig(prog *click.Program, opts Options, kind PlanKind, segWeights []float64) click.PlanConfig {
-	return click.PlanConfig{
-		Kind:       kind,
+	return click.NewPlan(click.PlanConfig{
+		Kind:       opts.Placement,
 		Cores:      opts.Cores,
 		Program:    prog,
 		KP:         opts.KP,
 		InputCap:   opts.InputCap,
 		HandoffCap: opts.HandoffCap,
 		Sink:       opts.Sink,
-		SegWeights: segWeights,
 		// The pipeline always steers by flow hash (PushFlow), so cloned
 		// per-flow elements are safe by construction.
 		FlowSteered: true,
-	}
+	})
 }
 
 // Start launches the pipeline's cores as real goroutines.
@@ -385,7 +317,7 @@ func (p *Pipeline) Stop() {
 // tests and simulations. Timed elements still read the real clock
 // (click.WallNS), so what they do depends on real timing. It reports
 // packets moved and must not be mixed with Start. Exactly one
-// goroutine may drive Step; Reload/Replan from another goroutine are
+// goroutine may drive Step; Reload from another goroutine is
 // still safe (the swap serializes against the stepper).
 func (p *Pipeline) Step() int {
 	p.pmu.RLock()
@@ -420,7 +352,7 @@ func (p *Pipeline) Placement() PlanKind {
 	return p.plan.Kind()
 }
 
-// Generation reports how many plan swaps (Reload/Replan) have been
+// Generation reports how many plan swaps (Reload) have been
 // installed; 0 is the plan Load built. Snapshot counters reset at each
 // generation boundary.
 func (p *Pipeline) Generation() uint64 {
@@ -439,8 +371,8 @@ func (p *Pipeline) Program() string {
 
 // Input returns chain i's input ring (nil when i is out of range). Each
 // ring is single-producer: feed it from exactly one goroutine. The
-// pointer refers to the current plan and goes stale after Reload/
-// Replan; producers that must stay valid across swaps use Push.
+// pointer refers to the current plan and goes stale after Reload;
+// producers that must stay valid across swaps use Push.
 func (p *Pipeline) Input(i int) *Ring {
 	p.pmu.RLock()
 	defer p.pmu.RUnlock()
@@ -479,7 +411,7 @@ func (p *Pipeline) Push(i int, pk *Packet) bool {
 // socket loop: a parallel plan then runs wholly on the callers and is
 // never started, while a pipelined plan runs its first group here and
 // needs Start for the stages behind it. Unlike Push it blocks through a
-// Reload/Replan: the caller is the datapath, and a swap is a short
+// Reload: the caller is the datapath, and a swap is a short
 // pause, not backpressure. Several goroutines may feed one chain; do
 // not mix RunBatch with Push on a started parallel plan.
 func (p *Pipeline) RunBatch(queue int, ctx *click.Context, b *pkt.Batch) int {
@@ -518,14 +450,14 @@ func (p *Pipeline) Queued() int {
 
 // Describe renders the placement map — which trunk segments run on
 // which core, where the handoff rings sit — plus the plan generation
-// and, for calibrated placements, the recorded Auto decision.
+// and, under Placement: Auto, the rule's decision.
 func (p *Pipeline) Describe() string {
 	p.pmu.RLock()
 	defer p.pmu.RUnlock()
 	desc := p.plan.Describe()
 	desc += fmt.Sprintf("  generation %d\n", p.generation)
-	if p.decision != "" {
-		desc += "  " + p.decision + "\n"
+	if d := p.plan.Decision(); d != "" {
+		desc += "  " + d + "\n"
 	}
 	return desc
 }
@@ -549,7 +481,7 @@ func (p *Pipeline) DOT(chain ...int) string {
 
 // Routes returns the live FIB handle the pipeline was loaded with
 // (Options.FIB), or nil when the pipeline binds its route table some
-// other way. The handle stays valid across Reload/Replan — the FIB is
+// other way. The handle stays valid across Reload — the FIB is
 // inherited like Prebound — so route churn and plan swaps compose.
 func (p *Pipeline) Routes() *RouteAdmin {
 	p.pmu.RLock()
@@ -558,7 +490,7 @@ func (p *Pipeline) Routes() *RouteAdmin {
 }
 
 // Plan exposes the underlying placement plan for advanced callers.
-// Stale after Reload/Replan.
+// Stale after Reload.
 func (p *Pipeline) Plan() *click.Plan {
 	p.pmu.RLock()
 	defer p.pmu.RUnlock()

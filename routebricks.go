@@ -47,16 +47,17 @@
 //
 // The pipeline is a live control plane, not a build-once artifact:
 //
-//   - Placement: routebricks.Auto makes the §4.2 allocation a measured
-//     decision — Load builds both candidate plans, drives a short
-//     deterministic calibration through each, and picks the winner
-//     (recorded in Describe, Snapshot.Decision, and Calibration).
+//   - Placement: routebricks.Auto makes the §4.2 allocation a rule over
+//     the graph's state classes: Parallel, unless an element holds state
+//     cloning would split (a Shared Shaper or ESPEncap), in which case
+//     one Pipelined chain. The decision names those elements in Describe
+//     and Snapshot.Decision.
 //   - pipe.Reload(newText, opts) hot-swaps the program under a drain
 //     barrier — in-flight packets are stepped out, the new plan
 //     installs atomically, prebound resources carry over — with zero
-//     loss (TestReloadEquivalence); pipe.Replan(opts) re-decides the
-//     placement of the current program the same way. cmd/rbrouter
-//     wires Reload to SIGHUP.
+//     loss (TestReloadEquivalence); pipe.Reload(pipe.Program(), opts)
+//     re-places the current program the same way. cmd/rbrouter wires
+//     Reload to SIGHUP.
 //   - pipe.Snapshot() unifies observability: plan kind + generation,
 //     per-core counters, per-ring depth/capacity/backpressure, live-FIB
 //     generation and route count, and per-element counters in one typed,
@@ -69,7 +70,7 @@
 //     (RouteAdmin.Update); readers pin one complete snapshot per packet
 //     batch, so a batch never straddles two generations and no reader
 //     ever observes a partially updated table. The handle is inherited
-//     across Reload and Replan like Prebound, and pipe.Routes() returns
+//     across Reload like Prebound, and pipe.Routes() returns
 //     it for admin surfaces — cmd/rbrouter's /api/v1/routes is exactly
 //     that. An explicitly prebound `fib` instance still wins, preserving
 //     the old contract.

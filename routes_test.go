@@ -114,10 +114,11 @@ func TestLiveFIBWithdrawReinstate(t *testing.T) {
 	}
 }
 
-// TestLiveFIBSnapshotAndReplan checks Snapshot carries the FIB gauges
-// and that the FIB handle (and its routes) survive a Replan — the FIB is
-// inherited like Prebound, so churn and plan swaps compose.
-func TestLiveFIBSnapshotAndReplan(t *testing.T) {
+// TestLiveFIBSnapshotAndReload checks Snapshot carries the FIB gauges
+// and that the FIB handle (and its routes) survive a Reload that
+// re-places the same program — the FIB is inherited like Prebound, so
+// churn and plan swaps compose.
+func TestLiveFIBSnapshotAndReload(t *testing.T) {
 	pipe, _, fib := liveFIBPipe(t)
 	s := pipe.Snapshot()
 	if s.FIBGeneration != 1 || s.FIBRoutes != 1 {
@@ -136,19 +137,19 @@ func TestLiveFIBSnapshotAndReplan(t *testing.T) {
 		t.Fatalf("snapshot after update: gen=%d routes=%d", s.FIBGeneration, s.FIBRoutes)
 	}
 
-	if err := pipe.Replan(Options{Placement: Pipelined, Cores: 2}); err != nil {
+	if err := pipe.Reload(pipe.Program(), Options{Placement: Pipelined, Cores: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if pipe.Routes() != fib {
-		t.Fatal("Replan dropped the FIB handle")
+		t.Fatal("Reload dropped the FIB handle")
 	}
 	stepFeed(t, pipe, 512)
 	s = pipe.Snapshot()
 	if s.FIBGeneration != 2 || s.FIBRoutes != 3 {
-		t.Fatalf("FIB gauges reset across replan: gen=%d routes=%d", s.FIBGeneration, s.FIBRoutes)
+		t.Fatalf("FIB gauges reset across the reload: gen=%d routes=%d", s.FIBGeneration, s.FIBRoutes)
 	}
 	if list := fib.List(); len(list) != 3 {
-		t.Fatalf("route listing after replan: %v", list)
+		t.Fatalf("route listing after the reload: %v", list)
 	}
 	if hop := fib.Lookup(netip.MustParseAddr("10.1.0.9")); hop != 2 {
 		t.Fatalf("Lookup = %d, want 2", hop)

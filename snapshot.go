@@ -14,11 +14,11 @@ import (
 // Snapshot.Delta turns two snapshots into rates.
 
 // Snapshot captures a point-in-time view of the pipeline: plan
-// identity (kind, generation, calibration decision), per-core
+// identity (kind, generation, Auto decision), per-core
 // counters, per-ring depth/capacity/backpressure, and the atomic
 // counters of every graph element that exports any (Count, Packets,
 // Bytes). It is safe to call concurrently with the datapath and with
-// Reload/Replan; counters reset when a swap installs a new generation,
+// Reload; counters reset when a swap installs a new generation,
 // which Delta detects via the Generation field.
 func (p *Pipeline) Snapshot() Snapshot {
 	p.pmu.RLock()
@@ -27,7 +27,7 @@ func (p *Pipeline) Snapshot() Snapshot {
 	s := Snapshot{
 		Plan:       plan.Kind().String(),
 		Generation: p.generation,
-		Decision:   p.decision,
+		Decision:   plan.Decision(),
 		Cores:      plan.Cores(),
 		Chains:     plan.Chains(),
 		Queued:     plan.Queued(),
