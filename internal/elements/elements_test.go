@@ -1,6 +1,7 @@
 package elements
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -293,6 +294,47 @@ func TestESPEncapProducesValidOuterHeader(t *testing.T) {
 	}
 	if int(h.TotalLength()) != out.Len()-pkt.EtherHdrLen {
 		t.Fatalf("outer length field = %d, frame %d", h.TotalLength(), out.Len())
+	}
+}
+
+// TestESPEncapZeroAlloc checks that sealing allocates nothing once the
+// pool is warm: the ESP body is written straight into the pool packet.
+func TestESPEncapZeroAlloc(t *testing.T) {
+	tun, _ := ipsec.NewTunnel(1, make([]byte, 16))
+	enc := NewESPEncap(tun, addr("192.0.2.1"), addr("192.0.2.2"))
+	enc.Recycle = pkt.DefaultPool
+	enc.SetOutput(0, func(_ *click.Context, p *pkt.Packet) { pkt.DefaultPool.Put(p) })
+	tmpl := testPacket(256, "10.0.0.5")
+	ctx := &click.Context{}
+	push := func() {
+		p := pkt.DefaultPool.Get(tmpl.Len())
+		copy(p.Data, tmpl.Data)
+		enc.Push(ctx, 0, p)
+	}
+	push()
+	if allocs := testing.AllocsPerRun(100, push); allocs != 0 {
+		t.Fatalf("ESPEncap.Push: %v allocs per packet, want 0", allocs)
+	}
+}
+
+// TestESPEncapOversizeKeepsSequence checks that an oversize packet is
+// diverted unsealed: it consumes no sequence number.
+func TestESPEncapOversizeKeepsSequence(t *testing.T) {
+	tun, _ := ipsec.NewTunnel(1, make([]byte, 16))
+	enc := NewESPEncap(tun, addr("192.0.2.1"), addr("192.0.2.2"))
+	c := newCapture()
+	wireOut(enc, 0, c, 0)
+	wireOut(enc, 1, c, 1)
+	ctx := &click.Context{}
+	big := testPacket(1600, "10.0.0.5")
+	enc.Push(ctx, 0, big)
+	if enc.Oversize() != 1 || len(c.ports[1]) != 1 || c.ports[1][0] != big {
+		t.Fatalf("oversize packet not diverted unchanged: oversize=%d port1=%d", enc.Oversize(), len(c.ports[1]))
+	}
+	enc.Push(ctx, 0, testPacket(128, "10.0.0.5"))
+	esp := c.ports[0][0].Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:]
+	if seq := binary.BigEndian.Uint32(esp[4:8]); seq != 1 {
+		t.Fatalf("first sealed packet carries sequence %d, want 1", seq)
 	}
 }
 

@@ -36,14 +36,14 @@ func (e *ESPEncap) InPorts() int { return 1 }
 // OutPorts reports 2 (sealed, oversize).
 func (e *ESPEncap) OutPorts() int { return 2 }
 
-// Push encrypts and re-encapsulates.
+// Push encrypts and re-encapsulates, sealing straight into the outgoing
+// frame after its outer header.
 func (e *ESPEncap) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 	ctx.Charge(hw.IPsecExtraCycles(p.Len()))
 	inner := p.Data[pkt.EtherHdrLen:] // inner IP packet (tunnel mode)
-	esp := e.Tunnel.Seal(inner, 4)    // 4 = IP-in-IP
-	outLen := pkt.EtherHdrLen + pkt.IPv4HdrLen + len(esp)
+	outLen := pkt.EtherHdrLen + pkt.IPv4HdrLen + ipsec.SealedLen(len(inner))
 	if outLen > pkt.MaxSize+pkt.IPv4HdrLen+ipsec.ESPHdrLen+2*ipsec.BlockSize {
-		// Would not fit any MTU we model; count and divert.
+		// Would not fit any MTU we model; count and divert, unsealed.
 		e.oversize++
 		e.Out(ctx, 1, p)
 		return
@@ -64,7 +64,7 @@ func (e *ESPEncap) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 	ih.SetSrc(e.Local)
 	ih.SetDst(e.Peer)
 	ih.UpdateChecksum()
-	copy(out.Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:], esp)
+	e.Tunnel.SealInto(out.Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:], inner, 4) // 4 = IP-in-IP
 	if e.Recycle != nil {
 		ctx.Recycle(e.Recycle, p)
 	}

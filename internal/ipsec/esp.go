@@ -46,9 +46,18 @@ func SealedLen(n int) int {
 // Seal encrypts payload (an inner IP packet in tunnel mode) and returns
 // the ESP packet body. nextHdr is the inner protocol (4 = IPv4-in-IPsec).
 func (t *Tunnel) Seal(payload []byte, nextHdr byte) []byte {
+	out := make([]byte, SealedLen(len(payload)))
+	return out[:t.SealInto(out, payload, nextHdr)]
+}
+
+// SealInto is Seal into a caller's buffer: it writes the ESP packet body
+// into dst, which must hold SealedLen(len(payload)) bytes and must not
+// overlap payload, and returns the number of bytes written.
+func (t *Tunnel) SealInto(dst, payload []byte, nextHdr byte) int {
+	n := SealedLen(len(payload))
+	out := dst[:n]
 	t.seq++
 	t.ivCtr++
-	out := make([]byte, SealedLen(len(payload)))
 	binary.BigEndian.PutUint32(out[0:4], t.SPI)
 	binary.BigEndian.PutUint32(out[4:8], t.seq)
 	iv := out[8 : 8+BlockSize]
@@ -69,7 +78,7 @@ func (t *Tunnel) Seal(payload []byte, nextHdr byte) []byte {
 	if err := t.cipher.EncryptCBC(iv, body); err != nil {
 		panic(err) // lengths are constructed correct above
 	}
-	return out
+	return n
 }
 
 // Open decrypts an ESP packet body produced by Seal, returning the inner

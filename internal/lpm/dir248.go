@@ -3,7 +3,7 @@ package lpm
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Dir248 implements DIR-24-8-BASIC (Gupta/Lin/McKeown 1998): a 2^24-entry
@@ -25,9 +25,10 @@ import (
 // share every untouched page between generations instead of cloning the
 // whole 64 MB array (copy-on-write at page granularity).
 //
-// Construction: prefixes are inserted in ascending length order so that
-// more-specific routes overwrite less-specific ranges, the standard
-// offline build. Insert after Freeze rebuilds lazily.
+// Construction: one sweep over the routes sorted by address, then
+// length, writes each covered tbl24 slot once with its longest ≤/24
+// match; routes longer than /24 then paint their blocks (rebuildFrom).
+// Insert after Freeze rebuilds lazily.
 type Dir248 struct {
 	tbl24   [][]uint32 // tbl24Pages pages × tbl24PageSize entries; nil = empty
 	tblLong [][]uint32 // each block has 256 entries, same value encoding as leaves
@@ -123,56 +124,104 @@ func (d *Dir248) Freeze() {
 
 func (d *Dir248) rebuild() { d.rebuildFrom(d.routes) }
 
+// Packed route keys for the build sweep: addr<<29 | bits<<23 | hop.
+// Ascending order is address order, then shorter prefix first, so every
+// covering prefix sorts before the prefixes nested inside it.
+const (
+	packAddrShift = 29
+	packBitsShift = 23
+	packHopMask   = 1<<packBitsShift - 1 // validate caps next hops at 23 bits
+)
+
 // rebuildFrom repaints the lookup arrays from an arbitrary route map —
 // the shared core of Freeze and of LiveTable's full-rebuild commits.
+//
+// One sweep over the sorted routes paints tbl24: a stack holds the open
+// prefixes (each inside the one below it), and the gap between two
+// route starts takes the hop of the innermost prefix still open there.
+// Every covered slot is written once, and a page is materialized only
+// where a route covers it. A second pass paints the routes longer than
+// /24 into their blocks, each block starting from its slot's leaf.
 func (d *Dir248) rebuildFrom(routes map[prefixKey]int) {
 	for i := range d.tbl24 {
-		d.tbl24[i] = nil // drop every page; repainting materializes what's needed
+		d.tbl24[i] = nil // drop every page; the sweep materializes what's needed
 	}
 	d.tblLong = d.tblLong[:0]
 
-	keys := make([]prefixKey, 0, len(routes))
-	for k := range routes {
-		keys = append(keys, k)
+	keys := make([]uint64, 0, len(routes))
+	for k, hop := range routes {
+		keys = append(keys, uint64(k.addr)<<packAddrShift|uint64(k.bits)<<packBitsShift|uint64(hop))
 	}
-	// Ascending prefix length; ties in address order for determinism.
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bits != keys[j].bits {
-			return keys[i].bits < keys[j].bits
-		}
-		return keys[i].addr < keys[j].addr
-	})
+	slices.Sort(keys)
 
-	for _, k := range keys {
-		hop := uint32(routes[k]) + 1 // leaf encoding: hop+1, 0 = empty
-		if k.bits <= 24 {
-			// Blocks are created only by >24-bit routes, which sort after
-			// every ≤24-bit route, so these entries are always leaves.
-			base := k.addr >> 8
-			count := uint32(1) << (24 - k.bits)
-			for i := uint32(0); i < count; i++ {
-				d.setSlot24(base+i, hop)
-			}
-		} else {
-			idx := k.addr >> 8
-			e := d.slot24(idx)
-			var blk []uint32
-			if e&dir248LongFlag != 0 {
-				blk = d.tblLong[e&^dir248LongFlag]
-			} else {
-				blk = make([]uint32, 256)
-				for j := range blk {
-					blk[j] = e // inherit the ≤/24 covering hop (possibly 0)
-				}
-				d.setSlot24(idx, dir248LongFlag|uint32(len(d.tblLong)))
-				d.tblLong = append(d.tblLong, blk)
-			}
-			low := k.addr & 0xFF
-			count := uint32(1) << (32 - int(k.bits))
-			for i := uint32(0); i < count; i++ {
-				blk[low+i] = hop
-			}
+	type open struct{ end, leaf uint32 } // slot range end (exclusive) and its leaf value
+	var stack []open
+	next := uint32(0) // first slot not yet painted
+	// closeTo paints up to slot s from the prefixes that end at or before
+	// it, innermost first, then the gap before s from the prefix still open.
+	closeTo := func(s uint32) {
+		for len(stack) > 0 && stack[len(stack)-1].end <= s {
+			top := stack[len(stack)-1]
+			d.fill24(next, top.end, top.leaf)
+			next = top.end
+			stack = stack[:len(stack)-1]
 		}
+		if len(stack) > 0 {
+			d.fill24(next, s, stack[len(stack)-1].leaf)
+		}
+		next = s
+	}
+	for _, k := range keys {
+		addr, bits := uint32(k>>packAddrShift), uint32(k>>packBitsShift)&0x3F
+		if bits > 24 {
+			continue
+		}
+		s := addr >> 8
+		closeTo(s)
+		stack = append(stack, open{s + 1<<(24-bits), uint32(k&packHopMask) + 1})
+	}
+	closeTo(1 << 24)
+
+	// Routes longer than /24, in sorted order: a slot's routes are
+	// adjacent, and each overlaps only earlier routes that contain it.
+	var blk []uint32
+	blkSlot := ^uint32(0)
+	for _, k := range keys {
+		addr, bits := uint32(k>>packAddrShift), uint32(k>>packBitsShift)&0x3F
+		if bits <= 24 {
+			continue
+		}
+		if s := addr >> 8; s != blkSlot {
+			blk = make([]uint32, 256)
+			fill(blk, d.slot24(s)) // inherit the ≤/24 covering hop (possibly 0)
+			d.setSlot24(s, dir248LongFlag|uint32(len(d.tblLong)))
+			d.tblLong = append(d.tblLong, blk)
+			blkSlot = s
+		}
+		low := addr & 0xFF
+		fill(blk[low:low+1<<(32-bits)], uint32(k&packHopMask)+1)
+	}
+}
+
+// fill24 writes v into tbl24 slots [lo, hi), page by page, materializing
+// each page it reaches.
+func (d *Dir248) fill24(lo, hi, v uint32) {
+	for lo < hi {
+		pi := lo >> tbl24PageBits
+		end := min(hi, (pi+1)<<tbl24PageBits)
+		pg := d.tbl24[pi]
+		if pg == nil {
+			pg = make([]uint32, tbl24PageSize)
+			d.tbl24[pi] = pg
+		}
+		fill(pg[lo&tbl24PageMask:lo&tbl24PageMask+end-lo], v)
+		lo = end
+	}
+}
+
+func fill(s []uint32, v uint32) {
+	for i := range s {
+		s[i] = v
 	}
 }
 

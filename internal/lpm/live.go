@@ -2,6 +2,7 @@ package lpm
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,21 +20,22 @@ import (
 // applied through one Update call costs one table build, not one per
 // route.
 //
-// Internally the writer keeps an authoritative Trie alongside the route
-// map. Small batches commit incrementally: the previous snapshot's tbl24
+// The writer's only authority is the route map. The first commit onto an
+// empty table, large batches, and tables that accumulated too many
+// orphaned blocks take a full DIR-24-8 build (one sweep over the sorted
+// routes). Other commits are incremental: the previous snapshot's tbl24
 // pages and second-level blocks are shared and copied on write — only the
 // 2^16-entry pages containing touched slots are cloned, so a one-route
 // commit copies one 256 KB page instead of the whole 64 MB table — and
-// only the slot ranges a changed prefix covers are repainted from the
-// trie. Large batches (or tables that accumulated too many orphaned
-// blocks) fall back to a full DIR-24-8 rebuild.
+// each touched slot is repainted from the route map, probing only the
+// prefix lengths that hold routes.
 type LiveTable struct {
 	mu        sync.Mutex // serializes writers
 	cur       atomic.Pointer[Dir248]
 	gen       atomic.Uint64
 	count     atomic.Int64
 	routes    map[prefixKey]int
-	trie      *Trie
+	perLen    [33]int        // installed routes per prefix length
 	longCount map[uint32]int // tbl24 slot -> number of >/24 routes inside it
 	orphans   int            // published blocks no slot references anymore
 }
@@ -54,7 +56,6 @@ const (
 func NewLiveTable(routes ...Route) (*LiveTable, error) {
 	lt := &LiveTable{
 		routes:    make(map[prefixKey]int),
-		trie:      NewTrie(),
 		longCount: make(map[uint32]int),
 	}
 	lt.cur.Store(newDir248Snap())
@@ -155,47 +156,49 @@ func (lt *LiveTable) Update(adds []Route, withdraws []netip.Prefix) (uint64, err
 		changes = append(changes, liveChange{key: prefixKey{addr, int8(bits)}})
 	}
 
-	// Apply to the writer-side authority (route map + trie), collecting
-	// the set of tbl24 slots whose painted state may have changed.
-	touched := make(map[uint32]struct{})
+	// The first commit onto an empty table has no previous snapshot worth
+	// patching: it goes straight to the full build.
+	full := len(lt.routes) == 0
+	if full {
+		lt.routes = make(map[prefixKey]int, len(adds))
+	}
+	// Apply to the route map, collecting the tbl24 slots whose painted
+	// state may have changed, until the batch is too wide to patch.
+	var touched []uint32
 	slots := 0
 	touch := func(k prefixKey) {
-		if k.bits > 24 {
-			if _, ok := touched[k.addr>>8]; !ok {
-				touched[k.addr>>8] = struct{}{}
-				slots++
-			}
+		n := 1
+		if k.bits <= 24 {
+			n = 1 << (24 - k.bits)
+		}
+		slots += n // counted before dedup; only gates the rebuild fallback
+		if full || slots > patchSlotLimit {
 			return
 		}
-		base := k.addr >> 8
-		count := uint32(1) << (24 - k.bits)
-		slots += int(count) // estimate before dedup; only gates the rebuild fallback
-		if slots <= patchSlotLimit {
-			for i := uint32(0); i < count; i++ {
-				touched[base+i] = struct{}{}
-			}
+		for i := range uint32(n) {
+			touched = append(touched, k.addr>>8+i)
 		}
 	}
 	dirty := false
 	for _, c := range changes {
-		a4 := [4]byte{byte(c.key.addr >> 24), byte(c.key.addr >> 16), byte(c.key.addr >> 8), byte(c.key.addr)}
-		p := netip.PrefixFrom(netip.AddrFrom4(a4), int(c.key.bits))
 		if c.add {
 			old, existed := lt.routes[c.key]
 			if existed && old == c.hop {
 				continue
 			}
 			lt.routes[c.key] = c.hop
-			lt.trie.Insert(p, c.hop)
-			if c.key.bits > 24 && !existed {
-				lt.longCount[c.key.addr>>8]++
+			if !existed {
+				lt.perLen[c.key.bits]++
+				if c.key.bits > 24 {
+					lt.longCount[c.key.addr>>8]++
+				}
 			}
 		} else {
 			if _, existed := lt.routes[c.key]; !existed {
 				continue
 			}
 			delete(lt.routes, c.key)
-			lt.trie.Remove(p)
+			lt.perLen[c.key.bits]--
 			if c.key.bits > 24 {
 				slot := c.key.addr >> 8
 				if lt.longCount[slot]--; lt.longCount[slot] == 0 {
@@ -210,16 +213,15 @@ func (lt *LiveTable) Update(adds []Route, withdraws []netip.Prefix) (uint64, err
 		return lt.gen.Load(), nil
 	}
 
-	old := lt.cur.Load()
 	var snap *Dir248
-	if slots > patchSlotLimit || lt.orphans > orphanLimit {
+	if full || slots > patchSlotLimit || lt.orphans > orphanLimit {
 		snap = newDir248Snap()
-		snap.n = len(lt.routes)
 		snap.rebuildFrom(lt.routes)
 		lt.orphans = 0
 	} else {
-		snap = lt.patch(old, touched)
+		snap = lt.patch(lt.cur.Load(), touched)
 	}
+	snap.n = len(lt.routes)
 	lt.count.Store(int64(len(lt.routes)))
 	lt.cur.Store(snap)
 	return lt.gen.Add(1), nil
@@ -227,45 +229,39 @@ func (lt *LiveTable) Update(adds []Route, withdraws []netip.Prefix) (uint64, err
 
 // patch builds the next snapshot incrementally: share the previous
 // snapshot's tbl24 pages and second-level blocks, clone only the pages
-// containing touched slots, and repaint those slots from the
-// authoritative trie. Neither pages nor blocks are ever mutated in
-// place — a touched slot gets a freshly copied page (and, for >/24
-// routes, a freshly painted block) — so the previous snapshot stays
-// intact for readers still holding it.
-func (lt *LiveTable) patch(old *Dir248, touched map[uint32]struct{}) *Dir248 {
+// containing touched slots, and repaint those slots from the route map.
+// Neither pages nor blocks are ever mutated in place — a touched slot
+// gets a freshly copied page (and, for >/24 routes, a freshly painted
+// block) — so the previous snapshot stays intact for readers still
+// holding it.
+func (lt *LiveTable) patch(old *Dir248, touched []uint32) *Dir248 {
 	snap := &Dir248{
-		tbl24:   make([][]uint32, tbl24Pages),
-		tblLong: append([][]uint32(nil), old.tblLong...),
-		n:       len(lt.routes),
+		tbl24:   slices.Clone(old.tbl24), // share page pointers; clone on touch below
+		tblLong: slices.Clone(old.tblLong),
 	}
-	copy(snap.tbl24, old.tbl24) // share page pointers; clone on touch below
-	cloned := make(map[uint32]struct{})
-	for s := range touched {
-		pi := s >> tbl24PageBits
-		if _, ok := cloned[pi]; !ok {
-			pg := make([]uint32, tbl24PageSize)
-			if old.tbl24[pi] != nil {
-				copy(pg, old.tbl24[pi])
-			}
+	slices.Sort(touched)
+	var pg []uint32
+	pi := ^uint32(0)
+	for _, s := range slices.Compact(touched) {
+		if s>>tbl24PageBits != pi {
+			pi = s >> tbl24PageBits
+			pg = make([]uint32, tbl24PageSize)
+			copy(pg, old.tbl24[pi]) // a nil page copies nothing
 			snap.tbl24[pi] = pg
-			cloned[pi] = struct{}{}
 		}
-		pg := snap.tbl24[pi]
 		e := pg[s&tbl24PageMask]
 		if lt.longCount[s] == 0 {
 			// No >/24 route lives in this slot: every address in it
-			// shares one LPM answer, so one trie walk paints the leaf.
+			// shares one LPM answer, the slot's leaf.
 			if e&dir248LongFlag != 0 {
 				lt.orphans++
 			}
-			pg[s&tbl24PageMask] = encodeLeaf(lt.trie.Lookup(s << 8))
+			pg[s&tbl24PageMask] = lt.leaf(s)
 			continue
 		}
 		blk := make([]uint32, 256)
-		base := s << 8
-		for j := uint32(0); j < 256; j++ {
-			blk[j] = encodeLeaf(lt.trie.Lookup(base | j))
-		}
+		fill(blk, lt.leaf(s))
+		lt.paintLong(blk, s)
 		if e&dir248LongFlag != 0 {
 			snap.tblLong[e&^dir248LongFlag] = blk
 		} else {
@@ -276,9 +272,37 @@ func (lt *LiveTable) patch(old *Dir248, touched map[uint32]struct{}) *Dir248 {
 	return snap
 }
 
-func encodeLeaf(hop int) uint32 {
-	if hop == NoRoute {
-		return 0
+// leaf is tbl24 slot s's leaf value: the hop of its longest matching
+// prefix of at most /24, probed in the route map at each length that
+// holds routes, longest first.
+func (lt *LiveTable) leaf(s uint32) uint32 {
+	for bits := 24; bits >= 0; bits-- {
+		if lt.perLen[bits] == 0 {
+			continue
+		}
+		k := prefixKey{s << 8 & (^uint32(0) << (32 - bits)), int8(bits)}
+		if hop, ok := lt.routes[k]; ok {
+			return uint32(hop) + 1
+		}
 	}
-	return uint32(hop) + 1
+	return 0
+}
+
+// paintLong paints the routes longer than /24 inside slot s into its
+// block, shorter first so that each nested route overwrites the routes
+// containing it.
+func (lt *LiveTable) paintLong(blk []uint32, s uint32) {
+	left := lt.longCount[s]
+	for bits := 25; bits <= 32 && left > 0; bits++ {
+		if lt.perLen[bits] == 0 {
+			continue
+		}
+		size := uint32(1) << (32 - bits)
+		for low := uint32(0); low < 256; low += size {
+			if hop, ok := lt.routes[prefixKey{s<<8 | low, int8(bits)}]; ok {
+				fill(blk[low:low+size], uint32(hop)+1)
+				left--
+			}
+		}
+	}
 }

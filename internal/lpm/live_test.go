@@ -460,3 +460,159 @@ func TestLiveTableFootprintSparse(t *testing.T) {
 		t.Fatalf("footprint = %d, want %d (two pages)", got, want)
 	}
 }
+
+// BenchmarkLiveCommit times one steady-state commit on a paper-scale
+// table: a batch of 256 /24 routes, added and withdrawn on alternate
+// operations, onto 2^20 random routes plus a default.
+func BenchmarkLiveCommit(b *testing.B) {
+	lt, err := NewLiveTable(RandomTable(1<<20, 8, 1, true)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	adds := make([]Route, 256)
+	dels := make([]netip.Prefix, 256)
+	for i := range adds {
+		adds[i] = Route{netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(i), 0}), 24), i % 8}
+		dels[i] = adds[i].Prefix
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			_, err = lt.Update(adds, nil)
+		} else {
+			_, err = lt.Update(nil, dels)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzLiveTable drives a LiveTable through a fuzzed sequence of commits
+// and checks every snapshot against the Trie oracle and against a
+// from-scratch rebuild, at the edges of every changed prefix and at
+// random addresses. The input decodes six bytes per change:
+//
+//	ctl | addr (4 bytes, big-endian) | length
+//
+// ctl bit 7 withdraws instead of adding, bits 5 and 6 both set close the
+// batch after this change, and the low three bits are the next hop. A
+// length byte up to 32 is the prefix length; a larger one maps to
+// /16–/32, so that prefixes shorter than /16, which repaint a large share
+// of the table in every rebuild, stay rare in random input.
+func FuzzLiveTable(f *testing.F) {
+	op := func(withdraw, end bool, hop byte, p string) []byte {
+		pr := mustPrefix(p)
+		a := pr.Addr().As4()
+		ctl := hop & 7
+		if withdraw {
+			ctl |= 0x80
+		}
+		if end {
+			ctl |= 0x60
+		}
+		return []byte{ctl, a[0], a[1], a[2], a[3], byte(pr.Bits())}
+	}
+	seq := func(ops ...[]byte) []byte {
+		var b []byte
+		for _, o := range ops {
+			b = append(b, o...)
+		}
+		return b
+	}
+	f.Add(seq(
+		op(false, false, 1, "10.0.0.0/8"),
+		op(false, true, 2, "10.255.255.0/24"),
+		op(false, false, 3, "10.1.2.128/25"),
+		op(false, true, 4, "10.1.2.200/32"),
+		op(true, true, 0, "10.0.0.0/8"),
+		op(true, false, 0, "10.1.2.128/25"),
+		op(false, true, 5, "10.1.2.0/24"),
+	))
+	f.Add(seq(
+		op(false, true, 1, "0.0.0.0/0"),
+		op(false, false, 2, "0.255.255.0/24"),
+		op(false, true, 3, "1.0.0.0/24"),
+		op(true, true, 0, "1.0.0.0/24"), // the patched slot falls back to the /0
+		op(true, true, 0, "0.0.0.0/0"),
+		op(false, true, 6, "0.255.255.255/32"),
+	))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps = 32 // bounds the cost of one input
+		if len(data) > 6*maxOps {
+			data = data[:6*maxOps]
+		}
+		lt, err := NewLiveTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := NewTrie()
+		installed := make(map[netip.Prefix]int)
+		var adds []Route
+		var dels []netip.Prefix
+		var probes []uint32
+		for i := 0; i+6 <= len(data); i += 6 {
+			ctl := data[i]
+			bits := int(data[i+5])
+			if bits > 32 {
+				bits = 16 + bits%17
+			}
+			a4 := [4]byte{data[i+1], data[i+2], data[i+3], data[i+4]}
+			p := netip.PrefixFrom(netip.AddrFrom4(a4), bits).Masked()
+			if ctl&0x80 != 0 {
+				dels = append(dels, p)
+			} else {
+				adds = append(adds, Route{p, int(ctl & 7)})
+			}
+			lo := ip(p.Addr().String())
+			hi := lo | ^(^uint32(0) << (32 - p.Bits()))
+			probes = append(probes, lo-1, lo, hi, hi+1)
+			if ctl&0x60 != 0x60 && i+12 <= len(data) {
+				continue
+			}
+
+			// Commit the batch and mirror it in the oracles: adds, then
+			// withdraws, the order Update applies them in.
+			if _, err := lt.Update(adds, dels); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range adds {
+				installed[r.Prefix] = r.NextHop
+				if err := ref.Insert(r.Prefix, r.NextHop); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range dels {
+				delete(installed, p)
+				ref.Remove(p)
+			}
+			adds, dels = adds[:0], dels[:0]
+
+			full := NewDir248()
+			for p, hop := range installed {
+				if err := full.Insert(p, hop); err != nil {
+					t.Fatal(err)
+				}
+			}
+			full.Freeze()
+			snap := lt.Load()
+			rng := rand.New(rand.NewSource(int64(i)))
+			for j := 0; j < 256; j++ {
+				probes = append(probes, rng.Uint32())
+			}
+			for _, dst := range probes {
+				want := ref.Lookup(dst)
+				if got := snap.Lookup(dst); got != want {
+					t.Fatalf("after change %d: live lookup(%08x) = %d, trie says %d", i/6, dst, got, want)
+				}
+				if got := full.Lookup(dst); got != want {
+					t.Fatalf("after change %d: rebuilt lookup(%08x) = %d, trie says %d", i/6, dst, got, want)
+				}
+			}
+			if lt.Len() != len(installed) || lt.Len() != ref.Len() {
+				t.Fatalf("after change %d: len %d, installed %d, trie %d", i/6, lt.Len(), len(installed), ref.Len())
+			}
+		}
+	})
+}

@@ -1,27 +1,26 @@
 // Package lpm implements IPv4 longest-prefix-match route lookup.
 //
-// Two interchangeable engines are provided:
+// The lookup engine is Dir248: the DIR-24-8-BASIC scheme of Gupta, Lin
+// and McKeown ("Routing Lookups in Hardware at Memory Access Speeds",
+// INFOCOM 1998) — the "D-lookup algorithm" the RouteBricks paper uses via
+// the Click distribution for its IP-routing workload (§5.1). One memory
+// access for prefixes ≤ /24, two for longer.
 //
-//   - Dir248: the DIR-24-8-BASIC scheme of Gupta, Lin and McKeown
-//     ("Routing Lookups in Hardware at Memory Access Speeds", INFOCOM
-//     1998) — the "D-lookup algorithm" the RouteBricks paper uses via the
-//     Click distribution for its IP-routing workload (§5.1). One memory
-//     access for prefixes ≤ /24, two for longer.
+// Trie, a plain binary trie, is the oracle: slower but obviously correct.
+// The test suite checks Dir248 and LiveTable against it on random and
+// fuzzed route tables, and the LPM ablation measures it as the baseline
+// the compressed scheme replaces. No forwarding path uses it.
 //
-//   - Trie: a plain binary trie, the correctness baseline. Slower but
-//     obviously correct; the test suite cross-checks Dir248 against it on
-//     random route tables.
-//
-// A bare Dir248 or Trie is built once and then read by many cores
-// concurrently, matching the paper's workload (forwarding planes rebuild
-// rarely, look up millions of times per second); their mutating methods
-// must not race with Lookup. For live route churn — production routers
-// eat continuous BGP-scale updates — wrap Dir248 in a LiveTable: an
-// RCU-style generation pointer whose writers build complete replacement
-// snapshots off to the side and publish them atomically, so inserts and
-// withdraws never stall a forwarding core and no Lookup ever observes a
-// partially built table. Readers hold a snapshot (Load) across a batch of
-// lookups and pay one atomic read per batch, not per packet.
+// A bare Dir248 is built once and then read by many cores concurrently,
+// matching the paper's workload (forwarding planes rebuild rarely, look
+// up millions of times per second); its mutating methods must not race
+// with Lookup. For live route churn — production routers eat continuous
+// BGP-scale updates — wrap Dir248 in a LiveTable: an RCU-style generation
+// pointer whose writers build complete replacement snapshots off to the
+// side and publish them atomically, so inserts and withdraws never stall
+// a forwarding core and no Lookup ever observes a partially built table.
+// Readers hold a snapshot (Load) across a batch of lookups and pay one
+// atomic read per batch, not per packet.
 package lpm
 
 import (

@@ -353,3 +353,83 @@ func BenchmarkDir248Build256K(b *testing.B) {
 		d.Freeze()
 	}
 }
+
+// TestRebuildSweepEdges pins the one-sweep build against the Trie
+// oracle on the shapes where a sweep can go wrong: a range that fills
+// every page, ranges that end on or start at a page boundary, a nested
+// prefix in its parent's last slot, a block inside a block, neighbours
+// of equal length, and no routes at all. Each table is built both as a
+// bare Dir248 and as a LiveTable's first commit, and probed at every
+// route's edges, at every page boundary, and at random addresses.
+func TestRebuildSweepEdges(t *testing.T) {
+	cases := []struct {
+		name   string
+		routes []Route
+	}{
+		{"default alone", []Route{{pfx("0.0.0.0/0"), 1}}},
+		{"page boundary", []Route{
+			{pfx("0.0.0.0/7"), 1},
+			{pfx("0.255.255.0/24"), 2}, // slot 65535, the last of page 0
+			{pfx("1.0.0.0/24"), 3},     // slot 65536, the first of page 1
+			{pfx("2.255.255.0/24"), 4}, // last slot of a page nothing else covers
+			{pfx("3.0.0.0/9"), 5},
+		}},
+		{"/8 with a /24 in its last slot", []Route{
+			{pfx("10.0.0.0/8"), 1},
+			{pfx("10.255.255.0/24"), 2},
+		}},
+		{"/32 inside a /25", []Route{
+			{pfx("10.1.0.0/16"), 1},
+			{pfx("10.1.2.128/25"), 2},
+			{pfx("10.1.2.200/32"), 3},
+			{pfx("10.1.3.255/32"), 4}, // a block whose slot's leaf is the /16
+		}},
+		{"adjacent equal lengths", []Route{
+			{pfx("10.1.0.0/16"), 1},
+			{pfx("10.2.0.0/16"), 2},
+			{pfx("10.3.0.0/16"), 3},
+			{pfx("20.0.0.0/25"), 4},
+			{pfx("20.0.0.128/25"), 5},
+			{pfx("20.0.1.0/24"), 6},
+			{pfx("20.0.2.0/24"), 7},
+		}},
+		{"empty table", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := NewTrie()
+			d := NewDir248()
+			must(t, Build(ref, tc.routes))
+			must(t, Build(d, tc.routes))
+			d.Freeze()
+			lt, err := NewLiveTable(tc.routes...)
+			must(t, err)
+
+			var probes []uint32
+			for _, r := range tc.routes {
+				lo := ip(r.Prefix.Addr().String())
+				hi := lo | ^(^uint32(0) << (32 - r.Prefix.Bits()))
+				probes = append(probes, lo-1, lo, lo+1, hi-1, hi, hi+1)
+			}
+			for pi := uint32(0); pi < tbl24Pages; pi++ {
+				probes = append(probes, pi<<24-1, pi<<24)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 4096; i++ {
+				probes = append(probes, rng.Uint32())
+			}
+			for _, dst := range probes {
+				want := ref.Lookup(dst)
+				if got := d.Lookup(dst); got != want {
+					t.Fatalf("Dir248 lookup(%08x) = %d, trie says %d", dst, got, want)
+				}
+				if got := lt.Lookup(dst); got != want {
+					t.Fatalf("LiveTable lookup(%08x) = %d, trie says %d", dst, got, want)
+				}
+			}
+			if len(tc.routes) == 0 && d.MemoryFootprint() != 0 {
+				t.Fatalf("empty table materialized %d bytes", d.MemoryFootprint())
+			}
+		})
+	}
+}

@@ -4,8 +4,8 @@ import "net/netip"
 
 // Trie is a binary (unibit) trie LPM engine. It is the baseline the paper
 // era's software routers shipped before compressed schemes; here it serves
-// as the obviously-correct reference implementation and as the comparison
-// point for the LPM ablation benchmark.
+// as the obviously-correct oracle the tests check Dir248 and LiveTable
+// against, and as the comparison point for the LPM ablation benchmark.
 type Trie struct {
 	root *trieNode
 	n    int
