@@ -133,6 +133,12 @@ const (
 	packHopMask   = 1<<packBitsShift - 1 // validate caps next hops at 23 bits
 )
 
+// unpackRoute splits a packed route key into its address, prefix length
+// and leaf value (hop+1; 0 means empty).
+func unpackRoute(k uint64) (addr, bits, leaf uint32) {
+	return uint32(k >> packAddrShift), uint32(k>>packBitsShift) & 0x3F, uint32(k&packHopMask) + 1
+}
+
 // rebuildFrom repaints the lookup arrays from an arbitrary route map —
 // the shared core of Freeze and of LiveTable's full-rebuild commits.
 //
@@ -172,13 +178,13 @@ func (d *Dir248) rebuildFrom(routes map[prefixKey]int) {
 		next = s
 	}
 	for _, k := range keys {
-		addr, bits := uint32(k>>packAddrShift), uint32(k>>packBitsShift)&0x3F
+		addr, bits, leaf := unpackRoute(k)
 		if bits > 24 {
 			continue
 		}
 		s := addr >> 8
 		closeTo(s)
-		stack = append(stack, open{s + 1<<(24-bits), uint32(k&packHopMask) + 1})
+		stack = append(stack, open{s + 1<<(24-bits), leaf})
 	}
 	closeTo(1 << 24)
 
@@ -187,7 +193,7 @@ func (d *Dir248) rebuildFrom(routes map[prefixKey]int) {
 	var blk []uint32
 	blkSlot := ^uint32(0)
 	for _, k := range keys {
-		addr, bits := uint32(k>>packAddrShift), uint32(k>>packBitsShift)&0x3F
+		addr, bits, leaf := unpackRoute(k)
 		if bits <= 24 {
 			continue
 		}
@@ -199,7 +205,7 @@ func (d *Dir248) rebuildFrom(routes map[prefixKey]int) {
 			blkSlot = s
 		}
 		low := addr & 0xFF
-		fill(blk[low:low+1<<(32-bits)], uint32(k&packHopMask)+1)
+		fill(blk[low:low+1<<(32-bits)], leaf)
 	}
 }
 
