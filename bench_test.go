@@ -182,15 +182,15 @@ func BenchmarkAblation_BatchingGrid(b *testing.B) {
 	_ = rep
 }
 
-// BenchmarkDispatch is the headline dataflow microbenchmark: one kp=32
-// poll batch through the standard IP forwarding path (PollDevice →
-// CheckIPHeader → LPMLookup → DecIPTTL → ToDevice), dispatched the old
-// way (one Push call and one GC-bound packet per hop) versus the
-// batch-native way (one call per hop per batch, pool-recycled buffers).
-// Each b.N iteration moves one full 32-packet batch, so ns/op and
-// allocs/op are directly comparable between the two sub-benchmarks.
+// BenchmarkDispatch is the headline dataflow microbenchmark: the
+// standard IP forwarding path (PollDevice → CheckIPHeader → LPMLookup →
+// DecIPTTL → ToDevice) at poll batch kp=1 and kp=32 — paper Table 1's kp
+// axis as a code path. Every hop is one call per batch and buffers come
+// from and return to the pool, so the two arms differ only in how many
+// packets each call carries. Each b.N iteration moves 32 packets (32
+// polls at kp=1, one at kp=32), so ns/op and allocs/op compare directly.
 func BenchmarkDispatch(b *testing.B) {
-	const kp = 32
+	const perOp = 32
 	table := lpm.NewDir248()
 	if err := table.Insert(netip.MustParsePrefix("10.0.0.0/16"), 1); err != nil {
 		b.Fatal(err)
@@ -199,58 +199,48 @@ func BenchmarkDispatch(b *testing.B) {
 	src := netip.MustParseAddr("10.1.0.1")
 	dst := netip.MustParseAddr("10.0.0.2")
 
-	run := func(b *testing.B, batch bool) {
-		in := exec.NewRing(2 * kp)
-		out := exec.NewRing(2 * kp)
+	run := func(b *testing.B, kp int) {
+		in := exec.NewRing(2 * perOp)
+		out := exec.NewRing(2 * perOp)
 		poll := elements.NewPollDevice(in, kp)
 		poll.ChargeForward = false // measure dispatch, not the modelled forwarding cycles
 		check := &elements.CheckIPHeader{}
 		look := elements.NewLPMLookup(table)
 		ttl := &elements.DecIPTTL{}
 		dev := elements.NewToDevice(out, 16)
-		if batch {
-			poll.SetBatchOutput(0, click.BatchDispatch(check, 0))
-			check.SetBatchOutput(0, click.BatchDispatch(look, 0))
-			look.SetBatchOutput(0, click.BatchDispatch(ttl, 0))
-			ttl.SetBatchOutput(0, click.BatchDispatch(dev, 0))
-		} else {
-			poll.SetOutput(0, func(ctx *click.Context, p *pkt.Packet) { check.Push(ctx, 0, p) })
-			check.SetOutput(0, func(ctx *click.Context, p *pkt.Packet) { look.Push(ctx, 0, p) })
-			look.SetOutput(0, func(ctx *click.Context, p *pkt.Packet) { ttl.Push(ctx, 0, p) })
-			ttl.SetOutput(0, func(ctx *click.Context, p *pkt.Packet) { dev.Push(ctx, 0, p) })
-		}
+		poll.SetBatchOutput(0, click.BatchDispatch(check, 0))
+		check.SetBatchOutput(0, click.BatchDispatch(look, 0))
+		look.SetBatchOutput(0, click.BatchDispatch(ttl, 0))
+		ttl.SetBatchOutput(0, click.BatchDispatch(dev, 0))
 		ctx := &click.Context{}
-		drain := pkt.NewBatch(kp)
+		drain := pkt.NewBatch(perOp)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// Refill: the batch path recycles delivered packets through
-			// the pool (steady-state zero allocation); the per-packet
-			// path models the old dataflow, one heap packet per packet.
-			for j := 0; j < kp; j++ {
+			for j := 0; j < perOp; j++ {
 				p := pkt.New(pkt.MinSize, src, dst, uint16(1000+j), 80)
 				p.IPv4().SetTTL(64)
 				p.IPv4().UpdateChecksum()
 				in.Push(p)
 			}
-			if got := poll.Run(ctx); got != kp {
-				b.Fatalf("poll moved %d packets, want %d", got, kp)
+			for moved := 0; moved < perOp; {
+				got := poll.Run(ctx)
+				if got != kp {
+					b.Fatalf("poll moved %d packets, want %d", got, kp)
+				}
+				moved += got
 			}
 			ctx.TakeCycles()
 			drain.Reset()
-			if n := out.PopBatchInto(drain, kp); n != kp {
-				b.Fatalf("forwarded %d packets, want %d", n, kp)
+			if n := out.PopBatchInto(drain, perOp); n != perOp {
+				b.Fatalf("forwarded %d packets, want %d", n, perOp)
 			}
-			if batch {
-				for _, p := range drain.Packets() {
-					pkt.DefaultPool.Put(p)
-				}
-			}
+			pkt.DefaultPool.PutBatch(drain)
 		}
 	}
 
-	b.Run("perPacket", func(b *testing.B) { run(b, false) })
-	b.Run("batch", func(b *testing.B) { run(b, true) })
+	b.Run("kp=1", func(b *testing.B) { run(b, 1) })
+	b.Run("kp=32", func(b *testing.B) { run(b, perOp) })
 }
 
 // BenchmarkSteer prices the RSS role's per-packet steering work — what
@@ -532,7 +522,6 @@ func runESPPlacement(b *testing.B, kind click.PlanKind, cores int) {
 				b.Fatal(err)
 			}
 			esp := elements.NewESPEncap(tun, netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"))
-			esp.Recycle = pkt.DefaultPool
 			return map[string]Element{"esp": esp, "badhdr": lossDrop(&lost), "oversize": lossDrop(&lost)}
 		},
 		Sink: func(int) Element {

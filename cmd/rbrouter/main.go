@@ -219,7 +219,7 @@ func (e *egress) add(ctx *click.Context, j int, p *pkt.Packet) {
 		// A dead peer, or no collector configured: recycling beats
 		// blackholing, and tx_drained accounts every frame.
 		nd.txDrained.Add(1)
-		ctx.Recycle(pkt.DefaultPool, p)
+		ctx.Recycle(p)
 	}
 }
 
@@ -235,13 +235,13 @@ func (e *egress) flush(ctx *click.Context) {
 		nd.forwarded.Add(uint64(sent))
 		nd.txErrors.Add(uint64(n - sent))
 		e.to = e.to[:0]
-		ctx.RecycleBatch(pkt.DefaultPool, e.mesh)
+		ctx.RecycleBatch(e.mesh)
 	}
 	if n := e.line.Len(); n > 0 {
 		sent, _ := e.lineW.WriteBatch(e.line.Packets(), nd.sink)
 		nd.egressed.Add(uint64(sent))
 		nd.txErrors.Add(uint64(n - sent))
-		ctx.RecycleBatch(pkt.DefaultPool, e.line)
+		ctx.RecycleBatch(e.line)
 	}
 }
 
@@ -393,10 +393,8 @@ func (f *udpForward) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 }
 
 // Push is PushBatch for one packet.
-func (f *udpForward) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	f.restripe()
-	f.tx.add(ctx, f.route(nowVirtual(), p), p)
-	f.tx.flush(ctx)
+func (f *udpForward) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(f, ctx, port, p)
 }
 
 // restripe applies the node's membership record to the balancer when it
@@ -438,7 +436,7 @@ func (nd *node) transit(tx *egress) func(*click.Context, *pkt.Batch) {
 			case out >= nd.n:
 				// Not a member's MAC: rejected for its header.
 				nd.hdrDrops.Add(1)
-				ctx.Recycle(pkt.DefaultPool, p)
+				ctx.Recycle(p)
 				continue
 			}
 			tx.add(ctx, out, p)

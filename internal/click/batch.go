@@ -8,22 +8,28 @@ import "routebricks/internal/pkt"
 // per packet, and forwards the survivors with OutBatch (compacting the
 // batch in place if it filtered any out).
 //
-// BatchElement embeds Element: Push remains the single-packet entry
-// point (slow paths, error outputs, manual tests), so a per-packet
-// upstream can always deliver to a batch-native element and vice versa.
+// A batch-native element keeps its logic in PushBatch alone; its Push,
+// the single-packet entry point (error ports of per-packet upstreams,
+// manual tests), is one call to PushOne.
 type BatchElement interface {
 	Element
 	// PushBatch processes a batch arriving on the given input port.
 	PushBatch(ctx *Context, port int, b *pkt.Batch)
 }
 
-// BatchOutput is a bound downstream batch connection — the batch analog
-// of Output.
+// PushOne delivers p to e's input port as a batch of one, drawn from
+// ctx's re-entrant stack, so it allocates nothing once ctx is warm.
+func PushOne(e BatchElement, ctx *Context, port int, p *pkt.Packet) {
+	e.PushBatch(ctx, port, ctx.one(p))
+	ctx.release()
+}
+
+// BatchOutput is the binding of one output port: the function a batch
+// sent there is handed to.
 type BatchOutput func(ctx *Context, b *pkt.Batch)
 
-// BatchOutputSetter is implemented by elements with batch-capable
-// outputs (via embedding Base). The router wires batch connections
-// through it alongside the per-packet ones.
+// BatchOutputSetter is implemented by elements with outputs (via
+// embedding Base). The router wires every connection through it.
 type BatchOutputSetter interface {
 	SetBatchOutput(port int, out BatchOutput)
 }
@@ -31,10 +37,10 @@ type BatchOutputSetter interface {
 // BatchDispatch builds the BatchOutput for a connection into dst's input
 // port, choosing the native or adapted delivery path once at wiring time
 // so the dispatch itself is a single indirect call. A per-packet dst
-// gets the batch unrolled into Push calls in slot order — the automatic
-// adapter that lets per-packet elements sit unmodified inside a batch
-// graph. Either way, ownership of the packets passes to dst and b comes
-// back empty, ready for reuse.
+// gets the batch unrolled into Push calls in slot order — the adapter
+// that lets per-packet elements sit unmodified inside a batch graph.
+// Either way, ownership of the packets passes to dst and b comes back
+// empty, ready for reuse.
 func BatchDispatch(dst Element, port int) BatchOutput {
 	if be, ok := dst.(BatchElement); ok {
 		return func(ctx *Context, b *pkt.Batch) {

@@ -20,25 +20,26 @@
 //   - Dispatch is batch-native. Poll tasks pull a kp-packet pkt.Batch
 //     from their receive ring and push the whole batch through the graph
 //     with one call per hop (§4.2's poll batching made a code path, not
-//     just a cost-model divisor). Elements implementing BatchElement
-//     process batches in place; per-packet elements are driven through
-//     an adapter installed at Connect time, so the two styles mix freely
-//     in one graph.
+//     just a cost-model divisor). Every output port has one binding, a
+//     BatchOutput: Connect binds a BatchElement's PushBatch directly and
+//     unrolls the batch into Push calls for a per-packet element, and
+//     Out sends a single packet as a batch of one. A batch-native
+//     element keeps its logic in PushBatch only; its Push is PushOne.
 //
 // # Ownership discipline
 //
 // Exactly one owner per packet at any time. Pushing a packet — via
 // Push, Out, PushBatch, or OutBatch — transfers ownership downstream:
-// the pusher must not touch the packet again unless it comes back (it
-// never does; the graph is a DAG of synchronous calls). An element that
-// terminates a packet's life (Discard, Sink, a drop on a full transmit
-// ring) is the sole owner at that moment and may return the buffer to a
-// pkt.Pool; everything upstream has already let go. Batch containers
+// the pusher must not touch the packet again. An element that
+// terminates a packet's life (Discard, a drop on a full transmit ring,
+// a fragment the Reassembler absorbed) is the sole owner at that moment
+// and returns the buffer with Context.Recycle, into the running core's
+// pool shard; everything upstream has already let go. Batch containers
 // are different: OutBatch hands the *packets* downstream but returns
 // the emptied Batch to the caller, so a poll task reuses one Batch for
-// its whole lifetime. Elements that filter a batch do it in place with
-// Take/Drop + Compact before forwarding, never by allocating a new
-// container.
+// its whole lifetime, and Out's batches of one come from a stack on the
+// Context. Elements that filter a batch do it in place with Take/Drop +
+// Compact before forwarding, never by allocating a new container.
 package click
 
 import (
@@ -57,47 +58,69 @@ type Context struct {
 	// nil in untimed (pure functional) runs.
 	NowNS func() int64
 
-	// PoolShard is the executing core's wired slice of the packet pool,
+	// PoolShard is the executing core's wired slice of pkt.DefaultPool,
 	// set by the plan's poll tasks so graph exits recycle — and sources
 	// allocate — against core-local state (see Recycle/Alloc). Nil in
 	// contexts that never entered a placed plan.
 	PoolShard *pkt.PoolShard
 
 	cycles float64
-	frames []frame // profiling stack; empty unless Router.Instrument is active
+	frames []frame      // profiling stack; empty unless Router.Instrument is active
+	ones   []*pkt.Batch // batches of one for Out and PushOne; see one
+	depth  int          // how many of ones are in use
 }
 
-// Recycle returns p to pool, preferring the executing core's wired
-// shard when it belongs to the same pool — the shared-nothing fast
+// Recycle returns p to the executing core's wired shard, or to
+// pkt.DefaultPool when the context has none — the shared-nothing fast
 // path: a Discard or Sink on core c puts into core c's freelist, and
 // the next poll's allocations find the buffer still cache-warm.
-func (c *Context) Recycle(pool *pkt.Pool, p *pkt.Packet) {
-	if c != nil && c.PoolShard != nil && c.PoolShard.Pool() == pool {
+func (c *Context) Recycle(p *pkt.Packet) {
+	if c.PoolShard != nil {
 		c.PoolShard.Put(p)
 		return
 	}
-	pool.Put(p)
+	pkt.DefaultPool.Put(p)
 }
 
 // RecycleBatch is Recycle for a whole batch: one shard-lock crossing
 // for all of b's packets.
-func (c *Context) RecycleBatch(pool *pkt.Pool, b *pkt.Batch) {
-	if c != nil && c.PoolShard != nil && c.PoolShard.Pool() == pool {
+func (c *Context) RecycleBatch(b *pkt.Batch) {
+	if c.PoolShard != nil {
 		c.PoolShard.PutBatch(b)
 		return
 	}
-	pool.PutBatch(b)
+	pkt.DefaultPool.PutBatch(b)
 }
 
-// Alloc draws a packet from pool via the executing core's wired shard
-// when possible — the allocation half of the shared-nothing discipline
-// for elements that materialize packets on the datapath (ESP
-// encapsulation, reassembly).
-func (c *Context) Alloc(pool *pkt.Pool, size int) *pkt.Packet {
-	if c != nil && c.PoolShard != nil && c.PoolShard.Pool() == pool {
+// Alloc draws a packet from the executing core's wired shard, or from
+// pkt.DefaultPool when the context has none — the allocation half of
+// the shared-nothing discipline for elements that materialize packets
+// on the datapath (ESP encapsulation, reassembly).
+func (c *Context) Alloc(size int) *pkt.Packet {
+	if c.PoolShard != nil {
 		return c.PoolShard.Get(size)
 	}
-	return pool.Get(size)
+	return pkt.DefaultPool.Get(size)
+}
+
+// one wraps p in a batch of one taken from the context's stack, for Out
+// and PushOne; release returns it. A stack rather than one scratch batch
+// keeps the wrapping re-entrant: a graph that cycles back into an
+// element pushes again before the outer batch of one is released.
+func (c *Context) one(p *pkt.Packet) *pkt.Batch {
+	if c.depth == len(c.ones) {
+		c.ones = append(c.ones, pkt.NewBatch(1))
+	}
+	b := c.ones[c.depth]
+	c.depth++
+	b.Add(p)
+	return b
+}
+
+// release empties and returns the batch the last one handed out.
+func (c *Context) release() {
+	c.depth--
+	c.ones[c.depth].Reset()
 }
 
 // frame tracks one instrumented push: the cycle counter at entry and the
@@ -182,92 +205,60 @@ type PortCounter interface {
 	OutPorts() int
 }
 
-// Output is a bound downstream connection.
+// Output is a per-packet downstream function; SetOutput binds one to a
+// port by unrolling each batch into it.
 type Output func(ctx *Context, p *pkt.Packet)
 
-// OutputSetter is implemented by elements with outputs (typically via
-// embedding Base). The router wires connections through it.
-type OutputSetter interface {
-	SetOutput(port int, out Output)
-}
-
 // Base provides output-port bookkeeping for element implementations.
-// Embed it and call Out to forward single packets, OutBatch to forward
-// batches. Each port can carry a per-packet binding, a batch binding, or
-// both; either call falls back to the other binding when its own is
-// missing, so graphs mixing batch-native and per-packet elements always
-// deliver.
+// Embed it and call OutBatch to forward batches, Out to forward single
+// packets. Each port has exactly one binding, a BatchOutput; Out sends
+// its packet through it as a batch of one.
 type Base struct {
-	outs  []Output
-	bouts []BatchOutput
-	// one is the lazily built scratch batch behind Out's batch-only-port
-	// fallback, so wrapping a single packet never touches the heap after
-	// the first use. Safe to reuse across calls because the graph is a
-	// DAG of synchronous dispatches: the batch is consumed before Out
-	// returns.
-	one *pkt.Batch
+	outs []BatchOutput
 }
 
-// SetOutput binds output port i's per-packet path.
-func (b *Base) SetOutput(i int, out Output) {
+// SetBatchOutput binds output port i.
+func (b *Base) SetBatchOutput(i int, out BatchOutput) {
 	for len(b.outs) <= i {
 		b.outs = append(b.outs, nil)
 	}
 	b.outs[i] = out
 }
 
-// SetBatchOutput binds output port i's batch path.
-func (b *Base) SetBatchOutput(i int, out BatchOutput) {
-	for len(b.bouts) <= i {
-		b.bouts = append(b.bouts, nil)
-	}
-	b.bouts[i] = out
-}
-
-// Out pushes p to output port i; unconnected ports drop silently (like
-// Click's Discard-terminated dangling outputs, but explicit). A port
-// with only a batch binding delivers p as a momentary batch of one.
-func (b *Base) Out(ctx *Context, i int, p *pkt.Packet) {
-	if i < len(b.outs) && b.outs[i] != nil {
-		b.outs[i](ctx, p)
-		return
-	}
-	if i < len(b.bouts) && b.bouts[i] != nil {
-		if b.one == nil {
-			b.one = pkt.NewBatch(1)
-		}
-		b.one.Reset()
-		b.one.Add(p)
-		b.bouts[i](ctx, b.one)
-		b.one.Reset()
-	}
-}
-
-// OutBatch pushes a whole batch to output port i. Ownership of the
-// packets passes downstream; the Batch container returns to the caller
-// empty, ready for refilling. Ports bound only per-packet receive the
-// batch unrolled in slot order; unconnected ports drop the batch.
-func (b *Base) OutBatch(ctx *Context, i int, batch *pkt.Batch) {
-	if i < len(b.bouts) && b.bouts[i] != nil {
-		b.bouts[i](ctx, batch)
-		batch.Reset()
-		return
-	}
-	if i < len(b.outs) && b.outs[i] != nil {
-		out := b.outs[i]
+// SetOutput binds output port i to a per-packet function, which receives
+// every batch sent there unrolled in slot order.
+func (b *Base) SetOutput(i int, out Output) {
+	b.SetBatchOutput(i, func(ctx *Context, batch *pkt.Batch) {
 		for _, p := range batch.Packets() {
 			if p != nil {
 				out(ctx, p)
 			}
 		}
+	})
+}
+
+// Out pushes p to output port i as a batch of one; unconnected ports
+// drop silently (like Click's Discard-terminated dangling outputs, but
+// explicit).
+func (b *Base) Out(ctx *Context, i int, p *pkt.Packet) {
+	if i < len(b.outs) && b.outs[i] != nil {
+		b.outs[i](ctx, ctx.one(p))
+		ctx.release()
+	}
+}
+
+// OutBatch pushes a whole batch to output port i. Ownership of the
+// packets passes downstream; the Batch container returns to the caller
+// empty, ready for refilling. Unconnected ports drop the batch.
+func (b *Base) OutBatch(ctx *Context, i int, batch *pkt.Batch) {
+	if i < len(b.outs) && b.outs[i] != nil {
+		b.outs[i](ctx, batch)
 	}
 	batch.Reset()
 }
 
-// Connected reports whether output i is bound (either path).
-func (b *Base) Connected(i int) bool {
-	return (i < len(b.outs) && b.outs[i] != nil) || (i < len(b.bouts) && b.bouts[i] != nil)
-}
+// Connected reports whether output i is bound.
+func (b *Base) Connected(i int) bool { return i < len(b.outs) && b.outs[i] != nil }
 
 // Router is a named element graph.
 type Router struct {
@@ -329,7 +320,7 @@ func (r *Router) Connect(from string, fromPort int, to string, toPort int) error
 	if !ok {
 		return fmt.Errorf("click: connect to unknown element %q", to)
 	}
-	setter, ok := src.(OutputSetter)
+	setter, ok := src.(BatchOutputSetter)
 	if !ok {
 		return fmt.Errorf("click: element %q has no outputs", from)
 	}
@@ -344,15 +335,7 @@ func (r *Router) Connect(from string, fromPort int, to string, toPort int) error
 			return fmt.Errorf("click: output %s[%d] already connected", from, fromPort)
 		}
 	}
-	setter.SetOutput(fromPort, func(ctx *Context, p *pkt.Packet) {
-		dst.Push(ctx, toPort, p)
-	})
-	// Wire the batch path alongside the per-packet one: native when the
-	// destination is batch-aware, otherwise the automatic per-packet
-	// adapter, chosen once here so dispatch stays a single indirect call.
-	if bsetter, ok := src.(BatchOutputSetter); ok {
-		bsetter.SetBatchOutput(fromPort, BatchDispatch(dst, toPort))
-	}
+	setter.SetBatchOutput(fromPort, BatchDispatch(dst, toPort))
 	r.conns = append(r.conns, conn{from, fromPort, to, toPort})
 	return nil
 }

@@ -430,46 +430,35 @@ func (p *Plan) RunBatch(chain int, ctx *Context, b *pkt.Batch) int {
 	return n
 }
 
-// wireStage connects from's output port 0 to to's input port 0 on both
-// the batch and per-packet paths, exactly as Router.Connect does.
+// wireStage connects from's output port 0 to to's input port 0,
+// exactly as Router.Connect does.
 func wireStage(from, to Element) error {
-	setter, ok := from.(OutputSetter)
+	setter, ok := from.(BatchOutputSetter)
 	if !ok {
 		return fmt.Errorf("element %T has no outputs", from)
 	}
-	setter.SetOutput(0, func(ctx *Context, p *pkt.Packet) { to.Push(ctx, 0, p) })
-	if bs, ok := from.(BatchOutputSetter); ok {
-		bs.SetBatchOutput(0, BatchDispatch(to, 0))
-	}
+	setter.SetBatchOutput(0, BatchDispatch(to, 0))
 	return nil
 }
 
 // wireRing connects from's output port 0 to an SPSC handoff ring,
-// replacing any synchronous binding the graph wiring installed. With
+// replacing the synchronous binding the graph wiring installed. With
 // backpressure-capped polling the ring cannot overflow from pass-through
 // traffic; packets a stage *generates* beyond what it polled can still
 // overflow, in which case they are counted as plan losses and recycled.
 func (p *Plan) wireRing(from Element, ring *exec.Ring) error {
-	setter, ok := from.(OutputSetter)
+	setter, ok := from.(BatchOutputSetter)
 	if !ok {
 		return fmt.Errorf("element %T has no outputs", from)
 	}
-	setter.SetOutput(0, func(_ *Context, pk *pkt.Packet) {
-		if !ring.Push(pk) {
-			p.lost.Add(1)
-			pkt.DefaultPool.Put(pk)
+	setter.SetBatchOutput(0, func(ctx *Context, b *pkt.Batch) {
+		ring.PushBatch(b)
+		if n := b.Len(); n > 0 {
+			p.lost.Add(uint64(n))
+			ctx.RecycleBatch(b)
 		}
+		b.Reset()
 	})
-	if bs, ok := from.(BatchOutputSetter); ok {
-		bs.SetBatchOutput(0, func(_ *Context, b *pkt.Batch) {
-			ring.PushBatch(b)
-			if n := b.Len(); n > 0 {
-				p.lost.Add(uint64(n))
-				pkt.DefaultPool.PutBatch(b)
-			}
-			b.Reset()
-		})
-	}
 	return nil
 }
 

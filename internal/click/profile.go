@@ -87,31 +87,19 @@ func (p *Profiler) String() string {
 }
 
 // Instrument rewires every existing connection of the router so that the
-// downstream element's own work (cycles it charges during Push,
-// excluding what elements it pushes to charge in turn) is attributed to
-// its name. Call after all Connects; connections made afterwards are not
+// downstream element's own work (cycles it charges while handling a
+// batch, excluding what elements it pushes to charge in turn) is
+// attributed to its name, and every packet in the batch counts toward
+// it. Call after all Connects; connections made afterwards are not
 // instrumented.
 func (r *Router) Instrument(p *Profiler) {
 	for _, c := range r.conns {
-		c := c
-		src := r.elements[c.from].(OutputSetter)
-		dst := r.elements[c.to]
-		src.SetOutput(c.fromPort, func(ctx *Context, pk *pkt.Packet) {
+		name, inner := c.to, BatchDispatch(r.elements[c.to], c.toPort)
+		r.elements[c.from].(BatchOutputSetter).SetBatchOutput(c.fromPort, func(ctx *Context, b *pkt.Batch) {
+			n := uint64(b.Len())
 			i := ctx.pushFrame()
-			dst.Push(ctx, c.toPort, pk)
-			p.Account(c.to, ctx.popFrame(i), 1)
+			inner(ctx, b)
+			p.Account(name, ctx.popFrame(i), n)
 		})
-		// Batch connections are bracketed the same way: the whole batch
-		// dispatch (native or adapted) is one frame, and every packet in
-		// the batch counts toward the destination element.
-		if bsrc, ok := src.(BatchOutputSetter); ok {
-			inner := BatchDispatch(dst, c.toPort)
-			bsrc.SetBatchOutput(c.fromPort, func(ctx *Context, b *pkt.Batch) {
-				n := uint64(b.Len())
-				i := ctx.pushFrame()
-				inner(ctx, b)
-				p.Account(c.to, ctx.popFrame(i), n)
-			})
-		}
 	}
 }

@@ -19,7 +19,7 @@ import "fmt"
 //     across cores;
 //   - side branches (check[1] -> Discard, rt[1] -> ICMPError -> ...)
 //     stay on the core of the trunk element that feeds them, wired by
-//     the ordinary synchronous batch/per-packet dual path. A branch
+//     the ordinary synchronous batch binding. A branch
 //     shared by several trunk elements pins those elements to one core
 //     (cutting between them would let two cores push into one element
 //     concurrently).

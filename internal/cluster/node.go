@@ -55,11 +55,6 @@ func newNode(c *Cluster, id int) *node {
 		panic(fmt.Sprintf("cluster: MAC steering needs cores (%d) ≥ nodes (%d)", cores, cfg.Nodes))
 	}
 	n := &node{c: c, id: id, sched: click.NewSchedule(cores)}
-	// Every drop point is a terminal owner: recycle so a long-running
-	// simulation forwards without allocation churn.
-	n.ttlDiscard.Recycle = pkt.DefaultPool
-	n.hdrDiscard.Recycle = pkt.DefaultPool
-	n.missDiscard.Recycle = pkt.DefaultPool
 	queues := func(all *[]*exec.Ring) []*exec.Ring {
 		qs := make([]*exec.Ring, cores)
 		for i := range qs {
@@ -116,8 +111,8 @@ func (n *node) ingressProgram() *click.Program {
 				return nil, err
 			}
 		}
-		check.SetOutput(1, func(ctx *click.Context, p *pkt.Packet) { n.hdrDiscard.Push(ctx, 0, p) })
-		look.SetOutput(1, func(ctx *click.Context, p *pkt.Packet) { n.missDiscard.Push(ctx, 0, p) })
+		check.SetBatchOutput(1, click.BatchDispatch(&n.hdrDiscard, 0))
+		look.SetBatchOutput(1, click.BatchDispatch(&n.missDiscard, 0))
 		ttl.SetOutput(1, func(ctx *click.Context, p *pkt.Packet) {
 			n.c.ttlDrops++
 			n.ttlDiscard.Push(ctx, 0, p)
@@ -301,14 +296,12 @@ func (v *vlbIngress) build() {
 	kn := n.c.cfg.KN
 	kp := n.c.cfg.KP
 	v.toExt = elements.NewToDevice(n.extTX[v.idx], kn)
-	v.toExt.Recycle = pkt.DefaultPool
 	v.scratchExt = pkt.NewBatch(kp)
 	v.to = make([]*elements.ToDevice, n.c.cfg.Nodes)
 	v.scratch = make([]*pkt.Batch, n.c.cfg.Nodes)
 	for j, tx := range n.peerTX {
 		if tx != nil {
 			v.to[j] = elements.NewToDevice(tx[v.idx], kn)
-			v.to[j].Recycle = pkt.DefaultPool
 			v.scratch[j] = pkt.NewBatch(kp)
 		}
 	}
@@ -321,25 +314,20 @@ func (v *vlbIngress) InPorts() int { return 1 }
 func (v *vlbIngress) OutPorts() int { return 0 }
 
 // Push routes the packet into the cluster.
-func (v *vlbIngress) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	n := v.n
-	if n.c.cfg.Flowlets {
-		ctx.Charge(hw.ReorderTaxCycles)
-	}
-	_, dev := v.route(ctx, p)
-	dev.Push(ctx, 0, p)
+func (v *vlbIngress) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(v, ctx, port, p)
 }
 
 // route makes the VLB decision for one packet — annotating phase,
-// rewriting the steering MAC — and returns the chosen next node (-1 for
-// the local external port) with its transmit element.
-func (v *vlbIngress) route(ctx *click.Context, p *pkt.Packet) (int, *elements.ToDevice) {
+// rewriting the steering MAC — and returns the chosen next node, or -1
+// for the local external port.
+func (v *vlbIngress) route(ctx *click.Context, p *pkt.Packet) int {
 	n := v.n
 	out := p.NextHop // output node, resolved by LPMLookup against the FIB
 	p.VLBPhase = 1
 	if out == n.id {
 		// Hairpin: destined to this node's own external port.
-		return -1, v.toExt
+		return -1
 	}
 	// The steering MAC carries the output node plus flow-hash bits above
 	// it, sharding each output's egress work across split queues (and so
@@ -350,8 +338,7 @@ func (v *vlbIngress) route(ctx *click.Context, p *pkt.Packet) (int, *elements.To
 	}
 	p.Ether().SetSrc(pkt.NodeMAC(n.id))
 	p.Ether().SetDst(pkt.NodeMAC(steer))
-	d := n.bal.Route(sim.Time(ctx.Now()), p, out)
-	return d.Next, v.to[d.Next]
+	return n.bal.Route(sim.Time(ctx.Now()), p, out).Next
 }
 
 // PushBatch routes a whole poll batch: the balancer decision is still
@@ -369,7 +356,7 @@ func (v *vlbIngress) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 	}
 	for i, p := range b.Packets() {
 		b.Drop(i)
-		next, _ := v.route(ctx, p)
+		next := v.route(ctx, p)
 		if next < 0 {
 			v.scratchExt.Add(p)
 			continue
@@ -404,10 +391,8 @@ func (v *vlbTransit) build() {
 	kn := n.c.cfg.KN
 	if v.outNode == n.id {
 		v.toExt = elements.NewToDevice(n.extTX[v.idx], kn)
-		v.toExt.Recycle = pkt.DefaultPool
 	} else {
 		v.toPeer = elements.NewToDevice(n.peerTX[v.outNode][v.idx], kn)
-		v.toPeer.Recycle = pkt.DefaultPool
 	}
 }
 
@@ -418,13 +403,8 @@ func (v *vlbTransit) InPorts() int { return 1 }
 func (v *vlbTransit) OutPorts() int { return 0 }
 
 // Push moves the packet along without touching its headers.
-func (v *vlbTransit) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	p.VLBPhase++
-	if v.toExt != nil {
-		v.toExt.Push(ctx, 0, p)
-		return
-	}
-	v.toPeer.Push(ctx, 0, p)
+func (v *vlbTransit) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(v, ctx, port, p)
 }
 
 // PushBatch moves a whole batch along. Every packet in queue q belongs

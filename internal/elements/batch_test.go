@@ -171,8 +171,8 @@ func TestCounterBatch(t *testing.T) {
 
 func TestDiscardBatchRecycles(t *testing.T) {
 	pool := pkt.NewPool(32)
-	disc := &Discard{Recycle: pool}
-	disc.PushBatch(&click.Context{}, 0, makeBatch(t, 5, "10.0.0.2"))
+	disc := &Discard{}
+	disc.PushBatch(&click.Context{PoolShard: pool.Shard(0)}, 0, makeBatch(t, 5, "10.0.0.2"))
 	if disc.Count() != 5 {
 		t.Fatalf("count = %d", disc.Count())
 	}
@@ -200,11 +200,11 @@ func TestToDeviceBatch(t *testing.T) {
 		}
 	}
 
-	// Overflow with a recycler: drops come back to the pool.
+	// Overflow: drops come back to the context's pool shard.
 	pool := pkt.NewPool(32)
 	small := exec.NewRing(2)
 	dev2 := NewToDevice(small, 16)
-	dev2.Recycle = pool
+	ctx.PoolShard = pool.Shard(0)
 	dev2.PushBatch(ctx, 0, makeBatch(t, 5, "10.0.0.2"))
 	sent2, dropped2 := dev2.Stats()
 	if sent2 != 2 || dropped2 != 3 {

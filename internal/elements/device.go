@@ -91,14 +91,12 @@ func (d *PollDevice) Stats() (polls, empty, packets uint64) {
 
 // ToDevice pushes packets into one NIC transmit queue and charges the
 // amortized per-transaction descriptor cost. Packets that do not fit are
-// dropped and counted (the ring's Rejected counter also advances).
+// dropped, counted (the ring's Rejected counter also advances) and
+// recycled through the running core's pool shard: the element is their
+// last owner.
 type ToDevice struct {
 	queue *exec.Ring
 	kn    int
-
-	// Recycle, when set, receives packets that were dropped because the
-	// transmit ring was full — the element is their last owner.
-	Recycle *pkt.Pool
 
 	sent    uint64
 	dropped uint64
@@ -119,23 +117,14 @@ func (d *ToDevice) InPorts() int { return 1 }
 func (d *ToDevice) OutPorts() int { return 0 }
 
 // Push enqueues the packet for transmission.
-func (d *ToDevice) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	ctx.Charge(hw.NICBatchCycles / float64(d.kn))
-	if d.queue.Push(p) {
-		d.sent++
-	} else {
-		d.dropped++
-		if d.Recycle != nil {
-			ctx.Recycle(d.Recycle, p)
-		}
-	}
+func (d *ToDevice) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(d, ctx, port, p)
 }
 
 // PushBatch enqueues a whole batch with one ring transaction, charging
 // the amortized descriptor cost once for the batch instead of once per
-// packet. Overflowing packets come back compacted in b; they are
-// recycled when a pool is attached, and the batch is returned empty
-// either way.
+// packet. Overflowing packets come back compacted in b and are
+// recycled; the batch is returned empty.
 func (d *ToDevice) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 	n := b.Compact()
 	if n == 0 {
@@ -145,9 +134,7 @@ func (d *ToDevice) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 	accepted := d.queue.PushBatch(b)
 	d.sent += uint64(accepted)
 	d.dropped += uint64(n - accepted)
-	if d.Recycle != nil {
-		ctx.RecycleBatch(d.Recycle, b)
-	}
+	ctx.RecycleBatch(b)
 	b.Reset()
 }
 
@@ -159,8 +146,11 @@ func (d *ToDevice) Stats() (sent, dropped uint64) { return d.sent, d.dropped }
 // which case Sink just counts. Safe for concurrent pushes.
 type Sink struct {
 	Fn func(ctx *click.Context, p *pkt.Packet)
-	// Recycle, when set, returns every consumed packet to the pool after
-	// Fn has seen it — the sink owns packets it receives.
+	// Recycle, when non-nil, makes the sink the owner of what it
+	// consumes: after Fn has seen a packet, it goes back through
+	// ctx.Recycle, the running core's shard of pkt.DefaultPool (the one
+	// pool the data path draws from; set Recycle to it). Leave it nil
+	// when Fn keeps packets.
 	Recycle *pkt.Pool
 
 	count atomic.Uint64
@@ -181,7 +171,7 @@ func (s *Sink) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 		s.Fn(ctx, p)
 	}
 	if s.Recycle != nil {
-		ctx.Recycle(s.Recycle, p)
+		ctx.Recycle(p)
 	}
 }
 

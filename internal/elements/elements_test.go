@@ -33,7 +33,7 @@ func (c *capture) Push(_ *click.Context, port int, p *pkt.Packet) {
 
 // wire connects el's output port to a fresh capture slot and returns the
 // capture. Used to test elements in isolation without a Router.
-func wireOut(el click.OutputSetter, port int, c *capture, slot int) {
+func wireOut(el interface{ SetOutput(int, click.Output) }, port int, c *capture, slot int) {
 	el.SetOutput(port, func(ctx *click.Context, p *pkt.Packet) {
 		c.ports[slot] = append(c.ports[slot], p)
 	})
@@ -302,7 +302,6 @@ func TestESPEncapProducesValidOuterHeader(t *testing.T) {
 func TestESPEncapZeroAlloc(t *testing.T) {
 	tun, _ := ipsec.NewTunnel(1, make([]byte, 16))
 	enc := NewESPEncap(tun, addr("192.0.2.1"), addr("192.0.2.2"))
-	enc.Recycle = pkt.DefaultPool
 	enc.SetOutput(0, func(_ *click.Context, p *pkt.Packet) { pkt.DefaultPool.Put(p) })
 	tmpl := testPacket(256, "10.0.0.5")
 	ctx := &click.Context{}

@@ -26,8 +26,8 @@ func (c *Classifier) InPorts() int { return 1 }
 func (c *Classifier) OutPorts() int { return len(c.Types) + 1 }
 
 // Push dispatches by EtherType.
-func (c *Classifier) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	c.Out(ctx, c.match(p), p)
+func (c *Classifier) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(c, ctx, port, p)
 }
 
 // match returns the output port for a packet's EtherType.
@@ -86,14 +86,8 @@ func (c *CheckIPHeader) InPorts() int { return 1 }
 func (c *CheckIPHeader) OutPorts() int { return 2 }
 
 // Push validates the header.
-func (c *CheckIPHeader) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	if !c.headerOK(p) {
-		c.invalid++
-		c.Out(ctx, 1, p)
-		return
-	}
-	c.valid++
-	c.Out(ctx, 0, p)
+func (c *CheckIPHeader) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(c, ctx, port, p)
 }
 
 // headerOK performs the validation itself.
@@ -146,13 +140,8 @@ func (d *DecIPTTL) InPorts() int { return 1 }
 func (d *DecIPTTL) OutPorts() int { return 2 }
 
 // Push decrements the TTL.
-func (d *DecIPTTL) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	if !p.IPv4().DecTTL() {
-		d.expired++
-		d.Out(ctx, 1, p)
-		return
-	}
-	d.Out(ctx, 0, p)
+func (d *DecIPTTL) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(d, ctx, port, p)
 }
 
 // PushBatch decrements TTLs across the batch; expired packets divert to
@@ -208,16 +197,8 @@ func (l *LPMLookup) InPorts() int { return 1 }
 func (l *LPMLookup) OutPorts() int { return 2 }
 
 // Push looks up the destination.
-func (l *LPMLookup) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	ctx.Charge(hw.RouteExtraCycles())
-	hop := l.Table.Lookup(p.IPv4().DstUint32())
-	if hop == lpm.NoRoute {
-		l.misses++
-		l.Out(ctx, 1, p)
-		return
-	}
-	p.NextHop = hop
-	l.Out(ctx, 0, p)
+func (l *LPMLookup) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(l, ctx, port, p)
 }
 
 // PushBatch looks up every destination, charging the routing delta once

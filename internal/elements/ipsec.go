@@ -13,15 +13,14 @@ import (
 // fixed peer — the paper's IPsec application ("every packet is encrypted
 // using AES-128 encryption, as is typical in VPNs", §5.1). The element
 // really encrypts: the output frame carries outer Ethernet + outer IPv4 +
-// ESP(SPI, seq, IV, ciphertext of the whole inner IP packet).
+// ESP(SPI, seq, IV, ciphertext of the whole inner IP packet). It
+// re-frames into a fresh buffer and recycles the consumed plaintext
+// packet through the running core's pool shard.
 type ESPEncap struct {
 	click.Base
-	Tunnel *ipsec.Tunnel
-	Local  netip.Addr // outer source
-	Peer   netip.Addr // outer destination
-	// Recycle, when set, receives the consumed plaintext packets (the
-	// element re-frames into a fresh buffer and owns the original).
-	Recycle  *pkt.Pool
+	Tunnel   *ipsec.Tunnel
+	Local    netip.Addr // outer source
+	Peer     netip.Addr // outer destination
 	oversize uint64
 }
 
@@ -36,53 +35,66 @@ func (e *ESPEncap) InPorts() int { return 1 }
 // OutPorts reports 2 (sealed, oversize).
 func (e *ESPEncap) OutPorts() int { return 2 }
 
-// Push encrypts and re-encapsulates, sealing straight into the outgoing
-// frame after its outer header.
-func (e *ESPEncap) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	ctx.Charge(hw.IPsecExtraCycles(p.Len()))
-	inner := p.Data[pkt.EtherHdrLen:] // inner IP packet (tunnel mode)
-	outLen := pkt.EtherHdrLen + pkt.IPv4HdrLen + ipsec.SealedLen(len(inner))
-	if outLen > pkt.MaxSize+pkt.IPv4HdrLen+ipsec.ESPHdrLen+2*ipsec.BlockSize {
-		// Would not fit any MTU we model; count and divert, unsealed.
-		e.oversize++
-		e.Out(ctx, 1, p)
-		return
+// Push encrypts and re-encapsulates one packet.
+func (e *ESPEncap) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(e, ctx, port, p)
+}
+
+// PushBatch encrypts and re-encapsulates the batch in place: each packet
+// is sealed straight into a pool packet after its outer header, which
+// takes the plaintext's slot. Oversize packets divert, unsealed, to
+// output 1 one at a time; the sealed ones continue as one batch.
+func (e *ESPEncap) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
+	pkts := b.Packets()
+	for i, p := range pkts {
+		if p == nil {
+			continue
+		}
+		ctx.Charge(hw.IPsecExtraCycles(p.Len()))
+		inner := p.Data[pkt.EtherHdrLen:] // inner IP packet (tunnel mode)
+		outLen := pkt.EtherHdrLen + pkt.IPv4HdrLen + ipsec.SealedLen(len(inner))
+		if outLen > pkt.MaxSize+pkt.IPv4HdrLen+ipsec.ESPHdrLen+2*ipsec.BlockSize {
+			// Would not fit any MTU we model; count and divert, unsealed.
+			e.oversize++
+			e.Out(ctx, 1, b.Take(i))
+			continue
+		}
+		out := ctx.Alloc(outLen)
+		out.Arrival = p.Arrival
+		out.InputPort = p.InputPort
+		out.SeqNo = p.SeqNo
+		eh := out.Ether()
+		eh.SetSrc(p.Ether().Src())
+		eh.SetDst(p.Ether().Dst())
+		eh.SetEtherType(pkt.EtherTypeIPv4)
+		ih := out.IPv4()
+		ih.SetVersionIHL()
+		ih.SetTotalLength(uint16(outLen - pkt.EtherHdrLen))
+		ih.SetTTL(64)
+		ih.SetProtocol(pkt.ProtoESP)
+		ih.SetSrc(e.Local)
+		ih.SetDst(e.Peer)
+		ih.UpdateChecksum()
+		e.Tunnel.SealInto(out.Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:], inner, 4) // 4 = IP-in-IP
+		ctx.Recycle(p)
+		pkts[i] = out
 	}
-	out := ctx.Alloc(pkt.DefaultPool, outLen)
-	out.Arrival = p.Arrival
-	out.InputPort = p.InputPort
-	out.SeqNo = p.SeqNo
-	eh := out.Ether()
-	eh.SetSrc(p.Ether().Src())
-	eh.SetDst(p.Ether().Dst())
-	eh.SetEtherType(pkt.EtherTypeIPv4)
-	ih := out.IPv4()
-	ih.SetVersionIHL()
-	ih.SetTotalLength(uint16(outLen - pkt.EtherHdrLen))
-	ih.SetTTL(64)
-	ih.SetProtocol(pkt.ProtoESP)
-	ih.SetSrc(e.Local)
-	ih.SetDst(e.Peer)
-	ih.UpdateChecksum()
-	e.Tunnel.SealInto(out.Data[pkt.EtherHdrLen+pkt.IPv4HdrLen:], inner, 4) // 4 = IP-in-IP
-	if e.Recycle != nil {
-		ctx.Recycle(e.Recycle, p)
+	if b.Compact() > 0 {
+		e.OutBatch(ctx, 0, b)
 	}
-	e.Out(ctx, 0, out)
 }
 
 // Oversize reports packets rejected for exceeding the modeled MTU.
 func (e *ESPEncap) Oversize() uint64 { return e.oversize }
 
 // ESPDecap reverses ESPEncap: output 0 carries the decrypted inner IP
-// packet re-framed in Ethernet; packets that fail authentication or
-// parsing exit output 1 unmodified.
+// packet re-framed in Ethernet, and the consumed ciphertext packet is
+// recycled through the running core's pool shard; packets that fail
+// authentication or parsing exit output 1 unmodified.
 type ESPDecap struct {
 	click.Base
 	Tunnel *ipsec.Tunnel
-	// Recycle, when set, receives the consumed ciphertext packets.
-	Recycle *pkt.Pool
-	errors  uint64
+	errors uint64
 }
 
 // NewESPDecap builds the decryption element.
@@ -109,7 +121,7 @@ func (e *ESPDecap) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 		e.Out(ctx, 1, p)
 		return
 	}
-	out := ctx.Alloc(pkt.DefaultPool, pkt.EtherHdrLen+len(inner))
+	out := ctx.Alloc(pkt.EtherHdrLen + len(inner))
 	out.Arrival = p.Arrival
 	out.InputPort = p.InputPort
 	out.SeqNo = p.SeqNo
@@ -118,9 +130,7 @@ func (e *ESPDecap) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 	eh.SetDst(p.Ether().Dst())
 	eh.SetEtherType(pkt.EtherTypeIPv4)
 	copy(out.Data[pkt.EtherHdrLen:], inner)
-	if e.Recycle != nil {
-		ctx.Recycle(e.Recycle, p)
-	}
+	ctx.Recycle(p)
 	e.Out(ctx, 0, out)
 }
 

@@ -21,10 +21,8 @@ func (c *Counter) InPorts() int { return 1 }
 func (c *Counter) OutPorts() int { return 1 }
 
 // Push counts and forwards.
-func (c *Counter) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	c.packets.Add(1)
-	c.bytes.Add(uint64(p.Len()))
-	c.Out(ctx, 0, p)
+func (c *Counter) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(c, ctx, port, p)
 }
 
 // PushBatch counts the whole batch with two counter updates and
@@ -55,13 +53,11 @@ func (c *Counter) Reset() {
 	c.bytes.Store(0)
 }
 
-// Discard drops everything, counting as it goes. As a terminal owner of
-// every packet it receives, it is the natural place to return buffers to
-// a pool: set Recycle and steady-state drops cost no allocation churn.
+// Discard drops everything, counting as it goes. It is the terminal
+// owner of every packet it receives and recycles each through the
+// running core's pool shard, so steady-state drops cost no allocation
+// churn.
 type Discard struct {
-	// Recycle, when set, receives every dropped packet.
-	Recycle *pkt.Pool
-
 	count atomic.Uint64
 }
 
@@ -72,19 +68,14 @@ func (d *Discard) InPorts() int { return 1 }
 func (d *Discard) OutPorts() int { return 0 }
 
 // Push drops.
-func (d *Discard) Push(ctx *click.Context, _ int, p *pkt.Packet) {
-	d.count.Add(1)
-	if d.Recycle != nil {
-		ctx.Recycle(d.Recycle, p)
-	}
+func (d *Discard) Push(ctx *click.Context, port int, p *pkt.Packet) {
+	click.PushOne(d, ctx, port, p)
 }
 
-// PushBatch drops the whole batch with one counter update.
+// PushBatch drops and recycles the whole batch with one counter update.
 func (d *Discard) PushBatch(ctx *click.Context, _ int, b *pkt.Batch) {
 	d.count.Add(uint64(b.Compact()))
-	if d.Recycle != nil {
-		ctx.RecycleBatch(d.Recycle, b)
-	}
+	ctx.RecycleBatch(b)
 	b.Reset()
 }
 

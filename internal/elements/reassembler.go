@@ -15,17 +15,17 @@ import (
 // Fragments that could make the rebuilt datagram lie are dropped and
 // counted in Malformed (see Push), so every emitted byte was carried by
 // some fragment.
+//
+// The element owns the fragments it consumes and recycles each through
+// the running core's pool shard: non-first fragments as soon as their
+// payload is absorbed, the first fragment (whose headers seed the
+// rebuilt datagram) after emission, malformed fragments at once, and
+// every fragment of an evicted partial datagram.
 type Reassembler struct {
 	click.Base
 	// TimeoutNs evicts stale partial datagrams (default 30 s, the classic
 	// reassembly timer).
 	TimeoutNs int64
-
-	// Recycle, when set, receives consumed fragments: non-first
-	// fragments as soon as their payload is absorbed, the first fragment
-	// (whose headers seed the rebuilt datagram) after emission, and
-	// every fragment of an evicted partial datagram.
-	Recycle *pkt.Pool
 
 	partial map[fragKey]*partialDatagram
 
@@ -93,7 +93,7 @@ func (r *Reassembler) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 		return
 	}
 	now := ctx.Now()
-	r.evict(now)
+	r.evict(ctx, now)
 
 	off, end := ih.FragOffset(), pkt.EtherHdrLen+int(ih.TotalLength())
 	fragEnd := off + end - hdr
@@ -130,24 +130,22 @@ func (r *Reassembler) Push(ctx *click.Context, _ int, p *pkt.Packet) {
 		pd.totalLen = fragEnd
 	}
 	if off == 0 {
-		if pd.first != nil && pd.first != p && r.Recycle != nil {
-			ctx.Recycle(r.Recycle, pd.first) // duplicate first fragment supersedes
+		if pd.first != nil && pd.first != p {
+			ctx.Recycle(pd.first) // duplicate first fragment supersedes
 		}
 		pd.first = p
-	} else if r.Recycle != nil {
+	} else {
 		// Payload absorbed; only the first fragment's headers are still
 		// needed for the rebuild.
-		ctx.Recycle(r.Recycle, p)
+		ctx.Recycle(p)
 	}
 
 	if pd.totalLen > 0 && pd.first != nil && r.complete(pd) {
 		delete(r.partial, key)
 		r.completed++
 		out := r.rebuild(ctx, pd)
-		if r.Recycle != nil {
-			ctx.Recycle(r.Recycle, pd.first)
-			pd.first = nil
-		}
+		ctx.Recycle(pd.first)
+		pd.first = nil
 		r.Out(ctx, 0, out)
 	}
 }
@@ -165,9 +163,7 @@ func (pd *partialDatagram) conflicts(fragEnd int, more bool) bool {
 // drop recycles a malformed fragment and counts it.
 func (r *Reassembler) drop(ctx *click.Context, p *pkt.Packet) {
 	r.malformed++
-	if r.Recycle != nil {
-		ctx.Recycle(r.Recycle, p)
-	}
+	ctx.Recycle(p)
 }
 
 // complete reports whether every 8-byte block up to totalLen is present.
@@ -184,7 +180,7 @@ func (r *Reassembler) complete(pd *partialDatagram) bool {
 // rebuild assembles the full datagram from the first fragment's headers
 // and the collected payload, into a pool-drawn buffer.
 func (r *Reassembler) rebuild(ctx *click.Context, pd *partialDatagram) *pkt.Packet {
-	out := ctx.Alloc(pkt.DefaultPool, pkt.EtherHdrLen+pkt.IPv4HdrLen+pd.totalLen)
+	out := ctx.Alloc(pkt.EtherHdrLen + pkt.IPv4HdrLen + pd.totalLen)
 	out.Arrival = pd.first.Arrival
 	out.InputPort = pd.first.InputPort
 	out.SeqNo = pd.first.SeqNo
@@ -198,7 +194,7 @@ func (r *Reassembler) rebuild(ctx *click.Context, pd *partialDatagram) *pkt.Pack
 }
 
 // evict drops partial datagrams idle past the timeout.
-func (r *Reassembler) evict(now int64) {
+func (r *Reassembler) evict(ctx *click.Context, now int64) {
 	if now == 0 {
 		return // untimed context: no eviction
 	}
@@ -206,8 +202,8 @@ func (r *Reassembler) evict(now int64) {
 		if now-pd.lastSeen > r.TimeoutNs {
 			delete(r.partial, k)
 			r.timedOut++
-			if r.Recycle != nil && pd.first != nil {
-				r.Recycle.Put(pd.first)
+			if pd.first != nil {
+				ctx.Recycle(pd.first)
 				pd.first = nil
 			}
 		}

@@ -120,7 +120,7 @@ func StandardRegistry() click.Registry {
 			if err := arity("Sink", args, 0); err != nil {
 				return nil, err
 			}
-			return &Sink{}, nil
+			return &Sink{Recycle: pkt.DefaultPool}, nil
 		},
 		"Shaper": func(args []string) (click.Element, error) {
 			if len(args) != 2 {

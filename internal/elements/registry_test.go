@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -154,4 +155,90 @@ func TestRegistryFactoriesValidate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchElementsPushOne guards against a second copy of an element's
+// logic: for every type in the package with a PushBatch method, the body
+// of Push must be the single statement click.PushOne(recv, ...), so the
+// batch path is the only implementation.
+func TestBatchElementsPushOne(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := map[string]bool{}
+	push := map[string]*ast.FuncDecl{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Recv == nil || len(d.Recv.List) == 0 {
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				ident, ok := recv.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				switch d.Name.Name {
+				case "PushBatch":
+					batch[ident.Name] = true
+				case "Push":
+					push[ident.Name] = d
+				}
+			}
+		}
+	}
+	if len(batch) == 0 {
+		t.Fatal("found no PushBatch methods")
+	}
+	for name := range batch {
+		d := push[name]
+		if d == nil {
+			t.Errorf("%s has PushBatch but no Push", name)
+			continue
+		}
+		if !isPushOne(d) {
+			t.Errorf("%s.Push at %s is not the single call click.PushOne(%s, ...)",
+				name, fset.Position(d.Pos()), recvName(d))
+		}
+	}
+}
+
+// recvName is the receiver's variable name, or "" when it is unnamed.
+func recvName(d *ast.FuncDecl) string {
+	if names := d.Recv.List[0].Names; len(names) == 1 {
+		return names[0].Name
+	}
+	return ""
+}
+
+// isPushOne reports whether d's body is exactly click.PushOne(recv, ...).
+func isPushOne(d *ast.FuncDecl) bool {
+	if d.Body == nil || len(d.Body.List) != 1 {
+		return false
+	}
+	stmt, ok := d.Body.List[0].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := stmt.X.(*ast.CallExpr)
+	if !ok || len(call.Args) != 4 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "PushOne" {
+		return false
+	}
+	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "click" {
+		return false
+	}
+	arg, ok := call.Args[0].(*ast.Ident)
+	return ok && arg.Name == recvName(d) && arg.Name != ""
 }

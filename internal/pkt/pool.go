@@ -69,8 +69,8 @@ type PoolShard struct {
 	_ [40]byte
 }
 
-// DefaultPool backs pkt.New, Clone, and every element recycler that is
-// not given an explicit pool.
+// DefaultPool backs pkt.New, Clone, and every element terminal: the
+// click Context's Recycle and Alloc use its shards.
 var DefaultPool = NewPool(4096)
 
 // defaultShards sizes the default shard count to the host's parallelism
