@@ -48,10 +48,16 @@ func BatchDispatch(dst Element, port int) BatchOutput {
 			b.Reset()
 		}
 	}
+	return unroll(func(ctx *Context, p *pkt.Packet) { dst.Push(ctx, port, p) })
+}
+
+// unroll adapts a per-packet function to a port binding: each batch is
+// delivered in slot order and comes back empty.
+func unroll(out Output) BatchOutput {
 	return func(ctx *Context, b *pkt.Batch) {
 		for _, p := range b.Packets() {
 			if p != nil {
-				dst.Push(ctx, port, p)
+				out(ctx, p)
 			}
 		}
 		b.Reset()

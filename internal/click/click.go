@@ -227,15 +227,7 @@ func (b *Base) SetBatchOutput(i int, out BatchOutput) {
 
 // SetOutput binds output port i to a per-packet function, which receives
 // every batch sent there unrolled in slot order.
-func (b *Base) SetOutput(i int, out Output) {
-	b.SetBatchOutput(i, func(ctx *Context, batch *pkt.Batch) {
-		for _, p := range batch.Packets() {
-			if p != nil {
-				out(ctx, p)
-			}
-		}
-	})
-}
+func (b *Base) SetOutput(i int, out Output) { b.SetBatchOutput(i, unroll(out)) }
 
 // Out pushes p to output port i as a batch of one; unconnected ports
 // drop silently (like Click's Discard-terminated dangling outputs, but
